@@ -9,8 +9,8 @@ classes is a genuine coincidence of Laplace-Beltrami spectra up to the
 degree bound: candidates for isospectral non-isometric pairs, worth
 re-checking at a larger bound.
 
-The count table is truncated to the queried norms when i_max < p, which
-keeps large-p scans cheap.
+Each sequence comes from the space's generating-function numerator,
+built only up to degree i_max, which keeps large-p scans cheap.
 
 Example:
     python3 scripts/isospectral_search.py --p 11 --m 3 --i-max 16
@@ -20,15 +20,12 @@ import argparse
 import sys
 from collections import defaultdict
 
-from lenslat import gamma_table, make_lens_space, multiplicity
+from lenslat import make_lens_space, spectrum
 from lenslat.cli import canonical_q_tuples
 
 
 def multiplicity_sequence(p, q, i_max):
-    space = make_lens_space(p, q)
-    s_max = i_max if i_max < p else None
-    table = gamma_table(space, s_max=s_max)
-    return tuple(multiplicity(space, table, i) for i in range(i_max + 1))
+    return tuple(e.mult for e in spectrum(make_lens_space(p, q), i_max).entries)
 
 
 def main(argv=None):

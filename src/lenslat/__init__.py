@@ -1,21 +1,21 @@
 """Exact Laplace-Beltrami spectra of lens spaces via lattice point counting.
 
-The library side: validated lens-space parameters, box-bounded lattice
-counts by dynamic programming, the closed-form 1-norm count N(h), and
-eigenvalue multiplicity tables, all in exact integer arithmetic.  The
+The library side: validated lens-space parameters, box-bounded counts,
+the 1-norm generating function's numerator by dynamic programming, and
+N(h) and multiplicity tables read off it, all in exact integers.  The
 brute-force enumeration twin lives in lenslat.oracle (test instrument,
 not a stable surface); the command line lives in lenslat.cli.
 """
 
 from .lattice import (
-    GammaTable,
     LensSpace,
+    Numerator,
     SubsetMask,
     binom,
     decompose,
     gamma,
-    gamma_table,
     make_lens_space,
+    numerator,
 )
 from .spectra import (
     IsospectralReport,
@@ -33,9 +33,9 @@ from .spectra import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GammaTable",
     "IsospectralReport",
     "LensSpace",
+    "Numerator",
     "ParityRow",
     "SpectrumEntry",
     "SpectrumTable",
@@ -45,10 +45,10 @@ __all__ = [
     "decompose",
     "first_positive_eigenvalue",
     "gamma",
-    "gamma_table",
     "make_lens_space",
     "multiplicity",
     "n_lattice_formula",
+    "numerator",
     "parity_report",
     "spectrum",
 ]

@@ -13,7 +13,9 @@ bench      wall-clock of the formula path vs. the enumeration oracle
 Output is CSV (default) or JSON on stdout (or --output PATH).
 Multiplicities and counts are serialized as decimal strings in JSON so
 arbitrary-precision values survive every parser.  Exit codes: 0 success,
-1 verification mismatch, 2 invalid input or refused enumeration budget.
+1 verification mismatch, 2 invalid input, an unwritable --output or a
+refused enumeration budget.  Input that would check nothing (an empty
+verify grid, a negative --h-max) is invalid.
 The environment variable LENSLAT_ORACLE_BUDGET overrides the default
 oracle candidate budget; a --oracle-budget flag wins over both.
 """
@@ -38,8 +40,8 @@ from .lattice import (
     binom,
     decompose,
     gamma,
-    gamma_table,
     make_lens_space,
+    numerator,
 )
 from .spectra import (
     compare_spectra,
@@ -137,17 +139,18 @@ def _canonical_form(
 
 
 def _resolve_budget(flag_value: int | None, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get(BUDGET_ENV_VAR)
-    if env is not None:
+    budget = flag_value
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV_VAR)
         try:
-            return int(env)
+            budget = default if env is None else int(env)
         except ValueError:
             raise ValueError(
                 f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
             ) from None
-    return default
+    if budget < 0:
+        raise ValueError(f"oracle budget must be non-negative, got {budget}")
+    return budget
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -207,7 +210,7 @@ def run_spectrum(config: RunConfig) -> tuple[str, int]:
 
 def run_nl(config: RunConfig) -> tuple[str, int]:
     space = make_lens_space(config.p, config.q)
-    value = n_lattice_formula(space, gamma_table(space), config.h)
+    value = n_lattice_formula(space, numerator(space), config.h)
     if config.fmt == "json":
         obj = _space_json(space) | {"h": config.h, "count": str(value)}
         return _json_text(obj), 0
@@ -219,11 +222,13 @@ def run_gamma(config: RunConfig) -> tuple[str, int]:
     if config.subset is None:
         mask = SubsetMask.full(space.m)
     else:
-        for j in config.subset:
+        for n, j in enumerate(config.subset):
             if not 1 <= j <= space.m:
                 raise ValueError(
                     f"subset index {j} out of range 1..{space.m}"
                 )
+            if j in config.subset[:n]:
+                raise ValueError(f"subset index {j} given more than once")
         mask = SubsetMask.from_indices([j - 1 for j in config.subset], space.m)
     value = gamma(space, mask, config.s)
     if config.fmt == "json":
@@ -296,6 +301,8 @@ def _verify_cases(config: RunConfig) -> tuple[str, list[tuple[LensSpace, list[in
         f"canonical q tuples, h in 0..{config.h_max}"
         + (", deep" if config.deep else "")
     )
+    if not cases:
+        raise ValueError(f"empty verify grid ({grid}): nothing to check")
     return grid, cases
 
 
@@ -341,10 +348,10 @@ def verify_grid(config: RunConfig) -> VerifyReport:
     grid, cases = _verify_cases(config)
     checks: list[CheckRecord] = []
     for space, hs in cases:
-        table = gamma_table(space)
+        num = numerator(space)
         label = space.label()
         for h in hs:
-            formula = n_lattice_formula(space, table, h)
+            formula = n_lattice_formula(space, num, h)
             count = oracle.n_lattice_bruteforce(space, h, config.oracle_budget)
             checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
             if config.deep:
@@ -389,11 +396,11 @@ def run_bench(config: RunConfig) -> tuple[str, int]:
     non-deterministic output of the CLI.
     """
     space = make_lens_space(config.p, config.q)
-    table = gamma_table(space)
+    num = numerator(space)
     rows = []
     for h in range(config.h_max + 1):
         start = time.perf_counter()
-        value = n_lattice_formula(space, table, h)
+        value = n_lattice_formula(space, num, h)
         formula_seconds = time.perf_counter() - start
         candidates = oracle.l1_sphere_count(space.m, h)
         if candidates <= config.oracle_budget:
@@ -519,6 +526,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         kwargs["p"], kwargs["q"] = args.a
         kwargs["p2"], kwargs["q2"] = args.b
         kwargs["i_max"] = args.i_max
+    if command in ("verify", "bench") and args.h_max < 0:
+        raise ValueError(f"--h-max must be non-negative, got {args.h_max}")
     if command == "verify":
         if args.p is not None and args.q is None:
             raise ValueError("--p needs --q for a single-space verify")
@@ -555,9 +564,13 @@ def main(argv=None) -> int:
         return 2
     if config.output is None:
         sys.stdout.write(text)
-    else:
+        return code
+    try:
         with open(config.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        print(f"error: cannot write {config.output}: {err.strerror}", file=sys.stderr)
+        return 2
     return code
 
 

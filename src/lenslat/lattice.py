@@ -1,19 +1,20 @@
-"""Congruence lattices of lens spaces and exact box-bounded counts.
+"""Congruence lattices of lens spaces and their 1-norm generating function.
 
 A lens space L(p; q_1,...,q_m) is the quotient of the unit sphere
 S^(2m-1) by the cyclic group of order p acting through rotations with
 parameters q_i coprime to p.  Attached to it is the congruence lattice:
-integer vectors x with q_1*x_1 + ... + q_m*x_m = 0 (mod p).  Restricting
-the coordinates to a subset U of {0,...,m-1} gives the lattice over U.
+integer vectors x with q_1*x_1 + ... + q_m*x_m = 0 (mod p).
 
-The central quantity here is the box-bounded count
+Its 1-norm generating function is N(z) = P(z) / (1 - z^p)^m with
 
-    gamma(U, s) = #{ x in Z^U : |x_i| <= p-1 for all i in U,
-                     sum_i |x_i| = s,  sum_i q_i*x_i = 0 (mod p) },
+    P(z) = [w^0 mod w^p] prod_i (z^p + sum_{|x|<p} w^(q_i x) z^|x|):
 
-computed exactly by dynamic programming over the pair (residue mod p,
-accumulated 1-norm), one coordinate at a time.  All counts are plain
-Python integers, so nothing ever overflows.
+per coordinate, moving x away from 0 by p multiplies its term by z^p
+and keeps its residue q_i*x, marked by w.  numerator() builds P by one
+dynamic program over (residue mod p, degree).  gamma(U, s) counts the
+points over a coordinate subset U with |x_i| <= p-1 and 1-norm s (the
+same product without the z^p terms) by its own per-subset DP.  All
+counts are plain Python integers, so nothing ever overflows.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-# gamma_table materializes one row per subset, 2^m in total.
-MAX_TABLE_M = 20
 
 
 @dataclass(frozen=True)
@@ -198,57 +196,48 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
     return _gamma_row(space.p, U.pick(space.q), s)[s]
 
 
-@dataclass(frozen=True)
-class GammaTable:
-    """All box-bounded counts of one lens space, indexed by subset mask.
+def _numerator_coeffs(space: LensSpace, s_max: int) -> list[int]:
+    """P[0..s_max] (capped at the degree m*p), by one DP over the coordinates.
 
-    rows[bits][s] holds gamma(U, s) for the subset with that bit mask,
-    stored up to min(s_limit, u*(p-1)).  Lookups above the box bound
-    u*(p-1) are zero by definition; lookups past a truncated row raise,
-    because the value exists but was not materialized.
+    cols[v][r] is the coefficient of w^r z^v so far, and each coordinate
+    multiplies it by z^p + sum_{|x|<p} w^(q x) z^|x|.  The terms with
+    x >= 0 and with x <= 0 each lie on a line (r + q*x, v + |x|), so the
+    running sums up[r] = sum_{0 <= a < p} cols[v - a][r - q*a] and down
+    (r + q*a) give each new state in O(1).  Each window drops cols[v - p]
+    as it moves on, and the z^p term adds one copy of it back.
     """
+    p = space.p
+    zero = [0] * p
+    cols = [zero] * (min(s_max, space.m * p) + 1)
+    cols[0] = [1] + zero[1:]
+    for q in space.q:
+        up = down = zero
+        new = []
+        for v, col in enumerate(cols):
+            base = [c - b for c, b in zip(col, cols[v - p] if v >= p else zero)]
+            from_up = up[-q:] + up[:-q]  # from_up[r] = up[r - q]
+            from_down = down[q:] + down[:q]  # from_down[r] = down[r + q]
+            up = [b + u for b, u in zip(base, from_up)]
+            down = [b + d for b, d in zip(base, from_down)]
+            new.append([u + d for u, d in zip(up, from_down)])
+        cols = new
+    return [col[0] for col in cols]
+
+
+@dataclass(frozen=True)
+class Numerator:
+    """Coefficients P[0..m*p] of the numerator P(z) of one lens space."""
 
     space: LensSpace
-    s_limit: int
-    rows: tuple[tuple[int, ...], ...]
+    coeffs: tuple[int, ...]
 
-    def value(self, U: SubsetMask | int, s: int) -> int:
-        bits = U.bits if isinstance(U, SubsetMask) else U
-        if not 0 <= bits < len(self.rows):
-            raise ValueError(f"subset bits {bits} out of range")
+    def value(self, s: int) -> int:
+        """P[s]; zero above the degree m*p."""
         if s < 0:
             raise ValueError(f"s must be non-negative, got {s}")
-        row = self.rows[bits]
-        if s < len(row):
-            return row[s]
-        if s > bits.bit_count() * (self.space.p - 1):
-            return 0
-        raise ValueError(
-            f"table truncated at 1-norm {self.s_limit}, "
-            f"needed entry at s = {s}"
-        )
-
-    def __getitem__(self, key: tuple[SubsetMask | int, int]) -> int:
-        U, s = key
-        return self.value(U, s)
+        return self.coeffs[s] if s < len(self.coeffs) else 0
 
 
-def gamma_table(space: LensSpace, s_max: int | None = None) -> GammaTable:
-    """Precompute gamma(U, s) for all 2^m subsets of one lens space.
-
-    By default every row covers the full range 0 <= s <= u*(p-1); pass
-    s_max to truncate rows (useful when only small norms will ever be
-    queried).  m is capped at MAX_TABLE_M since the table is 2^m-sized.
-    """
-    p, m = space.p, space.m
-    if m > MAX_TABLE_M:
-        raise ValueError(f"gamma_table supports m <= {MAX_TABLE_M}, got {m}")
-    limit = m * (p - 1) if s_max is None else int(s_max)
-    if limit < 0:
-        raise ValueError(f"s_max must be non-negative, got {s_max}")
-    rows = []
-    for bits in range(1 << m):
-        qs = [space.q[j] for j in range(m) if bits >> j & 1]
-        cap = min(limit, len(qs) * (p - 1))
-        rows.append(tuple(_gamma_row(p, qs, cap)))
-    return GammaTable(space, limit, tuple(rows))
+def numerator(space: LensSpace) -> Numerator:
+    """P(z) of one lens space, to its full degree m*p."""
+    return Numerator(space, tuple(_numerator_coeffs(space, space.m * space.p)))

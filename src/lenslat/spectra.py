@@ -1,25 +1,25 @@
 """Eigenvalue multiplicities of the Laplace-Beltrami operator on lens spaces.
 
-Write N(h) for the number of congruence-lattice points of 1-norm h.
-With h = k + n*p, 0 <= k < p, the closed form evaluated here is
+Write N(h) for the number of congruence-lattice points of 1-norm h.  Its
+generating function is P(z) / (1 - z^p)^m, with the numerator P of
+lattice.numerator, and the multiplicity of lambda_i = i*(i + d - 1),
+d = 2m - 1, is the coefficient of z^i in N(z) / (1 - z^2)^(m - 1).
 
-    N(k + n*p) = sum_{t=0}^{m-1} sum_{U subset of M}
-                 binom(n - t + |U| - 1, m - 1) * gamma(U, k + t*p),
+One count, h = k + n*p with 0 <= k < p, expands the denominator:
 
-a finite sum over the precomputed box-bounded counts, with the zero
-convention on out-of-range binomials.  The multiplicity of the
-eigenvalue lambda_i = i*(i + d - 1), d = 2m - 1, is then
+    N(k + n*p) = sum_{t=0}^{m} binom(n - t + m - 1, m - 1) * P[k + t*p],
 
-    dim(lambda_i) = sum_{s=0}^{floor(i/2)} binom(s + m - 2, m - 2) * N(i - 2s).
-
-Both evaluations are exact integer arithmetic throughout.
+O(m) work for any h (binomials are zero out of range).  A range of
+degrees divides in place: m running sums with stride p turn P into
+N(0..H), and m - 1 more with stride 2 give dim(lambda_0..lambda_H).
+All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import GammaTable, LensSpace, binom, decompose, gamma_table
+from .lattice import LensSpace, Numerator, _numerator_coeffs, binom, decompose
 
 
 @dataclass(frozen=True)
@@ -70,47 +70,47 @@ class ParityRow:
     ok: bool
 
 
-def n_lattice_formula(space: LensSpace, table: GammaTable, h: int) -> int:
-    """Number of congruence-lattice points of 1-norm h, by the closed form.
-
-    Terms with a zero binomial coefficient are skipped before the table
-    lookup, so a table truncated at s_max still serves every h < p.
-    """
-    if table.space != space:
-        raise ValueError("table was built for a different lens space")
+def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
+    """Number of congruence-lattice points of 1-norm h, by the closed form."""
+    if num.space != space:
+        raise ValueError("numerator was built for a different lens space")
     p, m = space.p, space.m
     k, n = decompose(h, p)
-    total = 0
-    for t in range(m):
-        s = k + t * p
-        base = n - t - 1
-        for bits in range(1 << m):
-            coeff = binom(base + bits.bit_count(), m - 1)
-            if coeff:
-                total += coeff * table.value(bits, s)
-    return total
+    return sum(
+        binom(n - t + m - 1, m - 1) * num.value(k + t * p) for t in range(m + 1)
+    )
 
 
-def multiplicity(space: LensSpace, table: GammaTable, i: int) -> int:
+def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     """Dimension of the eigenspace for lambda_i = i*(i + d - 1)."""
     if i < 0:
         raise ValueError(f"degree must be non-negative, got {i}")
     m = space.m
     return sum(
-        binom(s + m - 2, m - 2) * n_lattice_formula(space, table, i - 2 * s)
+        binom(s + m - 2, m - 2) * n_lattice_formula(space, num, i - 2 * s)
         for s in range(i // 2 + 1)
     )
 
 
-def spectrum(space: LensSpace, i_max: int) -> SpectrumTable:
-    """Spectral table for degrees 0..i_max; builds the count table once."""
+def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    table = gamma_table(space)
+    series = _numerator_coeffs(space, i_max)
+    series += [0] * (i_max + 1 - len(series))
+    for stride, times in ((space.p, space.m), (2, space.m - 1)):
+        for _ in range(times):
+            for h in range(stride, i_max + 1):
+                series[h] += series[h - stride]
+    return series
+
+
+def spectrum(space: LensSpace, i_max: int) -> SpectrumTable:
+    """Spectral table for degrees 0..i_max, from one capped numerator."""
     d = space.d
     entries = tuple(
-        SpectrumEntry(i, i * (i + d - 1), multiplicity(space, table, i))
-        for i in range(i_max + 1)
+        SpectrumEntry(i, i * (i + d - 1), mult)
+        for i, mult in enumerate(_multiplicities(space, i_max))
     )
     return SpectrumTable(space, entries)
 
@@ -135,11 +135,8 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
         return IsospectralReport(
             a, b, i_max, equal=False, first_divergence=None, dimension_mismatch=True
         )
-    table_a = gamma_table(a)
-    table_b = gamma_table(b)
-    for i in range(i_max + 1):
-        mult_a = multiplicity(a, table_a, i)
-        mult_b = multiplicity(b, table_b, i)
+    pairs = zip(_multiplicities(a, i_max), _multiplicities(b, i_max))
+    for i, (mult_a, mult_b) in enumerate(pairs):
         if mult_a != mult_b:
             return IsospectralReport(a, b, i_max, False, (i, mult_a, mult_b))
     return IsospectralReport(a, b, i_max, True, None)

@@ -13,10 +13,10 @@ from lenslat import (
     binom,
     decompose,
     gamma,
-    gamma_table,
     make_lens_space,
     multiplicity,
     n_lattice_formula,
+    numerator,
 )
 from lenslat import oracle
 from lenslat.cli import RunConfig, canonical_q_tuples, main, verify_grid
@@ -99,18 +99,18 @@ def test_criterion_4_sphere_consistency():
     ok = True
     for m in (2, 3, 4):
         space = make_lens_space(1, (1,) * m)
-        table = gamma_table(space)
+        num = numerator(space)
         for i in range(21):
             expected = binom(i + 2 * m - 1, 2 * m - 1) - binom(i + 2 * m - 3, 2 * m - 1)
-            ok = ok and multiplicity(space, table, i) == expected
+            ok = ok and multiplicity(space, num, i) == expected
     _report("criterion 4: sphere multiplicities match harmonic dimensions", ok)
 
 
 def test_criterion_5_projective_space_spot_values():
     space = make_lens_space(2, (1, 1))
-    table = gamma_table(space)
-    ok = multiplicity(space, table, 2) == 9
-    ok = ok and all(multiplicity(space, table, i) == 0 for i in range(1, 10, 2))
+    num = numerator(space)
+    ok = multiplicity(space, num, 2) == 9
+    ok = ok and all(multiplicity(space, num, i) == 0 for i in range(1, 10, 2))
     # cross-check through the enumeration side of the multiplicity sum
     oracle_mult_2 = sum(
         binom(s, 0) * oracle.n_lattice_bruteforce(space, 2 - 2 * s)
@@ -129,9 +129,9 @@ def test_criterion_6_parity_of_odd_degrees():
         units = [v for v in range(1, p + 1) if math.gcd(v, p) == 1]
         q = tuple(rng.choice(units) for _ in range(m))
         space = make_lens_space(p, q)
-        table = gamma_table(space)
+        num = numerator(space)
         for i in range(1, 16, 2):
-            ok = ok and multiplicity(space, table, i) % 2 == 0
+            ok = ok and multiplicity(space, num, i) % 2 == 0
     _report("criterion 6: even multiplicity at odd degrees for even p (50 samples)", ok)
 
 
@@ -165,12 +165,12 @@ def test_criterion_8_trivial_anchors():
     ok = True
     count = 0
     for space in _grid_spaces(10, (2, 3)):
-        table = gamma_table(space)
+        num = numerator(space)
         full = SubsetMask.full(space.m)
-        ok = ok and n_lattice_formula(space, table, 0) == 1
+        ok = ok and n_lattice_formula(space, num, 0) == 1
         if space.p >= 2:
-            ok = ok and n_lattice_formula(space, table, 1) == 0
+            ok = ok and n_lattice_formula(space, num, 1) == 0
         for h in range(min(space.p, 25)):
-            ok = ok and n_lattice_formula(space, table, h) == gamma(space, full, h)
+            ok = ok and n_lattice_formula(space, num, h) == gamma(space, full, h)
         count += 1
     _report(f"criterion 8: N(0), N(1) and below-p anchors on {count} spaces", ok)

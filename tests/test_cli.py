@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from lenslat import make_lens_space, multiplicity, gamma_table
+from lenslat import make_lens_space, multiplicity, numerator
 from lenslat.cli import (
     BENCH_DEFAULT_BUDGET,
     BUDGET_ENV_VAR,
@@ -43,11 +43,11 @@ def test_spectrum_json_roundtrip():
     obj = json.loads(text)
     space = make_lens_space(obj["p"], obj["q"])
     assert obj["d"] == space.d
-    table = gamma_table(space)
+    num = numerator(space)
     for entry in obj["entries"]:
         i = entry["i"]
         assert entry["lambda"] == i * (i + space.d - 1)
-        assert int(entry["mult"]) == multiplicity(space, table, i)
+        assert int(entry["mult"]) == multiplicity(space, num, i)
 
 
 def test_spectrum_invalid_input_exits_2(capsys):
@@ -90,6 +90,12 @@ def test_gamma_explicit_subsets():
 def test_gamma_subset_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
         run_gamma(RunConfig(command="gamma", p=3, q=(1, 1), s=0, subset=(3,)))
+
+
+def test_gamma_duplicate_subset_index_exits_2(capsys):
+    code = main(["gamma", "--p", "3", "--q", "1,1", "--s", "0", "--subset", "2,1,2"])
+    assert code == 2
+    assert "error: subset index 2 given more than once" in capsys.readouterr().err
 
 
 def test_gamma_cli_empty_subset(capsys):
@@ -194,6 +200,47 @@ def test_env_var_overrides_budget(monkeypatch, capsys):
     assert BUDGET_ENV_VAR in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command starts computing before refusing its input."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was refused")
+
+    for name in ("numerator", "canonical_q_tuples", "make_lens_space"):
+        monkeypatch.setattr(f"lenslat.cli.{name}", refuse)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "0"],
+    ["verify", "--m", ""],
+])
+def test_verify_empty_grid_exits_2(argv, no_work, capsys):
+    assert main(argv) == 2
+    assert "empty verify grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--h-max", "-1"],
+    ["verify", "--p", "2", "--q", "1,1", "--h-max", "-1"],
+    ["bench", "--p", "2", "--q", "1,1", "--h-max", "-1"],
+])
+def test_negative_h_max_exits_2(argv, no_work, capsys):
+    assert main(argv) == 2
+    assert "error: --h-max must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--p-max", "2", "--oracle-budget", "-1"],
+    ["bench", "--p", "2", "--q", "1,1", "--oracle-budget", "-1"],
+])
+def test_negative_oracle_budget_exits_2(argv, no_work, monkeypatch, capsys):
+    assert main(argv) == 2
+    assert "error: oracle budget must be non-negative" in capsys.readouterr().err
+    monkeypatch.setenv(BUDGET_ENV_VAR, "-5")
+    assert main(argv[:-2]) == 2
+
+
 def test_canonical_q_tuples_dedupe():
     # (1,2), (1,3) and (2,1) collapse into one class mod 5
     tuples_m2 = canonical_q_tuples(5, 2)
@@ -239,6 +286,17 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == "i,eigenvalue,multiplicity\n0,0,1\n1,3,0\n2,8,9\n"
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "table.csv"
+    code = main(["spectrum", "--p", "2", "--q", "1,1", "--i-max", "2",
+                 "--output", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
 
 
 def test_module_entry_point():

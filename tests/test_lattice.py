@@ -9,10 +9,11 @@ from lenslat import (
     binom,
     decompose,
     gamma,
-    gamma_table,
     make_lens_space,
+    numerator,
 )
 from lenslat.cli import canonical_q_tuples
+from lenslat.lattice import _numerator_coeffs
 from lenslat.oracle import gamma_bruteforce
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
 
@@ -161,59 +162,74 @@ def test_gamma_rejects_wrong_mask_width():
         gamma(space, SubsetMask.full(3), 0)
 
 
+def numerator_from_gamma(space, s):
+    """P[s] = sum_U gamma(U, s - (m - |U|)*p): the coordinates outside U
+    take the factor's z^p term, the ones inside stay in the box."""
+    p, m = space.p, space.m
+    return sum(
+        gamma(space, mask, s - (m - mask.u) * p)
+        for mask in all_masks(m)
+        if s >= (m - mask.u) * p
+    )
+
+
 def test_gamma_table_l211():
     space = make_lens_space(2, (1, 1))
-    table = gamma_table(space)
     full = SubsetMask.full(2)
-    assert table[SubsetMask.empty(2), 0] == 1
-    assert table[SubsetMask(0b01, 2), 0] == 1
-    assert table[SubsetMask(0b10, 2), 0] == 1
-    assert table[full, 0] == 1
-    assert table[full, 2] == 4
+    assert gamma(space, SubsetMask.empty(2), 0) == 1
+    assert gamma(space, SubsetMask(0b01, 2), 0) == 1
+    assert gamma(space, SubsetMask(0b10, 2), 0) == 1
+    assert gamma(space, full, 0) == 1
+    assert gamma(space, full, 2) == 4
     # every other entry in range s <= 2 is zero
     for mask in all_masks(2):
         for s in range(1, 3):
             if (mask, s) != (full, 2):
-                assert table[mask, s] == 0
+                assert gamma(space, mask, s) == 0
+    # the numerator collects the table: P(z) = 1 + (4 + 2)z^2 + z^4,
+    # gamma(M, 2) plus one z^p term per coordinate
+    assert numerator(space).coeffs == (1, 0, 6, 0, 1)
 
 
 def test_gamma_table_p1():
     space = make_lens_space(1, (1, 1))
-    table = gamma_table(space)
     for mask in all_masks(2):
-        assert table[mask, 0] == 1
+        assert gamma(space, mask, 0) == 1
         for s in range(1, 5):
-            assert table[mask, s] == 0
+            assert gamma(space, mask, s) == 0
+    # the sphere: P(z) = (1 + z)^m
+    assert numerator(space).coeffs == (1, 2, 1)
 
 
 def test_gamma_table_l311_matches_gamma_example():
     space = make_lens_space(3, (1, 1))
-    assert gamma_table(space)[SubsetMask.full(2), 3] == 4
+    assert gamma(space, SubsetMask.full(2), 3) == 4
+    # plus one term per coordinate taking its z^3 term, the other x = 0
+    assert numerator(space).value(3) == 6
 
 
 def test_gamma_table_matches_gamma_pointwise():
-    for p, q in [(2, (1, 1)), (3, (1, 2)), (4, (1, 3)), (5, (2, 3))]:
+    for p, q in [(2, (1, 1)), (3, (1, 2)), (4, (1, 3)), (5, (2, 3)), (5, (1, 2, 4))]:
         space = make_lens_space(p, q)
-        table = gamma_table(space)
-        for mask in all_masks(space.m):
-            for s in range(space.m * (space.p - 1) + 2):
-                assert table[mask, s] == gamma(space, mask, s)
+        num = numerator(space)
+        assert len(num.coeffs) == space.m * p + 1
+        for s in range(space.m * p + 2):
+            assert num.value(s) == numerator_from_gamma(space, s)
 
 
-def test_gamma_table_m_cap():
-    space = make_lens_space(2, (1,) * 21)
-    with pytest.raises(ValueError, match="m <= 20"):
-        gamma_table(space)
-
-
-def test_gamma_table_truncation():
-    space = make_lens_space(3, (1, 1))
-    table = gamma_table(space, s_max=2)
-    full = SubsetMask.full(2)
-    assert table[full, 2] == gamma(space, full, 2)
-    assert table[full, 5] == 0  # above the box bound u*(p-1) = 4
-    with pytest.raises(ValueError, match="truncated"):
-        table.value(full, 3)  # materializable but not materialized
+def test_numerator_truncation():
+    # spectrum builds P only up to the largest degree it reads; the capped
+    # DP must give exactly the prefix of the full one
+    for p, q in [(1, (1, 1)), (3, (1, 1)), (7, (1, 2, 3))]:
+        space = make_lens_space(p, q)
+        full = numerator(space).coeffs
+        for s_max in (0, 1, 2, p, len(full) - 2, len(full) - 1, len(full) + 5):
+            assert _numerator_coeffs(space, s_max) == list(full[: s_max + 1])
+    num = numerator(make_lens_space(3, (1, 1)))
+    assert num.value(2) == gamma(num.space, SubsetMask.full(2), 2)  # below p
+    assert num.value(7) == 0  # above the degree m*p = 6
+    with pytest.raises(ValueError):
+        num.value(-1)
 
 
 # ------------------------------------------------------------- properties

@@ -6,12 +6,13 @@ from lenslat import (
     SubsetMask,
     binom,
     compare_spectra,
+    decompose,
     first_positive_eigenvalue,
     gamma,
-    gamma_table,
     make_lens_space,
     multiplicity,
     n_lattice_formula,
+    numerator,
     parity_report,
     spectrum,
 )
@@ -21,7 +22,7 @@ from strategies import lens_spaces, units_mod
 
 
 L211 = make_lens_space(2, (1, 1))
-T211 = gamma_table(L211)
+N211 = numerator(L211)
 
 
 # -------------------------------------------------------------- N(h) counts
@@ -29,24 +30,24 @@ T211 = gamma_table(L211)
 
 def test_formula_l211_h2():
     # brute force: (+-2,0),(0,+-2),(+-1,+-1) all have even coordinate sum
-    assert n_lattice_formula(L211, T211, 2) == 8
+    assert n_lattice_formula(L211, N211, 2) == 8
 
 
 def test_formula_h0_is_one():
     for p, q in [(1, (1, 1)), (2, (1, 1)), (5, (1, 2)), (7, (1, 2, 3))]:
         space = make_lens_space(p, q)
-        assert n_lattice_formula(space, gamma_table(space), 0) == 1
+        assert n_lattice_formula(space, numerator(space), 0) == 1
 
 
 def test_formula_h1_is_zero_for_p_at_least_2():
     for p, q in [(2, (1, 1)), (3, (1, 2)), (6, (1, 5)), (7, (1, 2, 3))]:
         space = make_lens_space(p, q)
-        assert n_lattice_formula(space, gamma_table(space), 1) == 0
+        assert n_lattice_formula(space, numerator(space), 1) == 0
 
 
 def test_formula_rejects_foreign_table():
     with pytest.raises(ValueError, match="different lens space"):
-        n_lattice_formula(make_lens_space(3, (1, 1)), T211, 2)
+        n_lattice_formula(make_lens_space(3, (1, 1)), N211, 2)
 
 
 def test_formula_matches_oracle_small_grid():
@@ -54,9 +55,9 @@ def test_formula_matches_oracle_small_grid():
         for m in (2, 3):
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
-                table = gamma_table(space)
+                num = numerator(space)
                 for h in range(13):
-                    assert n_lattice_formula(space, table, h) == n_lattice_bruteforce(space, h)
+                    assert n_lattice_formula(space, num, h) == n_lattice_bruteforce(space, h)
 
 
 @given(space=lens_spaces(p_max=7), data=st.data())
@@ -64,8 +65,8 @@ def test_formula_matches_oracle_small_grid():
 def test_formula_invariances(space, data):
     p, m = space.p, space.m
     h = data.draw(st.integers(0, 16))
-    table = gamma_table(space)
-    reference = n_lattice_formula(space, table, h)
+    num = numerator(space)
+    reference = n_lattice_formula(space, num, h)
 
     perm = data.draw(st.permutations(range(m)))
     j = data.draw(st.integers(0, m - 1))
@@ -77,15 +78,43 @@ def test_formula_invariances(space, data):
         make_lens_space(p, tuple(c * v for v in space.q)),
     ]
     for other in variants:
-        assert n_lattice_formula(other, gamma_table(other), h) == reference
+        assert n_lattice_formula(other, numerator(other), h) == reference
 
 
 @given(space=lens_spaces(), data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_formula_below_p_equals_gamma(space, data):
     h = data.draw(st.integers(0, space.p - 1))
-    table = gamma_table(space)
-    assert n_lattice_formula(space, table, h) == gamma(space, SubsetMask.full(space.m), h)
+    num = numerator(space)
+    assert n_lattice_formula(space, num, h) == gamma(space, SubsetMask.full(space.m), h)
+
+
+def subset_closed_form(space, rows, h):
+    """N(h) by the 2^m-subset closed form over box-bounded counts,
+    sum_t sum_U binom(n - t + |U| - 1, m - 1) * gamma(U, k + t*p)."""
+    p, m = space.p, space.m
+    k, n = decompose(h, p)
+    total = 0
+    for t in range(m):
+        s = k + t * p
+        for bits, row in enumerate(rows):
+            if s < len(row):
+                total += binom(n - t + bits.bit_count() - 1, m - 1) * row[s]
+    return total
+
+
+def test_formula_equals_subset_closed_form():
+    for p in range(1, 12):
+        for m in (2, 3, 4):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                rows = []
+                for bits in range(1 << m):
+                    mask = SubsetMask(bits, m)
+                    rows.append([gamma(space, mask, s) for s in range(mask.u * (p - 1) + 1)])
+                num = numerator(space)
+                for h in [*range(3 * p + 1), *(10**30 + k for k in range(p))]:
+                    assert n_lattice_formula(space, num, h) == subset_closed_form(space, rows, h)
 
 
 # ------------------------------------------------------------ multiplicity
@@ -93,10 +122,10 @@ def test_formula_below_p_equals_gamma(space, data):
 
 def test_multiplicity_l211():
     # degree-2 harmonics on real projective 3-space: binom(5,3) - binom(3,3)
-    assert multiplicity(L211, T211, 2) == 9
-    assert multiplicity(L211, T211, 2) == binom(5, 3) - binom(3, 3)
-    assert multiplicity(L211, T211, 0) == 1
-    assert multiplicity(L211, T211, 1) == 0
+    assert multiplicity(L211, N211, 2) == 9
+    assert multiplicity(L211, N211, 2) == binom(5, 3) - binom(3, 3)
+    assert multiplicity(L211, N211, 0) == 1
+    assert multiplicity(L211, N211, 1) == 0
 
 
 def test_sphere_consistency():
@@ -104,19 +133,19 @@ def test_sphere_consistency():
     # classical harmonic-polynomial dimensions in 2m variables
     for m in (2, 3, 4):
         space = make_lens_space(1, (1,) * m)
-        table = gamma_table(space)
+        num = numerator(space)
         for i in range(21):
             expected = binom(i + 2 * m - 1, 2 * m - 1) - binom(i + 2 * m - 3, 2 * m - 1)
-            assert multiplicity(space, table, i) == expected
+            assert multiplicity(space, num, i) == expected
 
 
 @given(space=lens_spaces())
 @settings(max_examples=60, deadline=None)
 def test_multiplicity_anchors(space):
-    table = gamma_table(space)
-    assert multiplicity(space, table, 0) == 1
+    num = numerator(space)
+    assert multiplicity(space, num, 0) == 1
     if space.p >= 2:
-        assert multiplicity(space, table, 1) == 0
+        assert multiplicity(space, num, 1) == 0
 
 
 # ---------------------------------------------------------------- spectrum
@@ -147,6 +176,32 @@ def test_spectrum_table_shape(space, i_max):
     assert eigenvalues == [i * (i + space.d - 1) for i in range(i_max + 1)]
     assert sorted(eigenvalues) == eigenvalues
     assert table.entries[0].mult == 1
+
+
+def test_spectrum_matches_pointwise_multiplicity():
+    # i_max below and above the numerator's degree m*p
+    for p, q in [(1, (1, 1, 1)), (2, (1, 1)), (5, (1, 2)), (6, (1, 5, 1)), (7, (1, 2, 3, 4))]:
+        space = make_lens_space(p, q)
+        num = numerator(space)
+        for i_max in (0, 1, p, space.m * p - 1, 3 * space.m * p):
+            mults = [e.mult for e in spectrum(space, i_max).entries]
+            assert mults == [multiplicity(space, num, i) for i in range(i_max + 1)]
+
+
+def test_m30_sphere_and_spectrum():
+    sphere = make_lens_space(1, (1,) * 30)
+    harmonic = [binom(i + 59, 59) - binom(i + 57, 59) for i in range(21)]
+    assert [e.mult for e in spectrum(sphere, 20).entries] == harmonic
+
+    space = make_lens_space(11, tuple(range(1, 11)) * 3)
+    num = numerator(space)
+    # every nontrivial character sums to zero over a factor's 2p terms
+    assert sum(num.coeffs) * 11 == 22**30
+    entries = spectrum(space, 40).entries
+    assert [e.mult for e in entries[:2]] == [1, 0]
+    for e in entries:
+        assert 0 <= e.mult <= binom(e.i + 59, 59) - binom(e.i + 57, 59)
+    assert entries[40].mult == multiplicity(space, num, 40)
 
 
 # ------------------------------------------------- smallest positive entry
@@ -226,6 +281,6 @@ def test_parity_even_p(data):
     m = data.draw(st.integers(2, 3))
     q = tuple(data.draw(st.sampled_from(units_mod(p))) for _ in range(m))
     space = make_lens_space(p, q)
-    table = gamma_table(space)
+    num = numerator(space)
     for i in range(1, 16, 2):
-        assert multiplicity(space, table, i) % 2 == 0
+        assert multiplicity(space, num, i) % 2 == 0
