@@ -20,8 +20,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from lenslat import make_lens_space, spectrum
-from lenslat.cli import canonical_q_tuples
+from lenslat import canonical_q_tuples, make_lens_space, spectrum
 
 
 def multiplicity_sequence(p, q, i_max):

@@ -1,10 +1,11 @@
 """Exact Laplace-Beltrami spectra of lens spaces via lattice point counting.
 
-The library side: validated lens-space parameters, box-bounded counts,
-the 1-norm generating function's numerator by dynamic programming, and
-N(h) and multiplicity tables read off it, all in exact integers.  The
-brute-force enumeration twin lives in lenslat.oracle (test instrument,
-not a stable surface); the command line lives in lenslat.cli.
+The library side: validated lens-space parameters and their symmetry
+classes, box-bounded counts, the 1-norm generating function's numerator
+by dynamic programming, and N(h) and multiplicity tables read off it,
+all in exact integers.  The brute-force enumeration twin lives in
+lenslat.oracle (test instrument, not a stable surface); the command
+line lives in lenslat.cli.
 """
 
 from .lattice import (
@@ -12,6 +13,7 @@ from .lattice import (
     Numerator,
     SubsetMask,
     binom,
+    canonical_q_tuples,
     decompose,
     gamma,
     make_lens_space,
@@ -41,6 +43,7 @@ __all__ = [
     "SpectrumTable",
     "SubsetMask",
     "binom",
+    "canonical_q_tuples",
     "compare_spectra",
     "decompose",
     "first_positive_eigenvalue",

@@ -15,12 +15,15 @@ dynamic program over (residue mod p, degree).  gamma(U, s) counts the
 points over a coordinate subset U with |x_i| <= p-1 and 1-norm s (the
 same product without the z^p terms) by its own per-subset DP.  All
 counts are plain Python integers, so nothing ever overflows.
+canonical_q_tuples() lists one parameter tuple per symmetry class, the
+classes among which isospectral lens spaces are sought.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 
@@ -241,3 +244,34 @@ class Numerator:
 def numerator(space: LensSpace) -> Numerator:
     """P(z) of one lens space, to its full degree m*p."""
     return Numerator(space, tuple(_numerator_coeffs(space, space.m * space.p)))
+
+
+def canonical_q_tuples(p: int, m: int) -> list[tuple[int, ...]]:
+    """Valid parameter tuples for (p, m), one per symmetry class.
+
+    Two tuples give the same counts when related by coordinate
+    permutation, negation of single entries mod p, or scaling every
+    entry by a unit mod p; this enumerates one representative per orbit.
+    """
+    units = [c for c in range(1, p + 1) if math.gcd(c, p) == 1]
+    seen = set()
+    out = []
+    for q in product(units, repeat=m):
+        key = _canonical_form(q, p, units)
+        if key not in seen:
+            seen.add(key)
+            out.append(q)
+    return out
+
+
+def _canonical_form(
+    q: tuple[int, ...], p: int, units: list[int]
+) -> tuple[int, ...]:
+    best = None
+    for c in units:
+        folded = tuple(
+            sorted(min((c * v) % p, (p - (c * v) % p) % p) for v in q)
+        )
+        if best is None or folded < best:
+            best = folded
+    return best

@@ -6,6 +6,9 @@ production path.  Enumerations refuse to start when the raw candidate
 count (all integer vectors of the requested 1-norm, before the
 congruence filter) would exceed a budget.
 
+fold_law_checks() bundles the partition and fiber laws as checks for
+`lenslat verify --deep`.
+
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
 with + before -, so output is deterministic and diffable.
@@ -193,3 +196,44 @@ def gamma_bruteforce(
 ) -> int:
     """|C(U, s)| by scanning the box; the enumeration twin of lattice.gamma."""
     return len(enumerate_c(space, U, s, budget))
+
+
+def fold_law_checks(
+    space: LensSpace, h: int, count: int, budget: int = DEFAULT_BUDGET
+) -> Iterator[tuple[str, str, str]]:
+    """The partition and fiber laws at 1-norm h, as (kind, got, expected).
+
+    count is n_lattice_bruteforce(space, h), which the caller has
+    already enumerated.  Yields one 'partition' check (every class
+    member matches its class predicate and the class sizes sum to
+    count), one 'fiber_size' check per occupied fold key (its size is
+    the predicted binomial), then one 'fiber_cover' check (every
+    admissible (N, t, y) key is occupied).  Values are decimal strings;
+    a check passes iff got == expected.
+    """
+    # classes are disjoint by construction, so predicates and sizes suffice
+    classes = classify_partition(space, h, budget)
+    exact = all(
+        negative_multiple_mask(space, x) == cls.N
+        for cls in classes
+        for x in cls.members
+    )
+    total = sum(len(cls.members) for cls in classes)
+    got = f"{total}" if exact else f"{total} (class predicate violated)"
+    yield "partition", got, str(count)
+
+    k, n = decompose(h, space.p)
+    census = fiber_census(space, h, budget)
+    for (mask, t, _y), size in census.items():
+        expected = binom(n - t + (space.m - mask.u) - 1, space.m - 1)
+        yield "fiber_size", str(size), str(expected)
+    covered = 0
+    admissible = 0
+    for bits in range(1 << space.m):
+        mask = SubsetMask(bits, space.m)
+        for t in range(n - mask.u + 1):
+            for y in enumerate_c(space, mask.complement(), k + t * space.p, budget):
+                admissible += 1
+                if (mask, t, y) in census:
+                    covered += 1
+    yield "fiber_cover", str(covered), str(admissible)

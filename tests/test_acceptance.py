@@ -11,6 +11,7 @@ import random
 from lenslat import (
     SubsetMask,
     binom,
+    canonical_q_tuples,
     decompose,
     gamma,
     make_lens_space,
@@ -19,7 +20,7 @@ from lenslat import (
     numerator,
 )
 from lenslat import oracle
-from lenslat.cli import RunConfig, canonical_q_tuples, main, verify_grid
+from lenslat.cli import main, verify_grid
 
 
 def _report(name, ok):
@@ -35,12 +36,12 @@ def _grid_spaces(p_max, m_values):
 
 
 def test_criterion_1_formula_equals_enumeration():
-    config = RunConfig(command="verify", p_max=10, m_values=(2, 3), h_max=24)
-    report = verify_grid(config)
-    ok = report.mismatches == () and report.cases > 0
+    cases = [(space, list(range(25))) for space in _grid_spaces(10, (2, 3))]
+    checks = verify_grid(cases, oracle.DEFAULT_BUDGET, deep=False)
+    ok = all(c.ok for c in checks) and len(cases) > 0
     _report(
-        f"criterion 1: formula = enumeration on {report.cases} spaces, "
-        f"h <= 24 ({len(report.checks)} checks)",
+        f"criterion 1: formula = enumeration on {len(cases)} spaces, "
+        f"h <= 24 ({len(checks)} checks)",
         ok,
     )
 

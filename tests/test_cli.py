@@ -4,41 +4,35 @@ import sys
 
 import pytest
 
-from lenslat import make_lens_space, multiplicity, numerator
-from lenslat.cli import (
-    BENCH_DEFAULT_BUDGET,
-    BUDGET_ENV_VAR,
-    RunConfig,
-    canonical_q_tuples,
-    main,
-    run_bench,
-    run_compare,
-    run_gamma,
-    run_nl,
-    run_parity,
-    run_spectrum,
-    run_verify,
-    verify_grid,
-)
+from lenslat import canonical_q_tuples, make_lens_space, multiplicity, numerator
+from lenslat.cli import BENCH_DEFAULT_BUDGET, BUDGET_ENV_VAR, main, verify_grid
+from lenslat.oracle import DEFAULT_BUDGET
+
+
+def _run(capsys, argv):
+    """Exit code and stdout of one in-process CLI call."""
+    code = main(argv)
+    return code, capsys.readouterr().out
 
 
 # ---------------------------------------------------------------- spectrum
 
 
-def test_spectrum_csv_exact():
-    text, code = run_spectrum(RunConfig(command="spectrum", p=2, q=(1, 1), i_max=2))
+def test_spectrum_csv_exact(capsys):
+    code, text = _run(capsys, ["spectrum", "--p", "2", "--q", "1,1", "--i-max", "2"])
     assert code == 0
     assert text == "i,eigenvalue,multiplicity\n0,0,1\n1,3,0\n2,8,9\n"
 
 
-def test_spectrum_sphere_csv():
-    text, _ = run_spectrum(RunConfig(command="spectrum", p=1, q=(1, 1), i_max=1))
+def test_spectrum_sphere_csv(capsys):
+    _, text = _run(capsys, ["spectrum", "--p", "1", "--q", "1,1", "--i-max", "1"])
     assert text == "i,eigenvalue,multiplicity\n0,0,1\n1,3,4\n"
 
 
-def test_spectrum_json_roundtrip():
-    config = RunConfig(command="spectrum", p=6, q=(1, 5), i_max=8, fmt="json")
-    text, code = run_spectrum(config)
+def test_spectrum_json_roundtrip(capsys):
+    code, text = _run(
+        capsys, ["spectrum", "--p", "6", "--q", "1,5", "--i-max", "8", "--format", "json"]
+    )
     assert code == 0
     obj = json.loads(text)
     space = make_lens_space(obj["p"], obj["q"])
@@ -57,9 +51,9 @@ def test_spectrum_invalid_input_exits_2(capsys):
     assert "q_2 = 2" in err and "gcd(2, 4)" in err
 
 
-def test_output_is_deterministic():
-    config = RunConfig(command="spectrum", p=5, q=(1, 2), i_max=10)
-    assert run_spectrum(config) == run_spectrum(config)
+def test_output_is_deterministic(capsys):
+    argv = ["spectrum", "--p", "5", "--q", "1,2", "--i-max", "10"]
+    assert _run(capsys, argv) == _run(capsys, argv)
 
 
 # --------------------------------------------------------------- nl, gamma
@@ -70,26 +64,27 @@ def test_nl_plain_value(capsys):
     assert capsys.readouterr().out == "1\n"
 
 
-def test_nl_json():
-    text, _ = run_nl(RunConfig(command="nl", p=2, q=(1, 1), h=2, fmt="json"))
+def test_nl_json(capsys):
+    _, text = _run(capsys, ["nl", "--p", "2", "--q", "1,1", "--h", "2", "--format", "json"])
     assert json.loads(text) == {"p": 2, "q": [1, 1], "h": 2, "count": "8"}
 
 
-def test_gamma_default_full_subset():
-    text, _ = run_gamma(RunConfig(command="gamma", p=3, q=(1, 1), s=3))
+def test_gamma_default_full_subset(capsys):
+    _, text = _run(capsys, ["gamma", "--p", "3", "--q", "1,1", "--s", "3"])
     assert text == "4\n"
 
 
-def test_gamma_explicit_subsets():
-    single, _ = run_gamma(RunConfig(command="gamma", p=3, q=(1, 1), s=0, subset=(1,)))
+def test_gamma_explicit_subsets(capsys):
+    argv = ["gamma", "--p", "3", "--q", "1,1", "--s", "0", "--subset"]
+    _, single = _run(capsys, argv + ["1"])
     assert single == "1\n"
-    empty, _ = run_gamma(RunConfig(command="gamma", p=3, q=(1, 1), s=0, subset=()))
+    _, empty = _run(capsys, argv + [""])
     assert empty == "1\n"
 
 
-def test_gamma_subset_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        run_gamma(RunConfig(command="gamma", p=3, q=(1, 1), s=0, subset=(3,)))
+def test_gamma_subset_out_of_range(capsys):
+    assert main(["gamma", "--p", "3", "--q", "1,1", "--s", "0", "--subset", "3"]) == 2
+    assert "error: subset index 3 out of range" in capsys.readouterr().err
 
 
 def test_gamma_duplicate_subset_index_exits_2(capsys):
@@ -112,11 +107,11 @@ def test_compare_cli(capsys):
     assert out.splitlines()[1] == "false,false,1,4,0"
 
 
-def test_compare_json_equal():
-    config = RunConfig(
-        command="compare", p=2, q=(1, 1), p2=2, q2=(1, 1), i_max=5, fmt="json"
+def test_compare_json_equal(capsys):
+    _, text = _run(
+        capsys, ["compare", "--a", "2:1,1", "--b", "2:1,1", "--i-max", "5", "--format", "json"]
     )
-    obj = json.loads(run_compare(config)[0])
+    obj = json.loads(text)
     assert obj["equal"] is True
     assert obj["first_divergence"] is None
 
@@ -141,31 +136,33 @@ def test_parity_cli(capsys):
 # ------------------------------------------------------------------ verify
 
 
-def test_verify_single_case_ok():
-    config = RunConfig(command="verify", p=2, q=(1, 1), h=2)
-    text, code = run_verify(config)
+def test_verify_single_case_ok(capsys):
+    code, text = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "2"])
     assert code == 0
     assert '"L(2;1,1)",2,count,8,8,true' in text.splitlines()
 
 
 def test_verify_small_grid_deep():
-    config = RunConfig(command="verify", p_max=3, m_values=(2,), h_max=6, deep=True)
-    report = verify_grid(config)
-    assert report.mismatches == ()
-    kinds = {c.kind for c in report.checks}
+    cases = [
+        (make_lens_space(p, q), list(range(7)))
+        for p in range(1, 4)
+        for q in canonical_q_tuples(p, 2)
+    ]
+    checks = verify_grid(cases, DEFAULT_BUDGET, deep=True)
+    assert all(c.ok for c in checks)
+    kinds = {c.kind for c in checks}
     assert kinds == {"count", "partition", "fiber_size", "fiber_cover"}
 
 
-def test_verify_json_report():
-    config = RunConfig(command="verify", p_max=2, h_max=4, fmt="json")
-    text, code = run_verify(config)
+def test_verify_json_report(capsys):
+    code, text = _run(capsys, ["verify", "--p-max", "2", "--h-max", "4", "--format", "json"])
     assert code == 0
     obj = json.loads(text)
     assert obj["mismatch_count"] == 0
     assert obj["cases"] == 4  # one canonical tuple per (p, m) in {1,2} x {2,3}
 
 
-def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch):
+def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch, capsys):
     # negative control: break the out-of-range convention and the formula
     # must diverge from the enumeration at the smallest affected norm
     import math
@@ -176,11 +173,12 @@ def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch):
         return math.comb(pool, choose)
 
     monkeypatch.setattr("lenslat.spectra.binom", corrupted)
-    config = RunConfig(command="verify", p=2, q=(1, 1), h_max=4)
-    report = verify_grid(config)
-    assert report.mismatches
-    assert report.mismatches[0].h == 0
-    _, code = run_verify(config)
+    cases = [(make_lens_space(2, (1, 1)), list(range(5)))]
+    checks = verify_grid(cases, DEFAULT_BUDGET, deep=False)
+    mismatches = [c for c in checks if not c.ok]
+    assert mismatches
+    assert mismatches[0].h == 0
+    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h-max", "4"])
     assert code == 1
 
 
@@ -241,6 +239,24 @@ def test_negative_oracle_budget_exits_2(argv, no_work, monkeypatch, capsys):
     assert main(argv[:-2]) == 2
 
 
+def test_bench_zero_oracle_budget_exits_2(no_work, monkeypatch, capsys):
+    # h = 0 alone needs one candidate: a budget of 0 would skip every row
+    argv = ["bench", "--p", "2", "--q", "1,1", "--h-max", "2"]
+    assert main(argv + ["--oracle-budget", "0"]) == 2
+    assert "error: an oracle budget of 0" in capsys.readouterr().err
+    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    assert main(argv) == 2
+    assert "error: an oracle budget of 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h_max", ["50", "20"])  # 20 is also the default
+def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--p", "2", "--q", "1,1", "--h", "3", "--h-max", h_max])
+    assert err.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_canonical_q_tuples_dedupe():
     # (1,2), (1,3) and (2,1) collapse into one class mod 5
     tuples_m2 = canonical_q_tuples(5, 2)
@@ -252,11 +268,11 @@ def test_canonical_q_tuples_dedupe():
 # ------------------------------------------------------------------- bench
 
 
-def test_bench_rows_and_skips():
-    config = RunConfig(
-        command="bench", p=7, q=(1, 2, 3), h_max=5, oracle_budget=50
+def test_bench_rows_and_skips(capsys):
+    code, text = _run(
+        capsys,
+        ["bench", "--p", "7", "--q", "1,2,3", "--h-max", "5", "--oracle-budget", "50"],
     )
-    text, code = run_bench(config)
     assert code == 0
     lines = text.splitlines()
     assert lines[0] == "h,formula_seconds,oracle_seconds"
@@ -266,12 +282,12 @@ def test_bench_rows_and_skips():
     assert all(line.endswith("skipped") for line in lines[5:])
 
 
-def test_bench_json():
-    config = RunConfig(
-        command="bench", p=2, q=(1, 1), h_max=3, fmt="json",
-        oracle_budget=BENCH_DEFAULT_BUDGET,
-    )
-    obj = json.loads(run_bench(config)[0])
+def test_bench_json(capsys):
+    _, text = _run(capsys, [
+        "bench", "--p", "2", "--q", "1,1", "--h-max", "3", "--format", "json",
+        "--oracle-budget", str(BENCH_DEFAULT_BUDGET),
+    ])
+    obj = json.loads(text)
     assert [row["h"] for row in obj["rows"]] == [0, 1, 2, 3]
     assert not any(row["skipped"] for row in obj["rows"])
 
@@ -312,3 +328,263 @@ def test_module_entry_point():
 def test_parity_cli_rejects_negative_i_max(capsys):
     code = main(["parity", "--p", "2", "--q", "1,1", "--i-max", "-1"])
     assert code == 2
+
+
+# ------------------------------------------------------------ golden output
+
+# Exact stdout and exit code of every deterministic command in both
+# formats, captured once and compared byte for byte, so any change to
+# rendering or to the order of checks shows here.  bench is left out:
+# its timings differ from run to run.
+GOLDEN = [
+    ('spectrum --p 5 --q 1,2 --i-max 3 --format csv', 0,
+     'i,eigenvalue,multiplicity\n'
+     '0,0,1\n'
+     '1,3,0\n'
+     '2,8,1\n'
+     '3,15,4\n'),
+    ('spectrum --p 5 --q 1,2 --i-max 3 --format json', 0,
+     '{\n'
+     '  "p": 5,\n'
+     '  "q": [\n'
+     '    1,\n'
+     '    2\n'
+     '  ],\n'
+     '  "d": 3,\n'
+     '  "entries": [\n'
+     '    {\n'
+     '      "i": 0,\n'
+     '      "lambda": 0,\n'
+     '      "mult": "1"\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 1,\n'
+     '      "lambda": 3,\n'
+     '      "mult": "0"\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 2,\n'
+     '      "lambda": 8,\n'
+     '      "mult": "1"\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 3,\n'
+     '      "lambda": 15,\n'
+     '      "mult": "4"\n'
+     '    }\n'
+     '  ]\n'
+     '}\n'),
+    ('nl --p 7 --q 1,2,3 --h 1000000000000000000000000000000 --format csv', 0,
+     '571428571428571428571428571428571428571428571428571428571428\n'),
+    ('nl --p 7 --q 1,2,3 --h 1000000000000000000000000000000 --format json', 0,
+     '{\n'
+     '  "p": 7,\n'
+     '  "q": [\n'
+     '    1,\n'
+     '    2,\n'
+     '    3\n'
+     '  ],\n'
+     '  "h": 1000000000000000000000000000000,\n'
+     '  "count": "571428571428571428571428571428571428571428571428571428571428"\n'
+     '}\n'),
+    ('gamma --p 5 --q 1,2,3 --s 4 --subset 1,3 --format csv', 0,
+     '4\n'),
+    ('gamma --p 5 --q 1,2,3 --s 4 --subset 1,3 --format json', 0,
+     '{\n'
+     '  "p": 5,\n'
+     '  "q": [\n'
+     '    1,\n'
+     '    2,\n'
+     '    3\n'
+     '  ],\n'
+     '  "subset": [\n'
+     '    1,\n'
+     '    3\n'
+     '  ],\n'
+     '  "s": 4,\n'
+     '  "count": "4"\n'
+     '}\n'),
+    ('compare --a 5:1,1 --b 5:1,2 --i-max 8 --format csv', 0,
+     'equal,dimension_mismatch,first_divergence_i,mult_a,mult_b\n'
+     'false,false,2,3,1\n'),
+    ('compare --a 5:1,1 --b 5:1,2 --i-max 8 --format json', 0,
+     '{\n'
+     '  "space_a": {\n'
+     '    "p": 5,\n'
+     '    "q": [\n'
+     '      1,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "space_b": {\n'
+     '    "p": 5,\n'
+     '    "q": [\n'
+     '      1,\n'
+     '      2\n'
+     '    ]\n'
+     '  },\n'
+     '  "i_max": 8,\n'
+     '  "equal": false,\n'
+     '  "dimension_mismatch": false,\n'
+     '  "first_divergence": {\n'
+     '    "i": 2,\n'
+     '    "mult_a": "3",\n'
+     '    "mult_b": "1"\n'
+     '  }\n'
+     '}\n'),
+    ('compare --a 2:1,1 --b 2:1,1,1 --i-max 3 --format csv', 0,
+     'equal,dimension_mismatch,first_divergence_i,mult_a,mult_b\n'
+     'false,true,,,\n'),
+    ('compare --a 2:1,1 --b 2:1,1,1 --i-max 3 --format json', 0,
+     '{\n'
+     '  "space_a": {\n'
+     '    "p": 2,\n'
+     '    "q": [\n'
+     '      1,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "space_b": {\n'
+     '    "p": 2,\n'
+     '    "q": [\n'
+     '      1,\n'
+     '      1,\n'
+     '      1\n'
+     '    ]\n'
+     '  },\n'
+     '  "i_max": 3,\n'
+     '  "equal": false,\n'
+     '  "dimension_mismatch": true,\n'
+     '  "first_divergence": null\n'
+     '}\n'),
+    ('parity --p 4 --q 1,3 --i-max 7 --format csv', 0,
+     'i,multiplicity,parity_ok\n'
+     '0,1,true\n'
+     '1,0,true\n'
+     '2,3,true\n'
+     '3,0,true\n'
+     '4,15,true\n'
+     '5,0,true\n'
+     '6,21,true\n'
+     '7,0,true\n'),
+    ('parity --p 4 --q 1,3 --i-max 7 --format json', 0,
+     '{\n'
+     '  "p": 4,\n'
+     '  "q": [\n'
+     '    1,\n'
+     '    3\n'
+     '  ],\n'
+     '  "i_max": 7,\n'
+     '  "guarantee_applies": true,\n'
+     '  "rows": [\n'
+     '    {\n'
+     '      "i": 0,\n'
+     '      "mult": "1",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 1,\n'
+     '      "mult": "0",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 2,\n'
+     '      "mult": "3",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 3,\n'
+     '      "mult": "0",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 4,\n'
+     '      "mult": "15",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 5,\n'
+     '      "mult": "0",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 6,\n'
+     '      "mult": "21",\n'
+     '      "ok": true\n'
+     '    },\n'
+     '    {\n'
+     '      "i": 7,\n'
+     '      "mult": "0",\n'
+     '      "ok": true\n'
+     '    }\n'
+     '  ]\n'
+     '}\n'),
+    ('verify --p 2 --q 1,1 --h 2 --format csv', 0,
+     'space,h,kind,got,expected,ok\n'
+     '"L(2;1,1)",2,count,8,8,true\n'),
+    ('verify --p 2 --q 1,1 --h 2 --format json', 0,
+     '{\n'
+     '  "grid": "single case L(2;1,1), h in 2..2",\n'
+     '  "cases": 1,\n'
+     '  "checks": 1,\n'
+     '  "mismatch_count": 0,\n'
+     '  "mismatches": []\n'
+     '}\n'),
+    ('verify --p-max 2 --h-max 2 --format csv', 0,
+     'space,h,kind,got,expected,ok\n'
+     '"L(1;0,0)",0,count,1,1,true\n'
+     '"L(1;0,0)",1,count,4,4,true\n'
+     '"L(1;0,0)",2,count,8,8,true\n'
+     '"L(1;0,0,0)",0,count,1,1,true\n'
+     '"L(1;0,0,0)",1,count,6,6,true\n'
+     '"L(1;0,0,0)",2,count,18,18,true\n'
+     '"L(2;1,1)",0,count,1,1,true\n'
+     '"L(2;1,1)",1,count,0,0,true\n'
+     '"L(2;1,1)",2,count,8,8,true\n'
+     '"L(2;1,1,1)",0,count,1,1,true\n'
+     '"L(2;1,1,1)",1,count,0,0,true\n'
+     '"L(2;1,1,1)",2,count,18,18,true\n'),
+    ('verify --p-max 2 --h-max 2 --format json', 0,
+     '{\n'
+     '  "grid": "p in 1..2, m in [2, 3], canonical q tuples, h in 0..2",\n'
+     '  "cases": 4,\n'
+     '  "checks": 12,\n'
+     '  "mismatch_count": 0,\n'
+     '  "mismatches": []\n'
+     '}\n'),
+    ('verify --p 2 --q 1,1 --h-max 2 --deep --format csv', 0,
+     'space,h,kind,got,expected,ok\n'
+     '"L(2;1,1)",0,count,1,1,true\n'
+     '"L(2;1,1)",0,partition,1,1,true\n'
+     '"L(2;1,1)",0,fiber_size,1,1,true\n'
+     '"L(2;1,1)",0,fiber_cover,1,1,true\n'
+     '"L(2;1,1)",1,count,0,0,true\n'
+     '"L(2;1,1)",1,partition,0,0,true\n'
+     '"L(2;1,1)",1,fiber_cover,0,0,true\n'
+     '"L(2;1,1)",2,count,8,8,true\n'
+     '"L(2;1,1)",2,partition,8,8,true\n'
+     '"L(2;1,1)",2,fiber_size,2,2,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_size,1,1,true\n'
+     '"L(2;1,1)",2,fiber_cover,7,7,true\n'),
+    ('verify --p 2 --q 1,1 --h-max 2 --deep --format json', 0,
+     '{\n'
+     '  "grid": "single case L(2;1,1), h in 0..2",\n'
+     '  "cases": 1,\n'
+     '  "checks": 17,\n'
+     '  "mismatch_count": 0,\n'
+     '  "mismatches": []\n'
+     '}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected", GOLDEN, ids=[case[0] for case in GOLDEN]
+)
+def test_golden_output(argv, code, expected, capsys):
+    assert main(argv.split()) == code
+    assert capsys.readouterr().out == expected

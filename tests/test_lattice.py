@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 from lenslat import (
     SubsetMask,
     binom,
+    canonical_q_tuples,
     decompose,
     gamma,
     make_lens_space,
     numerator,
 )
-from lenslat.cli import canonical_q_tuples
 from lenslat.lattice import _numerator_coeffs
 from lenslat.oracle import gamma_bruteforce
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from lenslat import (
     SubsetMask,
     binom,
+    canonical_q_tuples,
     compare_spectra,
     decompose,
     first_positive_eigenvalue,
@@ -16,7 +17,6 @@ from lenslat import (
     parity_report,
     spectrum,
 )
-from lenslat.cli import canonical_q_tuples
 from lenslat.oracle import n_lattice_bruteforce
 from strategies import lens_spaces, units_mod
 
