@@ -245,12 +245,12 @@ def verify_grid(
         label = space.label()
         for h in hs:
             formula = n_lattice_formula(space, num, h)
-            count = oracle.n_lattice_bruteforce(space, h, budget)
-            checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
+            points = oracle.enumerate_omega(space, h, budget)
+            checks.append(CheckRecord(label, h, "count", str(formula), str(len(points))))
             if deep:
                 checks.extend(
                     CheckRecord(label, h, *check)
-                    for check in oracle.fold_law_checks(space, h, count, budget)
+                    for check in oracle.fold_law_checks(space, h, points, budget)
                 )
     return checks
 

@@ -12,9 +12,9 @@ Its 1-norm generating function is N(z) = P(z) / (1 - z^p)^m with
 per coordinate, moving x away from 0 by p multiplies its term by z^p
 and keeps its residue q_i*x, marked by w.  numerator() builds P by one
 dynamic program over (residue mod p, degree).  gamma(U, s) counts the
-points over a coordinate subset U with |x_i| <= p-1 and 1-norm s (the
-same product without the z^p terms) by its own per-subset DP.  All
-counts are plain Python integers, so nothing ever overflows.
+points over a coordinate subset U with |x_i| <= p-1 and 1-norm s, the
+same product over U without the z^p terms, by the same DP.  All counts
+are plain Python integers, so nothing ever overflows.
 canonical_q_tuples() lists one parameter tuple per symmetry class, the
 classes among which isospectral lens spaces are sought.
 """
@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
+
+MAX_DP_CELLS = 10**7  # per generating-function DP; p = 1009, m = 3 needs 3.1e6
 
 
 @dataclass(frozen=True)
@@ -155,30 +157,6 @@ def decompose(h: int, p: int) -> tuple[int, int]:
     return k, n
 
 
-def _gamma_row(p: int, qs: Sequence[int], s_max: int) -> list[int]:
-    """Counts, for every s in 0..s_max, of x in Z^len(qs) with
-    |x_i| <= p-1, 1-norm s and sum qs[i]*x_i = 0 (mod p).
-
-    State is (residue mod p, accumulated 1-norm); each coordinate
-    contributes a value in {-(p-1),...,p-1}.
-    """
-    dp = [[0] * (s_max + 1) for _ in range(p)]
-    dp[0][0] = 1
-    for q in qs:
-        moves = [((q * x) % p, abs(x)) for x in range(-(p - 1), p)]
-        ndp = [[0] * (s_max + 1) for _ in range(p)]
-        for r, row in enumerate(dp):
-            for v, c in enumerate(row):
-                if not c:
-                    continue
-                for dr, ax in moves:
-                    nv = v + ax
-                    if nv <= s_max:
-                        ndp[(r + dr) % p][nv] += c
-        dp = ndp
-    return dp[0]
-
-
 def _check_subset(space: LensSpace, U: SubsetMask) -> None:
     if U.m != space.m:
         raise ValueError(f"subset mask is over m = {U.m}, space has m = {space.m}")
@@ -196,35 +174,42 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
         raise ValueError(f"s must be non-negative, got {s}")
     if s > U.u * (space.p - 1):
         return 0
-    return _gamma_row(space.p, U.pick(space.q), s)[s]
+    return _lattice_series(space.p, U.pick(space.q), s, with_zp=False)[s]
 
 
-def _numerator_coeffs(space: LensSpace, s_max: int) -> list[int]:
-    """P[0..s_max] (capped at the degree m*p), by one DP over the coordinates.
+def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
+    """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max.
 
-    cols[v][r] is the coefficient of w^r z^v so far, and each coordinate
-    multiplies it by z^p + sum_{|x|<p} w^(q x) z^|x|.  The terms with
+    F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
+    plus z^p when with_zp (the numerator P) and without it for gamma.
+    Degrees above the product's are zeros and cost no DP work.
+    cols[v][r] is the coefficient of w^r z^v so far.  The terms with
     x >= 0 and with x <= 0 each lie on a line (r + q*x, v + |x|), so the
     running sums up[r] = sum_{0 <= a < p} cols[v - a][r - q*a] and down
     (r + q*a) give each new state in O(1).  Each window drops cols[v - p]
-    as it moves on, and the z^p term adds one copy of it back.
+    as it moves on; the shifted down window still holds it, which is
+    exactly the z^p term, so without that term it is taken off once more.
     """
-    p = space.p
+    columns = min(s_max, len(qs) * (p if with_zp else p - 1)) + 1
+    if max(columns * p, s_max + 1) > MAX_DP_CELLS:
+        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_CELLS} DP cells")
     zero = [0] * p
-    cols = [zero] * (min(s_max, space.m * p) + 1)
+    cols = [zero] * columns
     cols[0] = [1] + zero[1:]
-    for q in space.q:
+    for q in qs:
         up = down = zero
         new = []
         for v, col in enumerate(cols):
-            base = [c - b for c, b in zip(col, cols[v - p] if v >= p else zero)]
+            back = cols[v - p] if v >= p else zero
+            base = [c - b for c, b in zip(col, back)]
             from_up = up[-q:] + up[:-q]  # from_up[r] = up[r - q]
             from_down = down[q:] + down[:q]  # from_down[r] = down[r + q]
             up = [b + u for b, u in zip(base, from_up)]
             down = [b + d for b, d in zip(base, from_down)]
-            new.append([u + d for u, d in zip(up, from_down)])
+            out = [u + d for u, d in zip(up, from_down)]
+            new.append(out if with_zp else [o - b for o, b in zip(out, back)])
         cols = new
-    return [col[0] for col in cols]
+    return [col[0] for col in cols] + [0] * (s_max + 1 - columns)
 
 
 @dataclass(frozen=True)
@@ -243,7 +228,8 @@ class Numerator:
 
 def numerator(space: LensSpace) -> Numerator:
     """P(z) of one lens space, to its full degree m*p."""
-    return Numerator(space, tuple(_numerator_coeffs(space, space.m * space.p)))
+    coeffs = _lattice_series(space.p, space.q, space.m * space.p, with_zp=True)
+    return Numerator(space, tuple(coeffs))
 
 
 def canonical_q_tuples(p: int, m: int) -> list[tuple[int, ...]]:

@@ -103,15 +103,15 @@ class PartitionClass:
 
 
 def classify_partition(
-    space: LensSpace, h: int, budget: int = DEFAULT_BUDGET
+    space: LensSpace, points: Sequence[tuple[int, ...]]
 ) -> tuple[PartitionClass, ...]:
-    """Partition of the 1-norm-h lattice points by their negative-multiple set.
+    """Partition of the points enumerate_omega(space, h) by negative-multiple set.
 
-    Classes come back ordered by mask bits, members in enumeration order;
-    they are disjoint and their sizes sum to n_lattice_bruteforce(h).
+    Classes come back ordered by mask bits, members in the given order;
+    they are disjoint and their sizes sum to len(points).
     """
     groups: dict[SubsetMask, list[tuple[int, ...]]] = {}
-    for x in enumerate_omega(space, h, budget):
+    for x in points:
         groups.setdefault(negative_multiple_mask(space, x), []).append(x)
     return tuple(
         PartitionClass(mask, tuple(groups[mask]))
@@ -145,9 +145,9 @@ def fold_point(
 
 
 def fiber_census(
-    space: LensSpace, h: int, budget: int = DEFAULT_BUDGET
+    space: LensSpace, h: int, points: Sequence[tuple[int, ...]]
 ) -> dict[tuple[SubsetMask, int, tuple[int, ...]], int]:
-    """Fiber sizes of the folding map over all 1-norm-h lattice points.
+    """Fiber sizes of the folding map over the points enumerate_omega(space, h).
 
     Keys are (N, t, y): the partition mask, the folded norm offset t
     (||y||_1 = k + t*p where h = k + n*p), and the folded vector.  For
@@ -155,7 +155,7 @@ def fiber_census(
     """
     k, _ = decompose(h, space.p)
     census: dict[tuple[SubsetMask, int, tuple[int, ...]], int] = {}
-    for x in enumerate_omega(space, h, budget):
+    for x in points:
         mask, y = fold_point(space, x)
         offset = sum(abs(v) for v in y) - k
         # the fold drops whole multiples of p from the norm
@@ -199,20 +199,23 @@ def gamma_bruteforce(
 
 
 def fold_law_checks(
-    space: LensSpace, h: int, count: int, budget: int = DEFAULT_BUDGET
+    space: LensSpace,
+    h: int,
+    points: Sequence[tuple[int, ...]],
+    budget: int = DEFAULT_BUDGET,
 ) -> Iterator[tuple[str, str, str]]:
     """The partition and fiber laws at 1-norm h, as (kind, got, expected).
 
-    count is n_lattice_bruteforce(space, h), which the caller has
-    already enumerated.  Yields one 'partition' check (every class
-    member matches its class predicate and the class sizes sum to
-    count), one 'fiber_size' check per occupied fold key (its size is
-    the predicted binomial), then one 'fiber_cover' check (every
+    points is enumerate_omega(space, h), which the caller has already
+    enumerated.  Yields one 'partition' check (every class member
+    matches its class predicate and the class sizes sum to
+    len(points)), one 'fiber_size' check per occupied fold key (its
+    size is the predicted binomial), then one 'fiber_cover' check (every
     admissible (N, t, y) key is occupied).  Values are decimal strings;
     a check passes iff got == expected.
     """
     # classes are disjoint by construction, so predicates and sizes suffice
-    classes = classify_partition(space, h, budget)
+    classes = classify_partition(space, points)
     exact = all(
         negative_multiple_mask(space, x) == cls.N
         for cls in classes
@@ -220,10 +223,10 @@ def fold_law_checks(
     )
     total = sum(len(cls.members) for cls in classes)
     got = f"{total}" if exact else f"{total} (class predicate violated)"
-    yield "partition", got, str(count)
+    yield "partition", got, str(len(points))
 
     k, n = decompose(h, space.p)
-    census = fiber_census(space, h, budget)
+    census = fiber_census(space, h, points)
     for (mask, t, _y), size in census.items():
         expected = binom(n - t + (space.m - mask.u) - 1, space.m - 1)
         yield "fiber_size", str(size), str(expected)

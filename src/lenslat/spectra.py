@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import LensSpace, Numerator, _numerator_coeffs, binom, decompose
+from .lattice import LensSpace, Numerator, _lattice_series, binom, decompose
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     """dim(lambda_0..lambda_i_max): P(z) divided by both denominators."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    series = _numerator_coeffs(space, i_max)
-    series += [0] * (i_max + 1 - len(series))
+    series = _lattice_series(space.p, space.q, i_max, with_zp=True)
     for stride, times in ((space.p, space.m), (2, space.m - 1)):
         for _ in range(times):
             for h in range(stride, i_max + 1):

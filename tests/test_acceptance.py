@@ -52,7 +52,7 @@ def test_criterion_2_partition_law():
     for space in _grid_spaces(10, (2, 3)):
         for h in range(17):
             points = oracle.enumerate_omega(space, h)
-            classes = oracle.classify_partition(space, h)
+            classes = oracle.classify_partition(space, points)
             seen = set()
             for cls in classes:
                 members = set(cls.members)
@@ -79,7 +79,8 @@ def test_criterion_3_fiber_law():
                 space = make_lens_space(p, q)
                 for h in range(13):
                     k, n = decompose(h, p)
-                    census = oracle.fiber_census(space, h)
+                    points = oracle.enumerate_omega(space, h)
+                    census = oracle.fiber_census(space, h, points)
                     for (mask, t, y), size in census.items():
                         expected = binom(n - t + (m - mask.u) - 1, m - 1)
                         ok = ok and size == expected

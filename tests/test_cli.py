@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -255,6 +256,23 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
         main(["verify", "--p", "2", "--q", "1,1", "--h", "3", "--h-max", h_max])
     assert err.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"],
+    ["nl", "--p", "100000007", "--q", "1,2", "--h", "5"],
+    ["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"],
+])
+def test_absurd_size_refused_before_allocation(argv, capsys):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "DP cells" in capsys.readouterr().err
+    assert peak < 10 * 2**20
 
 
 def test_canonical_q_tuples_dedupe():

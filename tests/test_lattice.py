@@ -13,7 +13,7 @@ from lenslat import (
     make_lens_space,
     numerator,
 )
-from lenslat.lattice import _numerator_coeffs
+from lenslat.lattice import _lattice_series
 from lenslat.oracle import gamma_bruteforce
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
 
@@ -162,12 +162,12 @@ def test_gamma_rejects_wrong_mask_width():
         gamma(space, SubsetMask.full(3), 0)
 
 
-def numerator_from_gamma(space, s):
-    """P[s] = sum_U gamma(U, s - (m - |U|)*p): the coordinates outside U
+def numerator_from_gamma(space, s, count=gamma):
+    """P[s] = sum_U count(U, s - (m - |U|)*p): the coordinates outside U
     take the factor's z^p term, the ones inside stay in the box."""
     p, m = space.p, space.m
     return sum(
-        gamma(space, mask, s - (m - mask.u) * p)
+        count(space, mask, s - (m - mask.u) * p)
         for mask in all_masks(m)
         if s >= (m - mask.u) * p
     )
@@ -215,16 +215,21 @@ def test_gamma_table_matches_gamma_pointwise():
         assert len(num.coeffs) == space.m * p + 1
         for s in range(space.m * p + 2):
             assert num.value(s) == numerator_from_gamma(space, s)
+            # the oracle twin scans the box, independent of the shared DP
+            assert num.value(s) == numerator_from_gamma(space, s, gamma_bruteforce)
 
 
 def test_numerator_truncation():
     # spectrum builds P only up to the largest degree it reads; the capped
-    # DP must give exactly the prefix of the full one
+    # DP must give exactly the prefix of the full one, padded with zeros
+    # above the degree m*p
     for p, q in [(1, (1, 1)), (3, (1, 1)), (7, (1, 2, 3))]:
         space = make_lens_space(p, q)
-        full = numerator(space).coeffs
+        num = numerator(space)
+        full = num.coeffs
         for s_max in (0, 1, 2, p, len(full) - 2, len(full) - 1, len(full) + 5):
-            assert _numerator_coeffs(space, s_max) == list(full[: s_max + 1])
+            capped = _lattice_series(p, space.q, s_max, with_zp=True)
+            assert capped == [num.value(s) for s in range(s_max + 1)]
     num = numerator(make_lens_space(3, (1, 1)))
     assert num.value(2) == gamma(num.space, SubsetMask.full(2), 2)  # below p
     assert num.value(7) == 0  # above the degree m*p = 6

@@ -80,7 +80,8 @@ def test_box_budget_refusal():
 
 
 def test_classify_l211_h2():
-    classes = {cls.N.bits: set(cls.members) for cls in classify_partition(L211, 2)}
+    points = enumerate_omega(L211, 2)
+    classes = {cls.N.bits: set(cls.members) for cls in classify_partition(L211, points)}
     assert classes[0b00] == {(2, 0), (0, 2), (1, 1), (1, -1), (-1, 1), (-1, -1)}
     assert classes[0b01] == {(-2, 0)}
     assert classes[0b10] == {(0, -2)}
@@ -88,7 +89,8 @@ def test_classify_l211_h2():
 
 
 def test_classify_h0():
-    (cls,) = classify_partition(make_lens_space(5, (1, 2, 3)), 0)
+    space = make_lens_space(5, (1, 2, 3))
+    (cls,) = classify_partition(space, enumerate_omega(space, 0))
     assert cls.N == SubsetMask.empty(3)
     assert cls.members == ((0, 0, 0),)
 
@@ -97,7 +99,7 @@ def test_classify_h0():
 @settings(max_examples=60, deadline=None)
 def test_partition_law(space, h):
     points = enumerate_omega(space, h)
-    classes = classify_partition(space, h)
+    classes = classify_partition(space, points)
     seen = set()
     for cls in classes:
         members = set(cls.members)
@@ -144,7 +146,7 @@ def test_fold_norm_drop_and_box(space, h):
 
 
 def test_fiber_census_l211_h2():
-    census = fiber_census(L211, 2)
+    census = fiber_census(L211, 2, enumerate_omega(L211, 2))
     empty = SubsetMask.empty(2)
     assert census[(empty, 0, (0, 0))] == 2  # {(2,0), (0,2)}
     assert census[(empty, 1, (1, 1))] == 1
@@ -158,7 +160,7 @@ def test_fiber_census_l211_h2():
 
 def test_fiber_census_h0():
     space = make_lens_space(3, (1, 1, 1))
-    census = fiber_census(space, 0)
+    census = fiber_census(space, 0, enumerate_omega(space, 0))
     assert census == {(SubsetMask.empty(3), 0, (0, 0, 0)): 1}
 
 
@@ -167,7 +169,7 @@ def test_fiber_census_h0():
 def test_fiber_law(space, h):
     p, m = space.p, space.m
     k, n = decompose(h, p)
-    census = fiber_census(space, h)
+    census = fiber_census(space, h, enumerate_omega(space, h))
     # every occupied key has the predicted size
     for (mask, t, y), size in census.items():
         assert sum(abs(v) for v in y) == k + t * p
