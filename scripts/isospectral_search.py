@@ -34,13 +34,15 @@ def main(argv=None):
     parser.add_argument("--i-max", type=int, default=16, help="degree bound for the comparison")
     args = parser.parse_args(argv)
 
-    tuples = canonical_q_tuples(args.p, args.m)
-    print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
-          f"comparing degrees 0..{args.i_max}")
-
     families = defaultdict(list)
-    for q in tuples:
-        families[multiplicity_sequence(args.p, q, args.i_max)].append(q)
+    try:  # invalid p, m or i_max: a usage error with exit 2, not a traceback
+        tuples = canonical_q_tuples(args.p, args.m)
+        print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
+              f"comparing degrees 0..{args.i_max}")
+        for q in tuples:
+            families[multiplicity_sequence(args.p, q, args.i_max)].append(q)
+    except ValueError as err:
+        parser.error(str(err))
 
     coincident = {seq: qs for seq, qs in families.items() if len(qs) > 1}
     print(f"{len(families)} distinct multiplicity sequences")

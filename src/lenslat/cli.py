@@ -13,9 +13,10 @@ bench      wall-clock of the formula path vs. the enumeration oracle
 Output is CSV (default) or JSON on stdout (or --output PATH).
 Multiplicities and counts are serialized as decimal strings in JSON so
 arbitrary-precision values survive every parser.  Exit codes: 0 success,
-1 verification mismatch, 2 invalid input, an unwritable --output or a
-refused enumeration budget.  Input that would check nothing (an empty
-verify grid, a negative --h-max, a bench oracle budget of 0) is invalid.
+1 verification mismatch (in verify or bench), 2 invalid input, an
+unwritable --output or a refused enumeration budget.  Input that would
+check nothing (an empty verify grid, a negative --h-max, a bench oracle
+budget of 0) is invalid.
 The environment variable LENSLAT_ORACLE_BUDGET overrides the default
 oracle candidate budget; a --oracle-budget flag wins over both.
 """
@@ -29,7 +30,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import oracle
 from .lattice import (
@@ -48,6 +49,10 @@ BUDGET_ENV_VAR = "LENSLAT_ORACLE_BUDGET"
 # norm) so the gap report itself stays fast
 BENCH_DEFAULT_BUDGET = 6400
 VERIFY_DEFAULT_H_MAX = 20
+
+
+class Disagreement(Exception):
+    """The formula and the oracle disagree outside verify: exit 1."""
 
 
 @dataclass(frozen=True)
@@ -132,9 +137,7 @@ def run_spectrum(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
     entries = spectrum(space, args.i_max).entries
     rows = [[e.i, e.eigenvalue, e.mult] for e in entries]
-    payload = {
-        "p": space.p,
-        "q": list(space.q),
+    payload = _space_json(space) | {
         "d": space.d,
         "entries": [
             {"i": e.i, "lambda": e.eigenvalue, "mult": str(e.mult)}
@@ -275,16 +278,7 @@ def run_verify(args: argparse.Namespace):
         "cases": len(cases),
         "checks": len(checks),
         "mismatch_count": len(mismatches),
-        "mismatches": [
-            {
-                "space": c.space,
-                "h": c.h,
-                "kind": c.kind,
-                "got": c.got,
-                "expected": c.expected,
-            }
-            for c in mismatches
-        ],
+        "mismatches": [asdict(c) for c in mismatches],
     }
     header = ["space", "h", "kind", "got", "expected", "ok"]
     return header, rows, payload, 1 if mismatches else 0
@@ -316,9 +310,7 @@ def run_bench(args: argparse.Namespace):
             count = oracle.n_lattice_bruteforce(space, h, budget)
             oracle_seconds = time.perf_counter() - start
             if count != value:
-                raise RuntimeError(
-                    f"formula and oracle disagree at h = {h}: {value} vs {count}"
-                )
+                raise Disagreement(f"formula and oracle disagree at h = {h}: {value} vs {count}")
         timings.append((h, formula_seconds, oracle_seconds))
     rows = [
         [h, f"{f_sec:.6f}", "skipped" if o_sec is None else f"{o_sec:.6f}"]
@@ -328,12 +320,7 @@ def run_bench(args: argparse.Namespace):
         "h_max": args.h_max,
         "oracle_budget": budget,
         "rows": [
-            {
-                "h": h,
-                "formula_seconds": f_sec,
-                "oracle_seconds": o_sec,
-                "skipped": o_sec is None,
-            }
+            {"h": h, "formula_seconds": f_sec, "oracle_seconds": o_sec, "skipped": o_sec is None}
             for h, f_sec, o_sec in timings
         ],
     }
@@ -424,9 +411,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except ValueError as err:
+    except (ValueError, Disagreement) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, Disagreement) else 2
     text = _json_text(payload) if args.fmt == "json" else _csv_text(header, rows)
     if args.output is None:
         sys.stdout.write(text)

@@ -15,15 +15,15 @@ dynamic program over (residue mod p, degree).  gamma(U, s) counts the
 points over a coordinate subset U with |x_i| <= p-1 and 1-norm s, the
 same product over U without the z^p terms, by the same DP.  All counts
 are plain Python integers, so nothing ever overflows.
-canonical_q_tuples() lists one parameter tuple per symmetry class, the
-classes among which isospectral lens spaces are sought.
+canonical_q_tuples() builds the least member of each symmetry class, the
+classes among which isospectral lens spaces are sought, in ascending order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Sequence
 
 MAX_DP_CELLS = 10**7  # per generating-function DP; p = 1009, m = 3 needs 3.1e6
@@ -131,6 +131,8 @@ class SubsetMask:
         for j in indices:
             if not 0 <= j < m:
                 raise ValueError(f"index {j} out of range for m = {m}")
+            if bits >> j & 1:
+                raise ValueError(f"index {j} given more than once")
             bits |= 1 << j
         return cls(bits, m)
 
@@ -177,6 +179,14 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
     return _lattice_series(space.p, U.pick(space.q), s, with_zp=False)[s]
 
 
+def _series_columns(p: int, m: int, s_max: int, with_zp: bool) -> int:
+    """Degree columns the kernel builds up to s_max; refused past MAX_DP_CELLS."""
+    columns = min(s_max, m * (p if with_zp else p - 1)) + 1
+    if max(columns * p, s_max + 1) > MAX_DP_CELLS:
+        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_CELLS} DP cells")
+    return columns
+
+
 def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
     """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max.
 
@@ -190,9 +200,7 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     as it moves on; the shifted down window still holds it, which is
     exactly the z^p term, so without that term it is taken off once more.
     """
-    columns = min(s_max, len(qs) * (p if with_zp else p - 1)) + 1
-    if max(columns * p, s_max + 1) > MAX_DP_CELLS:
-        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_CELLS} DP cells")
+    columns = _series_columns(p, len(qs), s_max, with_zp)
     zero = [0] * p
     cols = [zero] * columns
     cols[0] = [1] + zero[1:]
@@ -237,27 +245,25 @@ def canonical_q_tuples(p: int, m: int) -> list[tuple[int, ...]]:
 
     Two tuples give the same counts when related by coordinate
     permutation, negation of single entries mod p, or scaling every
-    entry by a unit mod p; this enumerates one representative per orbit.
+    entry by a unit mod p.  Each class is listed by its least member
+    (entries in 1..p-1; all 1 for p <= 2), in ascending order.  That
+    member is sorted, folded (v <= p - v) and starts with 1, so only
+    such tuples are built.
     """
-    units = [c for c in range(1, p + 1) if math.gcd(c, p) == 1]
-    seen = set()
-    out = []
-    for q in product(units, repeat=m):
-        key = _canonical_form(q, p, units)
-        if key not in seen:
-            seen.add(key)
-            out.append(q)
-    return out
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
+    if p <= 2 or m == 0:
+        return [(1,) * m]
+    half = [v for v in range(1, p // 2 + 1) if math.gcd(v, p) == 1]
+    candidates = ((1,) + rest for rest in combinations_with_replacement(half, m - 1))
+    return [q for q in candidates if _canonical_form(q, p) == q]
 
 
-def _canonical_form(
-    q: tuple[int, ...], p: int, units: list[int]
-) -> tuple[int, ...]:
-    best = None
-    for c in units:
-        folded = tuple(
-            sorted(min((c * v) % p, (p - (c * v) % p) % p) for v in q)
-        )
-        if best is None or folded < best:
-            best = folded
-    return best
+def _canonical_form(q: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Least member of the unit tuple q's class (p >= 3): led by 1, so scaled by a q_j^-1."""
+    return min(
+        tuple(sorted(min(c * v % p, p - c * v % p) for v in q))
+        for c in (pow(u, -1, p) for u in q)
+    )

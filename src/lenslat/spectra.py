@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import LensSpace, Numerator, _lattice_series, binom, decompose
+from .lattice import LensSpace, Numerator, _lattice_series, _series_columns, binom, decompose
+
+MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 74 MiB, 10**6 at 613 MiB
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,9 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     """dim(lambda_0..lambda_i_max): P(z) divided by both denominators."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
+    _series_columns(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
+    if i_max >= MAX_SPECTRUM_LINES:
+        raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
     series = _lattice_series(space.p, space.q, i_max, with_zp=True)
     for stride, times in ((space.p, space.m), (2, space.m - 1)):
         for _ in range(times):

@@ -1,7 +1,10 @@
+import importlib.util
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -163,17 +166,17 @@ def test_verify_json_report(capsys):
     assert obj["cases"] == 4  # one canonical tuple per (p, m) in {1,2} x {2,3}
 
 
+def _corrupted_binom(pool, choose):
+    """binom with the out-of-range convention broken: 1 instead of 0."""
+    if choose < 0 or pool < 0 or pool < choose:
+        return 1
+    return math.comb(pool, choose)
+
+
 def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch, capsys):
     # negative control: break the out-of-range convention and the formula
     # must diverge from the enumeration at the smallest affected norm
-    import math
-
-    def corrupted(pool, choose):
-        if choose < 0 or pool < 0 or pool < choose:
-            return 1
-        return math.comb(pool, choose)
-
-    monkeypatch.setattr("lenslat.spectra.binom", corrupted)
+    monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
     cases = [(make_lens_space(2, (1, 1)), list(range(5)))]
     checks = verify_grid(cases, DEFAULT_BUDGET, deep=False)
     mismatches = [c for c in checks if not c.ok]
@@ -258,12 +261,14 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"],
-    ["nl", "--p", "100000007", "--q", "1,2", "--h", "5"],
-    ["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"],
-])
-def test_absurd_size_refused_before_allocation(argv, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "DP cells"),
+    (["nl", "--p", "100000007", "--q", "1,2", "--h", "5"], "DP cells"),
+    (["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"], "DP cells"),
+    # under the DP ceiling, but 10**7 lines would not fit
+    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "9999999"], "spectral lines"),
+], ids=["argv0", "argv1", "argv2", "argv3"])
+def test_absurd_size_refused_before_allocation(argv, message, capsys):
     tracemalloc.start()
     try:
         code = main(argv)
@@ -271,8 +276,13 @@ def test_absurd_size_refused_before_allocation(argv, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "DP cells" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert peak < 10 * 2**20
+
+
+def test_verify_negative_m_exits_2(capsys):
+    assert main(["verify", "--p-max", "4", "--m", "-1"]) == 2
+    assert "error: m must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_canonical_q_tuples_dedupe():
@@ -308,6 +318,15 @@ def test_bench_json(capsys):
     obj = json.loads(text)
     assert [row["h"] for row in obj["rows"]] == [0, 1, 2, 3]
     assert not any(row["skipped"] for row in obj["rows"])
+
+
+def test_bench_disagreement_exits_1(monkeypatch, capsys):
+    # negative control: the corrupted binomial breaks N(0) for L(2;1,1)
+    monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
+    assert main(["bench", "--p", "2", "--q", "1,1", "--h-max", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: formula and oracle disagree at h = 0: ")
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------ output, exec
@@ -606,3 +625,35 @@ GOLDEN = [
 def test_golden_output(argv, code, expected, capsys):
     assert main(argv.split()) == code
     assert capsys.readouterr().out == expected
+
+
+# ------------------------------------------------------------ census script
+
+
+def _census_main():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "isospectral_search.py"
+    spec = importlib.util.spec_from_file_location("isospectral_search", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_census_script_finds_ikeda_pair(capsys):
+    assert _census_main()(["--p", "11", "--m", "3", "--i-max", "16"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("p = 11, m = 3: 7 symmetry classes, comparing degrees 0..16\n")
+    assert "family of 2: L(11;1,2,3)  L(11;1,2,4)\n" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "0"], "p must be a positive integer, got 0"),
+    (["--p", "7", "--m", "-1"], "m must be non-negative, got -1"),
+    (["--p", "7", "--m", "1"], "need at least two rotation parameters"),
+    (["--p", "7", "--i-max", "100000"], "degrees 0..100000 are over 100000 spectral lines"),
+])
+def test_census_script_invalid_input_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        _census_main()(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr().err
+    assert f"error: {message}" in captured and "Traceback" not in captured

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,10 @@ def test_subset_mask_validation():
         SubsetMask(-1, 3)
     with pytest.raises(ValueError):
         SubsetMask.from_indices([3], 3)
+    with pytest.raises(ValueError, match="index 0 given more than once"):
+        SubsetMask.from_indices([0, 0], 2)
+    with pytest.raises(ValueError, match="index 2 given more than once"):
+        SubsetMask.from_indices([2, 1, 2], 3)
 
 
 # ---------------------------------------------------------------- binom
@@ -309,3 +314,43 @@ def test_gamma_matches_enumeration_property(data):
     mask = data.draw(subset_masks(m))
     s = data.draw(st.integers(0, mask.u * (p - 1)))
     assert gamma(space, mask, s) == gamma_bruteforce(space, mask, s)
+
+
+# ------------------------------------------------------- symmetry classes
+
+
+def _classes_bruteforce(p, m):
+    """First-seen unit tuple of each class over the full product of units.
+
+    A tuple's class key is its least folded, sorted image over every
+    unit scaling; entries are units in 1..p-1 (just 1 when p <= 2).
+    """
+    units = [c for c in range(1, max(p, 2)) if math.gcd(c, p) == 1]
+    folds = [{v: min(c * v % p, -c * v % p) for v in units} for c in units]
+    seen, out = set(), []
+    for q in product(units, repeat=m):
+        key = min(tuple(sorted(fold[v] for v in q)) for fold in folds)
+        if key not in seen:
+            seen.add(key)
+            out.append(q)
+    return out
+
+
+@pytest.mark.parametrize("m, p_max", [(0, 13), (1, 13), (2, 31), (3, 31), (4, 13)])
+def test_canonical_q_tuples_match_bruteforce(m, p_max):
+    for p in range(1, p_max + 1):
+        assert canonical_q_tuples(p, m) == _classes_bruteforce(p, m), p
+
+
+def test_canonical_q_tuples_at_census_scale():
+    tuples = canonical_q_tuples(101, 3)
+    assert len(tuples) == 442
+    assert tuples == sorted(set(tuples))
+    assert all(q[0] == 1 and max(q) <= 50 for q in tuples)
+
+
+def test_canonical_q_tuples_rejects_bad_input():
+    with pytest.raises(ValueError, match="p must be a positive integer, got 0"):
+        canonical_q_tuples(0, 2)
+    with pytest.raises(ValueError, match="m must be non-negative, got -1"):
+        canonical_q_tuples(5, -1)
