@@ -4,10 +4,13 @@
 Every symmetry class of parameter tuples (coordinate permutation,
 negation of entries mod p, global scaling by a unit) is represented
 once, and classes are grouped by their multiplicity sequence
-(dim lambda_0, ..., dim lambda_i_max).  A family holding two or more
-classes is a genuine coincidence of Laplace-Beltrami spectra up to the
-degree bound: candidates for isospectral non-isometric pairs, worth
-re-checking at a larger bound.
+(dim lambda_0, ..., dim lambda_i_max).  Equal prefixes up to i_max only
+make a family of candidates: many agree that far and part later
+(L(54;1,1,17) and L(54;1,1,19) agree up to i = 17 and differ at 18).
+Spaces with equal (p, m) share the denominator of the spectral
+generating function, so two classes are isospectral iff their
+numerators agree, that is iff their multiplicities agree up to degree
+m*p; `lenslat compare --i-max` at m*p or above settles a pair.
 
 Each sequence comes from the space's generating-function numerator,
 built only up to degree i_max, which keeps large-p scans cheap.

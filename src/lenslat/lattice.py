@@ -13,8 +13,9 @@ per coordinate, moving x away from 0 by p multiplies its term by z^p
 and keeps its residue q_i*x, marked by w.  numerator() builds P by one
 dynamic program over (residue mod p, degree).  gamma(U, s) counts the
 points over a coordinate subset U with |x_i| <= p-1 and 1-norm s, the
-same product over U without the z^p terms, by the same DP.  All counts
-are plain Python integers, so nothing ever overflows.
+same product over U without the z^p terms, by the same DP.  Each DP
+column packs its p residue counts into one integer, in bit slots too
+wide to carry, so one big-int operation does a loop's work exactly.
 canonical_q_tuples() builds the least member of each symmetry class, the
 classes among which isospectral lens spaces are sought, in ascending order.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
 
-MAX_DP_CELLS = 10**7  # per generating-function DP; p = 1009, m = 3 needs 3.1e6
+MAX_DP_BITS = 10**9  # per generating-function DP; p = 1009, m = 3 needs 1.04e8
 
 
 @dataclass(frozen=True)
@@ -179,12 +180,13 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
     return _lattice_series(space.p, U.pick(space.q), s, with_zp=False)[s]
 
 
-def _series_columns(p: int, m: int, s_max: int, with_zp: bool) -> int:
-    """Degree columns the kernel builds up to s_max; refused past MAX_DP_CELLS."""
+def _series_shape(p: int, m: int, s_max: int, with_zp: bool) -> tuple[int, int]:
+    """(degree columns, bits per slot) of the kernel; refused past MAX_DP_BITS, result list too."""
     columns = min(s_max, m * (p if with_zp else p - 1)) + 1
-    if max(columns * p, s_max + 1) > MAX_DP_CELLS:
-        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_CELLS} DP cells")
-    return columns
+    width = ((2 * p) ** m).bit_length() + 1
+    if max(columns * p * width, 64 * (s_max + 1)) > MAX_DP_BITS:
+        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
+    return columns, width
 
 
 def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
@@ -193,31 +195,36 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
     plus z^p when with_zp (the numerator P) and without it for gamma.
     Degrees above the product's are zeros and cost no DP work.
-    cols[v][r] is the coefficient of w^r z^v so far.  The terms with
-    x >= 0 and with x <= 0 each lie on a line (r + q*x, v + |x|), so the
-    running sums up[r] = sum_{0 <= a < p} cols[v - a][r - q*a] and down
-    (r + q*a) give each new state in O(1).  Each window drops cols[v - p]
-    as it moves on; the shifted down window still holds it, which is
-    exactly the z^p term, so without that term it is taken off once more.
+    cols[v] packs the coefficients of z^v so far into one int: slot r,
+    bits [B*r, B*r + B), holds that of w^r.  The terms with x >= 0 and
+    with x <= 0 each lie on a line (r + q*x, v + |x|), so the running
+    sums up[r] = sum_{0 <= a < p} cols[v - a][r - q*a] and down (r + q*a)
+    give each new column in O(1) big-int operations; a shift of residues
+    by q is a cyclic shift of slots.  Each window drops cols[v - p] as it
+    moves on; the shifted down window still holds it, which is exactly
+    the z^p term, so without that term it is taken off once more.
+    No slot carries: each window sum and column counts part of the
+    product, at most its total mass (2p)^m < 2^(B-1).  base = col - back
+    may have negative slots, but it is only ever added to a window sum,
+    whose exact value has non-negative slots.
     """
-    columns = _series_columns(p, len(qs), s_max, with_zp)
-    zero = [0] * p
-    cols = [zero] * columns
-    cols[0] = [1] + zero[1:]
+    columns, B = _series_shape(p, len(qs), s_max, with_zp)
+    full = (1 << B * p) - 1
+    cols = [1] + [0] * (columns - 1)
     for q in qs:
-        up = down = zero
+        ahead, behind = B * q, B * (p - q)
+        up = down = 0
         new = []
         for v, col in enumerate(cols):
-            back = cols[v - p] if v >= p else zero
-            base = [c - b for c, b in zip(col, back)]
-            from_up = up[-q:] + up[:-q]  # from_up[r] = up[r - q]
-            from_down = down[q:] + down[:q]  # from_down[r] = down[r + q]
-            up = [b + u for b, u in zip(base, from_up)]
-            down = [b + d for b, d in zip(base, from_down)]
-            out = [u + d for u, d in zip(up, from_down)]
-            new.append(out if with_zp else [o - b for o, b in zip(out, back)])
+            back = cols[v - p] if v >= p else 0
+            base = col - back
+            from_down = ((down << behind) & full) | (down >> ahead)  # down[r + q]
+            up = base + (((up << ahead) & full) | (up >> behind))  # up[r - q]
+            down = base + from_down
+            out = up + from_down
+            new.append(out if with_zp else out - back)
         cols = new
-    return [col[0] for col in cols] + [0] * (s_max + 1 - columns)
+    return [col & ((1 << B) - 1) for col in cols] + [0] * (s_max + 1 - columns)
 
 
 @dataclass(frozen=True)

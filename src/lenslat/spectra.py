@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import LensSpace, Numerator, _lattice_series, _series_columns, binom, decompose
+from .lattice import LensSpace, Numerator, _lattice_series, _series_shape, binom, decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 74 MiB, 10**6 at 613 MiB
 
@@ -61,11 +61,7 @@ class IsospectralReport:
 
 @dataclass(frozen=True)
 class ParityRow:
-    """Multiplicity of one degree plus the even-parity verdict.
-
-    ok is False only where the parity guarantee applies (p even, i odd)
-    and the multiplicity is odd; everywhere else it is vacuously True.
-    """
+    """Multiplicity of one degree; ok is False where its parity breaks parity_report's law."""
 
     i: int
     mult: int
@@ -98,7 +94,7 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     """dim(lambda_0..lambda_i_max): P(z) divided by both denominators."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    _series_columns(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
+    _series_shape(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
     if i_max >= MAX_SPECTRUM_LINES:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
     series = _lattice_series(space.p, space.q, i_max, with_zp=True)
@@ -147,15 +143,15 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
 
 
 def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
-    """Per-degree multiplicities with the even-parity verdict.
+    """Per-degree multiplicities with the parity verdict, for every p.
 
-    For p even, every odd degree must have even multiplicity; rows where
-    that fails carry ok=False.  For p odd the report is informational
-    (no guarantee applies, every row has ok=True).
+    x -> -x pairs off the nonzero lattice points, so N(h) is even for
+    every h >= 1: mod 2, N(z) = 1 and the multiplicities are those of
+    1/(1 - z^2)^(m - 1), dim(lambda_i) = [i even]*binom(i/2 + m - 2, m - 2).
+    Rows that break this law carry ok=False.
     """
-    even_p = space.p % 2 == 0
     rows = []
-    for entry in spectrum(space, i_max).entries:
-        violated = even_p and entry.i % 2 == 1 and entry.mult % 2 == 1
-        rows.append(ParityRow(entry.i, entry.mult, not violated))
+    for i, mult in enumerate(_multiplicities(space, i_max)):
+        law = binom(i // 2 + space.m - 2, space.m - 2) % 2 if i % 2 == 0 else 0
+        rows.append(ParityRow(i, mult, mult % 2 == law))
     return tuple(rows)

@@ -262,9 +262,9 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "DP cells"),
-    (["nl", "--p", "100000007", "--q", "1,2", "--h", "5"], "DP cells"),
-    (["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"], "DP cells"),
+    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "DP bits"),
+    (["nl", "--p", "100000007", "--q", "1,2", "--h", "5"], "DP bits"),
+    (["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"], "DP bits"),
     # under the DP ceiling, but 10**7 lines would not fit
     (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "9999999"], "spectral lines"),
 ], ids=["argv0", "argv1", "argv2", "argv3"])

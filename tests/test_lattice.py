@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -14,7 +15,7 @@ from lenslat import (
     make_lens_space,
     numerator,
 )
-from lenslat.lattice import _lattice_series
+from lenslat.lattice import _lattice_series, _series_shape
 from lenslat.oracle import gamma_bruteforce
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
 
@@ -240,6 +241,56 @@ def test_numerator_truncation():
     assert num.value(7) == 0  # above the degree m*p = 6
     with pytest.raises(ValueError):
         num.value(-1)
+
+
+def list_series(p, qs, s_max, with_zp):
+    """The packed kernel's reference: the same DP over a list of p residues per degree."""
+    columns = min(s_max, len(qs) * (p if with_zp else p - 1)) + 1
+    zero = [0] * p
+    cols = [zero] * columns
+    cols[0] = [1] + zero[1:]
+    for q in qs:
+        up = down = zero
+        new = []
+        for v, col in enumerate(cols):
+            back = cols[v - p] if v >= p else zero
+            base = [c - b for c, b in zip(col, back)]
+            from_up = up[-q:] + up[:-q]  # from_up[r] = up[r - q]
+            from_down = down[q:] + down[:q]  # from_down[r] = down[r + q]
+            up = [b + u for b, u in zip(base, from_up)]
+            down = [b + d for b, d in zip(base, from_down)]
+            out = [u + d for u, d in zip(up, from_down)]
+            new.append(out if with_zp else [o - b for o, b in zip(out, back)])
+        cols = new
+    return [col[0] for col in cols] + [0] * (s_max + 1 - columns)
+
+
+def kernel_cases():
+    """(p, qs): the criterion-1 grid, random unit tuples for every p < 40
+    and m <= 4, and the two cases whose slot width is nearly tight."""
+    rng = random.Random(6)
+    cases = [(p, q) for p in range(1, 11) for m in (2, 3) for q in canonical_q_tuples(p, m)]
+    for p in range(1, 40):
+        for m in range(5):
+            for _ in range(3):
+                cases.append((p, tuple(rng.choice(units_mod(p)) for _ in range(m))))
+    cases.append((2, (1,) * 30))  # 4^30 = 2^60: B = 62, and 56 bits give wrong counts
+    cases.append((3, tuple(rng.choice((1, 2)) for _ in range(20))))
+    return cases
+
+
+def test_packed_kernel_matches_list_reference():
+    for p, q in kernel_cases():
+        qs = tuple(v % p for v in q)
+        for with_zp in (False, True):
+            cap = len(qs) * (p if with_zp else p - 1)
+            for s_max in (cap // 2, cap, cap + 3):
+                packed = _lattice_series(p, qs, s_max, with_zp)
+                assert packed == list_series(p, qs, s_max, with_zp), (p, qs, s_max, with_zp)
+
+
+def test_largest_documented_size_is_admitted():
+    assert _series_shape(1009, 3, 3 * 1009, with_zp=True) == (3028, 34)
 
 
 # ------------------------------------------------------------- properties

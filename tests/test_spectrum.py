@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from lenslat import (
     parity_report,
     spectrum,
 )
+from lenslat import spectra
 from lenslat.oracle import n_lattice_bruteforce
 from strategies import lens_spaces, units_mod
 
@@ -272,6 +275,30 @@ def test_parity_odd_p_is_informational():
     rows = parity_report(make_lens_space(3, (1, 1)), 5)
     assert [row.mult for row in rows] == [1, 0, 3, 8, 5, 12]
     assert all(row.ok for row in rows)
+
+
+def test_parity_law_on_canonical_spaces():
+    # dim(lambda_i) = [i even] * binom(i/2 + m - 2, m - 2) (mod 2), p odd too
+    for p in range(1, 21):
+        for m in (2, 3, 4):
+            law = [math.comb(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0 for i in range(41)]
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                assert [e.mult % 2 for e in spectrum(space, 40).entries] == law, space
+                assert all(row.ok for row in parity_report(space, 40)), space
+
+
+def test_parity_flags_a_broken_even_degree(monkeypatch):
+    real = spectra._multiplicities
+
+    def flipped(space, i_max):
+        mults = real(space, i_max)
+        mults[4] += 1
+        return mults
+
+    monkeypatch.setattr(spectra, "_multiplicities", flipped)
+    rows = parity_report(make_lens_space(5, (1, 2)), 9)
+    assert [row.i for row in rows if not row.ok] == [4]
 
 
 @given(data=st.data())
