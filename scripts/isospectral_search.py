@@ -27,7 +27,7 @@ from lenslat import canonical_q_tuples, make_lens_space, spectrum
 
 
 def multiplicity_sequence(p, q, i_max):
-    return tuple(e.mult for e in spectrum(make_lens_space(p, q), i_max).entries)
+    return tuple(e.mult for e in spectrum(make_lens_space(p, q), i_max))
 
 
 def main(argv=None):

@@ -23,7 +23,6 @@ from .spectra import (
     IsospectralReport,
     ParityRow,
     SpectrumEntry,
-    SpectrumTable,
     compare_spectra,
     first_positive_eigenvalue,
     multiplicity,
@@ -40,7 +39,6 @@ __all__ = [
     "Numerator",
     "ParityRow",
     "SpectrumEntry",
-    "SpectrumTable",
     "SubsetMask",
     "binom",
     "canonical_q_tuples",

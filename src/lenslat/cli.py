@@ -42,7 +42,7 @@ from .lattice import (
     make_lens_space,
     numerator,
 )
-from .spectra import compare_spectra, n_lattice_formula, parity_report, spectrum
+from .spectra import MAX_SPECTRUM_LINES, compare_spectra, n_lattice_formula, parity_report, spectrum
 
 BUDGET_ENV_VAR = "LENSLAT_ORACLE_BUDGET"
 # bench keeps the oracle at desk scale (a few thousand candidates per
@@ -83,6 +83,14 @@ def _resolve_budget(flag_value: int | None, default: int) -> int:
     if budget < 0:
         raise ValueError(f"oracle budget must be non-negative, got {budget}")
     return budget
+
+
+def _check_h_max(h_max: int) -> None:
+    """verify and bench build a row per norm 0..h_max: refuse what no row list could hold."""
+    if h_max < 0:
+        raise ValueError(f"--h-max must be non-negative, got {h_max}")
+    if h_max >= MAX_SPECTRUM_LINES:
+        raise ValueError(f"--h-max must be below {MAX_SPECTRUM_LINES}, got {h_max}")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -135,7 +143,7 @@ def _bool(value: bool) -> str:
 
 def run_spectrum(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
-    entries = spectrum(space, args.i_max).entries
+    entries = spectrum(space, args.i_max)
     rows = [[e.i, e.eigenvalue, e.mult] for e in entries]
     payload = _space_json(space) | {
         "d": space.d,
@@ -206,7 +214,6 @@ def run_parity(args: argparse.Namespace):
     rows = [[r.i, r.mult, _bool(r.ok)] for r in report]
     payload = _space_json(space) | {
         "i_max": args.i_max,
-        "guarantee_applies": space.p % 2 == 0,
         "rows": [{"i": r.i, "mult": str(r.mult), "ok": r.ok} for r in report],
     }
     return ["i", "multiplicity", "parity_ok"], rows, payload, 0
@@ -262,8 +269,7 @@ def run_verify(args: argparse.Namespace):
     # --h-max defaults to None: argparse lets an excluded option through
     # when its value is the default object, so `--h 3 --h-max 20` would pass
     h_max = VERIFY_DEFAULT_H_MAX if args.h_max is None else args.h_max
-    if h_max < 0:
-        raise ValueError(f"--h-max must be non-negative, got {h_max}")
+    _check_h_max(h_max)
     if args.p is not None and args.q is None:
         raise ValueError("--p needs --q for a single-space verify")
     if args.p is None and (args.q is not None or args.h is not None):
@@ -291,8 +297,7 @@ def run_bench(args: argparse.Namespace):
     beyond that the row says 'skipped'.  Timings are the one
     non-deterministic output of the CLI.
     """
-    if args.h_max < 0:
-        raise ValueError(f"--h-max must be non-negative, got {args.h_max}")
+    _check_h_max(args.h_max)
     budget = _resolve_budget(args.oracle_budget, BENCH_DEFAULT_BUDGET)
     if budget == 0:
         # h = 0 alone has one candidate, so every row would be skipped

@@ -6,8 +6,8 @@ production path.  Enumerations refuse to start when the raw candidate
 count (all integer vectors of the requested 1-norm, before the
 congruence filter) would exceed a budget.
 
-fold_law_checks() bundles the partition and fiber laws as checks for
-`lenslat verify --deep`.
+fold_law_checks() bundles the partition law (box counts from the DP)
+and the fiber laws as checks for `lenslat verify --deep`.
 
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose
+from .lattice import LensSpace, SubsetMask, _check_subset, _lattice_series, binom, decompose
 
 DEFAULT_BUDGET = 10**8
 
@@ -207,25 +207,35 @@ def fold_law_checks(
     """The partition and fiber laws at 1-norm h, as (kind, got, expected).
 
     points is enumerate_omega(space, h), which the caller has already
-    enumerated.  Yields one 'partition' check (every class member
-    matches its class predicate and the class sizes sum to
-    len(points)), one 'fiber_size' check per occupied fold key (its
-    size is the predicted binomial), then one 'fiber_cover' check (every
-    admissible (N, t, y) key is occupied).  Values are decimal strings;
-    a check passes iff got == expected.
-    """
-    # classes are disjoint by construction, so predicates and sizes suffice
-    classes = classify_partition(space, points)
-    exact = all(
-        negative_multiple_mask(space, x) == cls.N
-        for cls in classes
-        for x in cls.members
-    )
-    total = sum(len(cls.members) for cls in classes)
-    got = f"{total}" if exact else f"{total} (class predicate violated)"
-    yield "partition", got, str(len(points))
+    enumerated.  Yields one 'partition' check, one 'fiber_size' check
+    per occupied fold key (its size is the predicted binomial), then one
+    'fiber_cover' check (every admissible (N, t, y) key is occupied).
+    Values are decimal strings; a check passes iff got == expected.
 
-    k, n = decompose(h, space.p)
+    The partition check counts each class N by its law,
+    sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
+    with gamma from the DP: expected is the sum of the laws over every
+    N, got is len(points) with a note for each class whose size breaks
+    its law.
+    """
+    p, m = space.p, space.m
+    k, n = decompose(h, p)
+    sizes = {cls.N: len(cls.members) for cls in classify_partition(space, points)}
+    got, expected = str(len(points)), 0
+    for bits in range(1 << m):
+        mask = SubsetMask(bits, m)
+        law = 0
+        if mask.u <= n:
+            row = _lattice_series(p, mask.complement().pick(space.q), h, with_zp=False)
+            law = sum(
+                binom(n - t + m - mask.u - 1, m - 1) * row[k + t * p]
+                for t in range(n - mask.u + 1)
+            )
+        expected += law
+        if (size := sizes.get(mask, 0)) != law:
+            got += f" (class {bits:#b}: {size}, law {law})"
+    yield "partition", got, str(expected)
+
     census = fiber_census(space, h, points)
     for (mask, t, _y), size in census.items():
         expected = binom(n - t + (space.m - mask.u) - 1, space.m - 1)

@@ -34,14 +34,6 @@ class SpectrumEntry:
 
 
 @dataclass(frozen=True)
-class SpectrumTable:
-    """Spectral lines of one lens space for degrees 0..i_max, gap-free."""
-
-    space: LensSpace
-    entries: tuple[SpectrumEntry, ...]
-
-
-@dataclass(frozen=True)
 class IsospectralReport:
     """Outcome of comparing two multiplicity sequences up to a degree bound.
 
@@ -51,9 +43,6 @@ class IsospectralReport:
     dimension_mismatch set and no divergence degree is computed.
     """
 
-    space_a: LensSpace
-    space_b: LensSpace
-    i_max: int
     equal: bool
     first_divergence: tuple[int, int, int] | None
     dimension_mismatch: bool = False
@@ -105,26 +94,22 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     return series
 
 
-def spectrum(space: LensSpace, i_max: int) -> SpectrumTable:
-    """Spectral table for degrees 0..i_max, from one capped numerator."""
+def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
+    """Spectral lines for degrees 0..i_max, gap-free, from one capped numerator."""
     d = space.d
-    entries = tuple(
+    return tuple(
         SpectrumEntry(i, i * (i + d - 1), mult)
         for i, mult in enumerate(_multiplicities(space, i_max))
     )
-    return SpectrumTable(space, entries)
 
 
-def first_positive_eigenvalue(
-    space: LensSpace, i_max: int
-) -> SpectrumEntry | None:
-    """Smallest-degree entry with i >= 1 and nonzero multiplicity, if any."""
-    if i_max < 1:
-        raise ValueError(f"i_max must be at least 1, got {i_max}")
-    for entry in spectrum(space, i_max).entries[1:]:
-        if entry.mult > 0:
-            return entry
-    return None
+def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
+    """The smallest positive eigenvalue with its multiplicity.
+
+    On the sphere (p = 1) it is lambda_1, of dimension 2m.  For p >= 2,
+    N(1) = 0 empties lambda_1, and dim(lambda_2) = N(2) + m - 1 > 0.
+    """
+    return spectrum(space, 1 if space.p == 1 else 2)[-1]
 
 
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:
@@ -132,14 +117,12 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
     if a.m != b.m:
-        return IsospectralReport(
-            a, b, i_max, equal=False, first_divergence=None, dimension_mismatch=True
-        )
+        return IsospectralReport(False, None, dimension_mismatch=True)
     pairs = zip(_multiplicities(a, i_max), _multiplicities(b, i_max))
     for i, (mult_a, mult_b) in enumerate(pairs):
         if mult_a != mult_b:
-            return IsospectralReport(a, b, i_max, False, (i, mult_a, mult_b))
-    return IsospectralReport(a, b, i_max, True, None)
+            return IsospectralReport(False, (i, mult_a, mult_b))
+    return IsospectralReport(True, None)
 
 
 def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:

@@ -267,7 +267,10 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
     (["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"], "DP bits"),
     # under the DP ceiling, but 10**7 lines would not fit
     (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "9999999"], "spectral lines"),
-], ids=["argv0", "argv1", "argv2", "argv3"])
+    # one row per norm 0..h_max
+    (["verify", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
+    (["bench", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"])
 def test_absurd_size_refused_before_allocation(argv, message, capsys):
     tracemalloc.start()
     try:
@@ -512,7 +515,6 @@ GOLDEN = [
      '    3\n'
      '  ],\n'
      '  "i_max": 7,\n'
-     '  "guarantee_applies": true,\n'
      '  "rows": [\n'
      '    {\n'
      '      "i": 0,\n'

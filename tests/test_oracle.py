@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenslat import SubsetMask, binom, decompose, make_lens_space
+from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, make_lens_space
+from lenslat import oracle
 from lenslat.oracle import (
     OracleBudgetError,
     classify_partition,
     enumerate_c,
     enumerate_omega,
     fiber_census,
+    fold_law_checks,
     fold_point,
     gamma_bruteforce,
     l1_sphere_count,
@@ -109,6 +111,31 @@ def test_partition_law(space, h):
             assert negative_multiple_mask(space, x) == cls.N
     assert seen == set(points)  # exhaustive
     assert sum(len(cls.members) for cls in classes) == len(points)
+
+
+def test_partition_check_holds_on_grid():
+    # fold_law_checks yields its partition check first; the fiber checks never run
+    for p in range(1, 8):
+        for m in (2, 3):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                for h in range(3 * p + 4):
+                    points = enumerate_omega(space, h)
+                    check = next(fold_law_checks(space, h, points))
+                    assert check == ("partition", str(len(points)), str(len(points))), (space, h)
+
+
+def test_partition_check_flags_misclassified_points(monkeypatch):
+    # every point put in the class N = {} breaks the law of every class it left
+    def misclassify(space, x):
+        return SubsetMask.empty(space.m)
+
+    monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
+    points = enumerate_omega(L211, 2)
+    kind, got, expected = next(fold_law_checks(L211, 2, points))
+    assert kind == "partition"
+    assert expected == "8"
+    assert got == "8 (class 0b0: 8, law 6) (class 0b1: 0, law 1) (class 0b10: 0, law 1)"
 
 
 # ------------------------------------------------------------------- fold

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -155,30 +156,30 @@ def test_multiplicity_anchors(space):
 
 
 def test_spectrum_l211():
-    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(L211, 2).entries]
+    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(L211, 2)]
     assert entries == [(0, 0, 1), (1, 3, 0), (2, 8, 9)]
 
 
 def test_spectrum_sphere():
     space = make_lens_space(1, (1, 1))
-    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(space, 1).entries]
+    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(space, 1)]
     assert entries == [(0, 0, 1), (1, 3, 4)]
 
 
 def test_spectrum_i_max_zero():
-    table = spectrum(make_lens_space(9, (1, 2)), 0)
-    assert [(e.i, e.eigenvalue, e.mult) for e in table.entries] == [(0, 0, 1)]
+    entries = spectrum(make_lens_space(9, (1, 2)), 0)
+    assert [(e.i, e.eigenvalue, e.mult) for e in entries] == [(0, 0, 1)]
 
 
 @given(space=lens_spaces(p_max=5), i_max=st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_spectrum_table_shape(space, i_max):
-    table = spectrum(space, i_max)
-    assert [e.i for e in table.entries] == list(range(i_max + 1))
-    eigenvalues = [e.eigenvalue for e in table.entries]
+    entries = spectrum(space, i_max)
+    assert [e.i for e in entries] == list(range(i_max + 1))
+    eigenvalues = [e.eigenvalue for e in entries]
     assert eigenvalues == [i * (i + space.d - 1) for i in range(i_max + 1)]
     assert sorted(eigenvalues) == eigenvalues
-    assert table.entries[0].mult == 1
+    assert entries[0].mult == 1
 
 
 def test_spectrum_matches_pointwise_multiplicity():
@@ -187,20 +188,20 @@ def test_spectrum_matches_pointwise_multiplicity():
         space = make_lens_space(p, q)
         num = numerator(space)
         for i_max in (0, 1, p, space.m * p - 1, 3 * space.m * p):
-            mults = [e.mult for e in spectrum(space, i_max).entries]
+            mults = [e.mult for e in spectrum(space, i_max)]
             assert mults == [multiplicity(space, num, i) for i in range(i_max + 1)]
 
 
 def test_m30_sphere_and_spectrum():
     sphere = make_lens_space(1, (1,) * 30)
     harmonic = [binom(i + 59, 59) - binom(i + 57, 59) for i in range(21)]
-    assert [e.mult for e in spectrum(sphere, 20).entries] == harmonic
+    assert [e.mult for e in spectrum(sphere, 20)] == harmonic
 
     space = make_lens_space(11, tuple(range(1, 11)) * 3)
     num = numerator(space)
     # every nontrivial character sums to zero over a factor's 2p terms
     assert sum(num.coeffs) * 11 == 22**30
-    entries = spectrum(space, 40).entries
+    entries = spectrum(space, 40)
     assert [e.mult for e in entries[:2]] == [1, 0]
     for e in entries:
         assert 0 <= e.mult <= binom(e.i + 59, 59) - binom(e.i + 57, 59)
@@ -211,11 +212,51 @@ def test_m30_sphere_and_spectrum():
 
 
 def test_first_positive_eigenvalue():
-    entry = first_positive_eigenvalue(L211, 4)
+    entry = first_positive_eigenvalue(L211)
     assert (entry.i, entry.eigenvalue, entry.mult) == (2, 8, 9)
-    sphere = first_positive_eigenvalue(make_lens_space(1, (1, 1)), 4)
+    sphere = first_positive_eigenvalue(make_lens_space(1, (1, 1)))
     assert (sphere.i, sphere.eigenvalue, sphere.mult) == (1, 3, 4)
-    assert first_positive_eigenvalue(make_lens_space(5, (1, 2)), 1) is None
+    entry = first_positive_eigenvalue(make_lens_space(5, (1, 2)))
+    assert (entry.i, entry.eigenvalue, entry.mult) == (2, 8, 1)
+
+
+def explicit_dim_lambda_2(p, q):
+    """dim(lambda_2) for p >= 2 without the DP: m - 1 from N(0), plus the
+    norm-2 points +-(e_j - e_k), +-(e_j + e_k) and +-2e_j that the
+    congruence admits, each pair counted separately (at p = 2 all fire)."""
+    pairs = list(combinations(q, 2))
+    return (
+        len(q) - 1
+        + 2 * sum((a - b) % p == 0 for a, b in pairs)
+        + 2 * sum((a + b) % p == 0 for a, b in pairs)
+        + 2 * sum(2 * a % p == 0 for a in q)
+    )
+
+
+def test_first_positive_eigenvalue_explicit_count():
+    spaces = 0
+    for m in range(2, 6):
+        sphere = first_positive_eigenvalue(make_lens_space(1, (1,) * m))
+        assert (sphere.i, sphere.eigenvalue, sphere.mult) == (1, 2 * m - 1, 2 * m)
+        for p in range(2, 31):
+            for q in canonical_q_tuples(p, m):
+                entry = first_positive_eigenvalue(make_lens_space(p, q))
+                assert (entry.i, entry.eigenvalue) == (2, 4 * m), (p, q)
+                assert entry.mult == explicit_dim_lambda_2(p, q), (p, q)
+                spaces += 1
+    assert spaces == 2838  # 2,842 canonical spaces with p <= 30, less the 4 spheres
+
+
+def test_first_positive_eigenvalue_matches_oracle():
+    # criterion-1 grid: dim(lambda_1) = N(1) on the sphere, else N(2) + m - 1
+    for p in range(1, 11):
+        for m in (2, 3):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                entry = first_positive_eigenvalue(space)
+                h = 1 if p == 1 else 2
+                assert entry.i == h
+                assert entry.mult == n_lattice_bruteforce(space, h) + (h - 1) * (m - 1)
 
 
 # ---------------------------------------------------------------- compare
@@ -284,7 +325,7 @@ def test_parity_law_on_canonical_spaces():
             law = [math.comb(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0 for i in range(41)]
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
-                assert [e.mult % 2 for e in spectrum(space, 40).entries] == law, space
+                assert [e.mult % 2 for e in spectrum(space, 40)] == law, space
                 assert all(row.ok for row in parity_report(space, 40)), space
 
 
