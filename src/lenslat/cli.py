@@ -7,7 +7,7 @@ nl         single 1-norm lattice count N(h)
 gamma      single box-bounded count gamma(U, s)
 verify     counting formula vs. brute-force enumeration over a grid
 compare    multiplicity sequences of two lens spaces
-parity     even-multiplicity report for odd degrees
+parity     parity law of the multiplicities, checked at every degree for every p
 bench      wall-clock of the formula path vs. the enumeration oracle
 
 Output is CSV (default) or JSON on stdout (or --output PATH).
@@ -391,7 +391,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--i-max", type=int, required=True)
     add_common(sp, with_space=False)
 
-    sp = sub.add_parser("parity", help="even-multiplicity report for odd degrees")
+    sp = sub.add_parser("parity", help="parity law checked at every degree, for every p")
     sp.set_defaults(run=run_parity)
     add_common(sp)
     sp.add_argument("--i-max", type=int, required=True)

@@ -2,22 +2,21 @@
 
 Everything here enumerates lattice points directly and exists to certify
 the closed-form counting path on desk-scale instances; none of it is a
-production path.  Enumerations refuse to start when the raw candidate
-count (all integer vectors of the requested 1-norm, before the
-congruence filter) would exceed a budget.
+production path.  One walk, _congruent_shell, serves both enumerations;
+they refuse to start when the raw candidate count (the whole 1-norm
+sphere or box, before the congruence filter) would exceed a budget.
 
 fold_law_checks() bundles the partition law (box counts from the DP)
 and the fiber laws as checks for `lenslat verify --deep`.
 
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
-with + before -, so output is deterministic and diffable.
+with + before -.  The rows of `verify --deep` follow enumerate_omega's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 from .lattice import LensSpace, SubsetMask, _check_subset, _lattice_series, binom, decompose
@@ -48,13 +47,38 @@ def l1_sphere_count(m: int, h: int) -> int:
     return sum(2**j * binom(m, j) * binom(h - 1, j - 1) for j in range(1, m + 1))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
+def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[int, ...]]:
+    """Every x with 1-norm s, all |x_j| <= cap and sum q_j*x_j = 0 (mod p).
+
+    Walks the absolute values coordinate by coordinate in composition
+    order; each signed prefix carries its residue, both signs of the last
+    coordinate are tested, and a whole tuple is built only for a passing point.
+    """
+    if not qs or s > cap * len(qs):
+        return [()] if s == 0 else []
+    out: list[tuple[int, ...]] = []
+    _walk(p, qs, cap, 0, s, [(0, ())], out)
+    return out
+
+
+def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list, out: list) -> None:
+    """Extend each (residue, signed prefix) over coordinates j.. to 1-norm rem, into out."""
+    last = len(qs) - 1
+    if j == last:
+        qa = qs[j] * rem
+        for r, x in prefixes:
+            if (r + qa) % p == 0:
+                out.append((*x, rem))
+            if rem and (r - qa) % p == 0:
+                out.append((*x, -rem))
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for a in range(max(0, rem - cap * (last - j)), min(rem, cap) + 1):
+        nxt, qa = [], qs[j] * a
+        for r, x in prefixes:
+            nxt.append((r + qa, (*x, a)))
+            if a:
+                nxt.append((r - qa, (*x, -a)))
+        _walk(p, qs, cap, j + 1, rem - a, nxt, out)
 
 
 def enumerate_omega(
@@ -68,16 +92,7 @@ def enumerate_omega(
         raise OracleBudgetError(
             candidates, budget, f"enumerating 1-norm {h} vectors in Z^{space.m}"
         )
-    out = []
-    for comp in _compositions(h, space.m):
-        nonzero = [j for j, a in enumerate(comp) if a]
-        for signs in product((1, -1), repeat=len(nonzero)):
-            x = list(comp)
-            for j, sign in zip(nonzero, signs):
-                x[j] = sign * x[j]
-            if space.admits(x):
-                out.append(tuple(x))
-    return out
+    return _congruent_shell(space.p, space.q, h, h)
 
 
 def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -170,7 +185,7 @@ def enumerate_c(
 ) -> list[tuple[int, ...]]:
     """Box-bounded congruence points over U with 1-norm exactly s.
 
-    Scans the whole box {-(p-1),...,p-1}^|U|, so candidates = (2p-1)^|U|.
+    Walks only the norm-s shell of the box; the budget counts all (2p-1)^|U| points.
     """
     _check_subset(space, U)
     if s < 0:
@@ -182,19 +197,13 @@ def enumerate_c(
         raise OracleBudgetError(
             candidates, budget, f"scanning the box over {len(qs)} coordinates"
         )
-    out = []
-    for x in product(range(-(p - 1), p), repeat=len(qs)):
-        if sum(map(abs, x)) != s:
-            continue
-        if sum(q * v for q, v in zip(qs, x)) % p == 0:
-            out.append(x)
-    return out
+    return _congruent_shell(p, qs, s, p - 1)
 
 
 def gamma_bruteforce(
     space: LensSpace, U: SubsetMask, s: int, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """|C(U, s)| by scanning the box; the enumeration twin of lattice.gamma."""
+    """|C(U, s)| from the box's norm-s shell; the enumeration twin of lattice.gamma."""
     return len(enumerate_c(space, U, s, budget))
 
 

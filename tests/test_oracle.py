@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +38,65 @@ def test_enumerate_l211_h2():
 
 def test_enumerate_order_is_deterministic():
     assert enumerate_omega(L211, 4) == enumerate_omega(L211, 4)
+
+
+def naive_omega(space, h):
+    """The walk's reference: compositions of h, then sign patterns, each point tested."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    out = []
+    for comp in compositions(h, space.m):
+        nonzero = [j for j, a in enumerate(comp) if a]
+        for signs in product((1, -1), repeat=len(nonzero)):
+            x = list(comp)
+            for j, sign in zip(nonzero, signs):
+                x[j] = sign * x[j]
+            if space.admits(x):
+                out.append(tuple(x))
+    return out
+
+
+def naive_box(space, U):
+    """The shell walk's reference: every congruent point of the box, by 1-norm.
+
+    One scan of product(range(-(p-1), p)) per mask; each list is sorted.
+    """
+    p, qs = space.p, U.pick(space.q)
+    by_norm = {}
+    for x in product(range(-(p - 1), p), repeat=len(qs)):
+        if sum(q * v for q, v in zip(qs, x)) % p == 0:
+            by_norm.setdefault(sum(map(abs, x)), []).append(x)
+    return by_norm
+
+
+def test_enumerate_omega_matches_naive_in_order():
+    # fiber_census keys, and so the rows of verify --deep, follow this order
+    for p in range(1, 12):
+        for m, h_max in ((2, 12), (3, 12), (4, 8)):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                for h in range(h_max + 1):
+                    assert enumerate_omega(space, h) == naive_omega(space, h), (space, h)
+
+
+def test_enumerate_c_matches_naive_box():
+    for p in range(1, 10):
+        for m in (2, 3, 4):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                for bits in range(1 << m):
+                    U = SubsetMask(bits, m)
+                    box = naive_box(space, U)
+                    for s in range(m * p + 2):
+                        got = sorted(enumerate_c(space, U, s))
+                        assert got == box.get(s, []), (space, U, s)
 
 
 def test_enumerate_h0_and_empty():
