@@ -49,6 +49,8 @@ BUDGET_ENV_VAR = "LENSLAT_ORACLE_BUDGET"
 # norm) so the gap report itself stays fast
 BENCH_DEFAULT_BUDGET = 6400
 VERIFY_DEFAULT_H_MAX = 20
+VERIFY_DEFAULT_P_MAX = 8
+VERIFY_DEFAULT_M = (2, 3)
 
 
 class Disagreement(Exception):
@@ -226,13 +228,15 @@ def _verify_cases(
         space = make_lens_space(args.p, args.q)
         hs = [args.h] if args.h is not None else list(range(h_max + 1))
         return f"single case {space}, h in {hs[0]}..{hs[-1]}", [(space, hs)]
+    p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
+    m_values = VERIFY_DEFAULT_M if args.m is None else args.m
     cases = []
-    for p in range(1, args.p_max + 1):
-        for m in args.m:
+    for p in range(1, p_max + 1):
+        for m in m_values:
             for q in canonical_q_tuples(p, m):
                 cases.append((make_lens_space(p, q), list(range(h_max + 1))))
     grid = (
-        f"p in 1..{args.p_max}, m in {sorted(args.m)}, "
+        f"p in 1..{p_max}, m in {sorted(m_values)}, "
         f"canonical q tuples, h in 0..{h_max}"
         + (", deep" if args.deep else "")
     )
@@ -266,14 +270,16 @@ def verify_grid(
 
 
 def run_verify(args: argparse.Namespace):
-    # --h-max defaults to None: argparse lets an excluded option through
-    # when its value is the default object, so `--h 3 --h-max 20` would pass
+    # --h-max, --p-max and --m default to None: argparse lets an excluded option
+    # through when its value is the default object, so `--h 3 --h-max 20` would pass
     h_max = VERIFY_DEFAULT_H_MAX if args.h_max is None else args.h_max
     _check_h_max(h_max)
     if args.p is not None and args.q is None:
         raise ValueError("--p needs --q for a single-space verify")
     if args.p is None and (args.q is not None or args.h is not None):
         raise ValueError("--q/--h only apply together with --p")
+    if args.p is not None and (args.p_max is not None or args.m is not None):
+        raise ValueError("--p-max/--m only apply to the grid, not with --p")
     budget = _resolve_budget(args.oracle_budget, oracle.DEFAULT_BUDGET)
     grid, cases = _verify_cases(args, h_max)
     checks = verify_grid(cases, budget, args.deep)
@@ -378,8 +384,15 @@ def _parser() -> argparse.ArgumentParser:
         "--h-max", type=int, default=None,
         help=f"largest 1-norm (default {VERIFY_DEFAULT_H_MAX})",
     )
-    sp.add_argument("--p-max", type=int, default=8)
-    sp.add_argument("--m", type=_ints, default=(2, 3), help="values of m for the grid")
+    sp.add_argument(
+        "--p-max", type=int, default=None,
+        help=f"largest p of the grid (default {VERIFY_DEFAULT_P_MAX})",
+    )
+    sp.add_argument(
+        "--m", type=_ints, default=None,
+        help="values of m for the grid, comma-separated "
+        f"(default {','.join(map(str, VERIFY_DEFAULT_M))})",
+    )
     sp.add_argument("--deep", action="store_true", help="also check partitions and fold fibers")
     sp.add_argument("--oracle-budget", type=int, default=None)
     add_common(sp, with_space=False)

@@ -7,7 +7,9 @@ they refuse to start when the raw candidate count (the whole 1-norm
 sphere or box, before the congruence filter) would exceed a budget.
 
 fold_law_checks() bundles the partition law (box counts from the DP)
-and the fiber laws as checks for `lenslat verify --deep`.
+and the fiber laws as checks for `lenslat verify --deep`: each point is
+folded once, class sizes come from the fiber census, and one sweep over
+(N, t) serves both the partition law and the fiber cover.
 
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
@@ -102,10 +104,7 @@ def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET)
 
 def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> SubsetMask:
     """Indices whose coordinate is a negative multiple of p, as a mask."""
-    bits = 0
-    for j, v in enumerate(x):
-        if v < 0 and v % space.p == 0:
-            bits |= 1 << j
+    bits = sum(1 << j for j, v in enumerate(x) if v < 0 and v % space.p == 0)
     return SubsetMask(bits, space.m)
 
 
@@ -149,14 +148,9 @@ def fold_point(
     if not space.admits(x):
         raise ValueError(f"{x} violates the congruence of {space}")
     p = space.p
-    bits = 0
-    y = []
-    for j, v in enumerate(x):
-        if v < 0 and v % p == 0:
-            bits |= 1 << j
-        else:
-            y.append(v % p if v >= 0 else v % p - p)
-    return SubsetMask(bits, space.m), tuple(y)
+    mask = negative_multiple_mask(space, x)
+    y = tuple(v % p if v >= 0 else v % p - p for j, v in enumerate(x) if not mask.bits >> j & 1)
+    return mask, y
 
 
 def fiber_census(
@@ -221,41 +215,33 @@ def fold_law_checks(
     'fiber_cover' check (every admissible (N, t, y) key is occupied).
     Values are decimal strings; a check passes iff got == expected.
 
-    The partition check counts each class N by its law,
+    Each point is folded once, by fiber_census; class N's size is the
+    sum of its fiber sizes, and its law is
     sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
-    with gamma from the DP: expected is the sum of the laws over every
-    N, got is len(points) with a note for each class whose size breaks
-    its law.
+    with gamma from the DP.  The partition check expects the sum of the
+    laws over every N; got is len(points) with a note for each class
+    whose size breaks its law.  One sweep over (N, t) adds up the laws
+    and walks the admissible keys enumerate_c(N^c, k + t*p).
     """
     p, m = space.p, space.m
     k, n = decompose(h, p)
-    sizes = {cls.N: len(cls.members) for cls in classify_partition(space, points)}
-    got, expected = str(len(points)), 0
+    census = fiber_census(space, h, points)
+    got, expected, cover = str(len(points)), 0, []
     for bits in range(1 << m):
         mask = SubsetMask(bits, m)
+        rest = mask.complement()
         law = 0
         if mask.u <= n:
-            row = _lattice_series(p, mask.complement().pick(space.q), h, with_zp=False)
-            law = sum(
-                binom(n - t + m - mask.u - 1, m - 1) * row[k + t * p]
-                for t in range(n - mask.u + 1)
-            )
+            row = _lattice_series(p, rest.pick(space.q), h, with_zp=False)
+            for t in range(n - mask.u + 1):
+                law += binom(n - t + m - mask.u - 1, m - 1) * row[k + t * p]
+                shell = enumerate_c(space, rest, k + t * p, budget)
+                cover += [(mask, t, y) in census for y in shell]
         expected += law
-        if (size := sizes.get(mask, 0)) != law:
+        size = sum(c for (N, _t, _y), c in census.items() if N == mask)
+        if size != law:
             got += f" (class {bits:#b}: {size}, law {law})"
     yield "partition", got, str(expected)
-
-    census = fiber_census(space, h, points)
     for (mask, t, _y), size in census.items():
-        expected = binom(n - t + (space.m - mask.u) - 1, space.m - 1)
-        yield "fiber_size", str(size), str(expected)
-    covered = 0
-    admissible = 0
-    for bits in range(1 << space.m):
-        mask = SubsetMask(bits, space.m)
-        for t in range(n - mask.u + 1):
-            for y in enumerate_c(space, mask.complement(), k + t * space.p, budget):
-                admissible += 1
-                if (mask, t, y) in census:
-                    covered += 1
-    yield "fiber_cover", str(covered), str(admissible)
+        yield "fiber_size", str(size), str(binom(n - t + m - mask.u - 1, m - 1))
+    yield "fiber_cover", str(sum(cover)), str(len(cover))

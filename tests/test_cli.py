@@ -261,6 +261,16 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid_flags", [
+    ["--p-max", "10"],
+    ["--m", "4"],
+    ["--p-max", "8", "--m", "2,3"],  # the grid defaults still count as given
+], ids=["p_max", "m", "both"])
+def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
+    assert main(["verify", "--p", "3", "--q", "1,2", "--h-max", "2"] + grid_flags) == 2
+    assert "error: --p-max/--m only apply to the grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "DP bits"),
     (["nl", "--p", "100000007", "--q", "1,2", "--h", "5"], "DP bits"),

@@ -175,15 +175,22 @@ def test_partition_law(space, h):
 
 
 def test_partition_check_holds_on_grid():
-    # fold_law_checks yields its partition check first; the fiber checks never run
+    # every row of fold_law_checks holds: the partition row first, one
+    # fiber_size row per census key in census order, the fiber_cover row last
     for p in range(1, 8):
         for m in (2, 3):
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
                 for h in range(3 * p + 4):
                     points = enumerate_omega(space, h)
-                    check = next(fold_law_checks(space, h, points))
-                    assert check == ("partition", str(len(points)), str(len(points))), (space, h)
+                    rows = list(fold_law_checks(space, h, points))
+                    assert all(got == expected for _, got, expected in rows), (space, h)
+                    assert rows[0] == ("partition", str(len(points)), str(len(points))), (space, h)
+                    census = fiber_census(space, h, points)
+                    assert [row[:2] for row in rows[1:-1]] == [
+                        ("fiber_size", str(size)) for size in census.values()
+                    ], (space, h)
+                    assert rows[-1][0] == "fiber_cover", (space, h)
 
 
 def test_partition_check_flags_misclassified_points(monkeypatch):
@@ -197,6 +204,27 @@ def test_partition_check_flags_misclassified_points(monkeypatch):
     assert kind == "partition"
     assert expected == "8"
     assert got == "8 (class 0b0: 8, law 6) (class 0b1: 0, law 1) (class 0b10: 0, law 1)"
+
+
+def test_fiber_cover_flags_a_missing_point():
+    # (1, 1) alone folds onto the key (N = {}, t = 1, y = (1, 1))
+    points = [x for x in enumerate_omega(L211, 2) if x != (1, 1)]
+    rows = list(fold_law_checks(L211, 2, points))
+    assert rows[0] == ("partition", "7 (class 0b0: 5, law 6)", "8")
+    assert rows[-1] == ("fiber_cover", "6", "7")
+
+
+def test_fold_law_checks_reads_class_sizes_from_the_census(monkeypatch):
+    # classify_partition is a reference only: the checks fold each point once
+    space = make_lens_space(7, (1, 2, 3))
+    rows = {h: list(fold_law_checks(space, h, enumerate_omega(space, h))) for h in range(11)}
+
+    def refuse(space, points):
+        raise AssertionError("fold_law_checks classified the points a second time")
+
+    monkeypatch.setattr(oracle, "classify_partition", refuse)
+    for h, expected in rows.items():
+        assert list(fold_law_checks(space, h, enumerate_omega(space, h))) == expected
 
 
 # ------------------------------------------------------------------- fold
