@@ -3,17 +3,19 @@
 
 Every symmetry class of parameter tuples (coordinate permutation,
 negation of entries mod p, global scaling by a unit) is represented
-once, and classes are grouped by their multiplicity sequence
-(dim lambda_0, ..., dim lambda_i_max).  Equal prefixes up to i_max only
-make a family of candidates: many agree that far and part later
+once.  Classes are first grouped by their multiplicity sequence
+(dim lambda_0, ..., dim lambda_i_max), a cheap filter: equal prefixes
+only make candidates, since many agree that far and part later
 (L(54;1,1,17) and L(54;1,1,19) agree up to i = 17 and differ at 18).
-Spaces with equal (p, m) share the denominator of the spectral
-generating function, so two classes are isospectral iff their
-numerators agree, that is iff their multiplicities agree up to degree
-m*p; `lenslat compare --i-max` at m*p or above settles a pair.
+Each group of two or more is then split by the full numerator of the
+spectral generating function.  Spaces with equal (p, m) share its
+denominator, so equal numerators prove equal spectra, and every printed
+family is isospectral in every degree.  The printed sequence is the
+prefix up to i_max.
 
-Each sequence comes from the space's generating-function numerator,
-built only up to degree i_max, which keeps large-p scans cheap.
+Each prefix comes from the space's generating-function numerator,
+built only up to degree i_max, which keeps large-p scans cheap; the
+full numerator is built only for the members of a prefix group.
 
 Example:
     python3 scripts/isospectral_search.py --p 11 --m 3 --i-max 16
@@ -23,7 +25,7 @@ import argparse
 import sys
 from collections import defaultdict
 
-from lenslat import canonical_q_tuples, make_lens_space, spectrum
+from lenslat import canonical_q_tuples, make_lens_space, numerator, spectrum
 
 
 def multiplicity_sequence(p, q, i_max):
@@ -38,22 +40,31 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     families = defaultdict(list)
+    spectra = []  # (prefix, classes) with equal numerators, so equal spectra
     try:  # invalid p, m or i_max: a usage error with exit 2, not a traceback
         tuples = canonical_q_tuples(args.p, args.m)
         print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
               f"comparing degrees 0..{args.i_max}")
         for q in tuples:
             families[multiplicity_sequence(args.p, q, args.i_max)].append(q)
+        for seq, qs in families.items():
+            if len(qs) == 1:
+                spectra.append((seq, qs))
+                continue
+            by_numerator = defaultdict(list)
+            for q in qs:
+                by_numerator[numerator(make_lens_space(args.p, q)).coeffs].append(q)
+            spectra += [(seq, sorted(group)) for group in by_numerator.values()]
     except ValueError as err:
         parser.error(str(err))
 
-    coincident = {seq: qs for seq, qs in families.items() if len(qs) > 1}
-    print(f"{len(families)} distinct multiplicity sequences")
+    coincident = sorted((seq, qs) for seq, qs in spectra if len(qs) > 1)
+    print(f"{len(spectra)} distinct multiplicity sequences")
     if not coincident:
         print("no spectral coincidences between distinct symmetry classes")
         return 0
-    for seq, qs in sorted(coincident.items()):
-        members = "  ".join(f"L({args.p};{','.join(map(str, q))})" for q in sorted(qs))
+    for seq, qs in coincident:
+        members = "  ".join(f"L({args.p};{','.join(map(str, q))})" for q in qs)
         print(f"family of {len(qs)}: {members}")
         print(f"  dim(lambda_i), i <= {args.i_max}: {list(seq)}")
     return 0

@@ -264,7 +264,7 @@ def verify_grid(
             if deep:
                 checks.extend(
                     CheckRecord(label, h, *check)
-                    for check in oracle.fold_law_checks(space, h, points, budget)
+                    for check in oracle.fold_law_checks(space, h, points)
                 )
     return checks
 

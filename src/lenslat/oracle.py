@@ -1,15 +1,13 @@
 """Brute-force enumeration ground truth for the counting machinery.
 
-Everything here enumerates lattice points directly and exists to certify
-the closed-form counting path on desk-scale instances; none of it is a
+Everything here enumerates lattice points directly to certify the
+closed-form counting path on desk-scale instances; none of it is a
 production path.  One walk, _congruent_shell, serves both enumerations;
-they refuse to start when the raw candidate count (the whole 1-norm
-sphere or box, before the congruence filter) would exceed a budget.
-
-fold_law_checks() bundles the partition law (box counts from the DP)
-and the fiber laws as checks for `lenslat verify --deep`: each point is
-folded once, class sizes come from the fiber census, and one sweep over
-(N, t) serves both the partition law and the fiber cover.
+they refuse to start when the raw candidate count (before the congruence
+filter) would exceed a budget: the whole 1-norm sphere for
+enumerate_omega, the whole box for a direct call of enumerate_c.  The
+sphere count also bounds the box-shell walks of fold_law_checks(), the
+partition and fiber laws that `lenslat verify --deep` checks.
 
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .lattice import LensSpace, SubsetMask, _check_subset, _lattice_series, binom, decompose
+from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
 
 DEFAULT_BUDGET = 10**8
 
@@ -202,10 +200,7 @@ def gamma_bruteforce(
 
 
 def fold_law_checks(
-    space: LensSpace,
-    h: int,
-    points: Sequence[tuple[int, ...]],
-    budget: int = DEFAULT_BUDGET,
+    space: LensSpace, h: int, points: Sequence[tuple[int, ...]]
 ) -> Iterator[tuple[str, str, str]]:
     """The partition and fiber laws at 1-norm h, as (kind, got, expected).
 
@@ -218,10 +213,15 @@ def fold_law_checks(
     Each point is folded once, by fiber_census; class N's size is the
     sum of its fiber sizes, and its law is
     sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
-    with gamma from the DP.  The partition check expects the sum of the
-    laws over every N; got is len(points) with a note for each class
-    whose size breaks its law.  One sweep over (N, t) adds up the laws
-    and walks the admissible keys enumerate_c(N^c, k + t*p).
+    with lattice.gamma.  The partition check expects the sum of the laws
+    over every N; got is len(points) with a note for each class whose
+    size breaks its law.  One sweep over (N, t) adds up the laws and walks
+    the admissible keys, the norm k + t*p shell of the box over N^c.  The
+    walks need no budget: each shell candidate y of (N, t) lifts to a
+    distinct norm-h candidate of Z^m (y on N^c, the missing (n - t)*p on
+    N as negative multiples of p, or on the first coordinate away from 0
+    when N is empty) that folds back to (N, t, y), so they visit at most
+    l1_sphere_count(m, h) candidates, which enumerate_omega has checked.
     """
     p, m = space.p, space.m
     k, n = decompose(h, p)
@@ -231,12 +231,10 @@ def fold_law_checks(
         mask = SubsetMask(bits, m)
         rest = mask.complement()
         law = 0
-        if mask.u <= n:
-            row = _lattice_series(p, rest.pick(space.q), h, with_zp=False)
-            for t in range(n - mask.u + 1):
-                law += binom(n - t + m - mask.u - 1, m - 1) * row[k + t * p]
-                shell = enumerate_c(space, rest, k + t * p, budget)
-                cover += [(mask, t, y) in census for y in shell]
+        for t in range(n - mask.u + 1):
+            law += binom(n - t + m - mask.u - 1, m - 1) * gamma(space, rest, k + t * p)
+            shell = _congruent_shell(p, rest.pick(space.q), k + t * p, p - 1)
+            cover += [(mask, t, y) in census for y in shell]
         expected += law
         size = sum(c for (N, _t, _y), c in census.items() if N == mask)
         if size != law:

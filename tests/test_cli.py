@@ -158,6 +158,14 @@ def test_verify_small_grid_deep():
     assert kinds == {"count", "partition", "fiber_size", "fiber_cover"}
 
 
+def test_verify_deep_walks_shells_within_the_sphere_budget(capsys):
+    # the whole box over four coordinates at p = 57 is 163,047,361 points,
+    # over the default budget; the norm-3 shell holds 88 candidates
+    code, text = _run(capsys, ["verify", "--p", "57", "--q", "1,2,4,5", "--h", "3", "--deep"])
+    assert code == 0
+    assert text.endswith('"L(57;1,2,4,5)",3,fiber_cover,6,6,true\n')
+
+
 def test_verify_json_report(capsys):
     code, text = _run(capsys, ["verify", "--p-max", "2", "--h-max", "4", "--format", "json"])
     assert code == 0
@@ -669,3 +677,21 @@ def test_census_script_invalid_input_exits_2(argv, message, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr().err
     assert f"error: {message}" in captured and "Traceback" not in captured
+
+
+def _census_families(capsys, p, m):
+    assert _census_main()(["--p", str(p), "--m", str(m)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return [line.removeprefix("family of 2: ") for line in lines if line.startswith("family")]
+
+
+def test_census_prints_only_isospectral_families(capsys):
+    # L(54;1,1,17) and L(54;1,1,19) agree up to degree 17 but not at 18
+    assert _census_families(capsys, 54, 3) == []
+    assert _census_families(capsys, 56, 3) == [
+        "L(56;1,3,23)  L(56;1,5,11)",
+        "L(56;1,3,13)  L(56;1,3,15)",
+    ]
+    assert sum(len(_census_families(capsys, p, 3)) for p in range(1, 61)) == 23
+    # 3-dimensional lens spaces are isospectral only if isometric (Ikeda-Yamamoto)
+    assert not any(_census_families(capsys, p, 2) for p in range(1, 101))

@@ -313,6 +313,7 @@ def test_parity_l413():
 
 
 def test_parity_odd_p_is_informational():
+    # odd p is now checked like even p, not informational; the name is kept
     rows = parity_report(make_lens_space(3, (1, 1)), 5)
     assert [row.mult for row in rows] == [1, 0, 3, 8, 5, 12]
     assert all(row.ok for row in rows)
