@@ -9,14 +9,18 @@ One count, h = k + n*p with 0 <= k < p, expands the denominator:
 
     N(k + n*p) = sum_{t=0}^{m} binom(n - t + m - 1, m - 1) * P[k + t*p],
 
-O(m) work for any h (binomials are zero out of range).  A range of
-degrees divides in place: m running sums with stride p turn P into
+O(m) work for any h (binomials are zero out of range).  With L = lcm(p, 2),
+both denominators of dim divide (1 - z^L)^(2m - 1), so dim(lambda_i) has
+the same form at stride L and power 2m - 1, over the polynomial
+Q = P * (1 - z^L)^(2m - 1) / ((1 - z^p)^m * (1 - z^2)^(m - 1)).  A range
+of degrees divides in place: m running sums with stride p turn P into
 N(0..H), and m - 1 more with stride 2 give dim(lambda_0..lambda_H).
 All of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .lattice import LensSpace, Numerator, _lattice_series, _series_shape, binom, decompose
@@ -57,26 +61,51 @@ class ParityRow:
     ok: bool
 
 
+def _stride_sum(coeffs: list[int] | tuple[int, ...], stride: int, power: int, h: int) -> int:
+    """[z^h] coeffs(z) / (1 - z^stride)^power; terms past the list's end are zero."""
+    k, n = decompose(h, stride)
+    return sum(
+        binom(n - t + power - 1, power - 1) * coeffs[k + t * stride]
+        for t in range(power + 1)
+        if k + t * stride < len(coeffs)
+    )
+
+
+def _divide(space: LensSpace, series: list[int]) -> list[int]:
+    """Divide series by (1 - z^p)^m (1 - z^2)^(m - 1) in place, over its length."""
+    for stride, times in ((space.p, space.m), (2, space.m - 1)):
+        for _ in range(times):
+            for h in range(stride, len(series)):
+                series[h] += series[h - stride]
+    return series
+
+
 def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
     """Number of congruence-lattice points of 1-norm h, by the closed form."""
     if num.space != space:
         raise ValueError("numerator was built for a different lens space")
-    p, m = space.p, space.m
-    k, n = decompose(h, p)
-    return sum(
-        binom(n - t + m - 1, m - 1) * num.value(k + t * p) for t in range(m + 1)
-    )
+    return _stride_sum(num.coeffs, space.p, space.m, h)
 
 
 def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
-    """Dimension of the eigenspace for lambda_i = i*(i + d - 1)."""
+    """Dimension of the eigenspace for lambda_i = i*(i + d - 1), at any i.
+
+    The stride sum at i reads Q at degrees <= i only (later binomials are
+    zero), and there Q needs dims at degrees <= i only; its degree is below
+    (2m - 1)*L.  So P is cut or zero-padded to min(i + 1, (2m - 1)*L) terms,
+    divided and differenced: O(m^2 * p) additions for any i, then 2m terms.
+    """
+    if num.space != space:
+        raise ValueError("numerator was built for a different lens space")
     if i < 0:
         raise ValueError(f"degree must be non-negative, got {i}")
-    m = space.m
-    return sum(
-        binom(s + m - 2, m - 2) * n_lattice_formula(space, num, i - 2 * s)
-        for s in range(i // 2 + 1)
-    )
+    stride, power = math.lcm(space.p, 2), 2 * space.m - 1
+    size = min(i + 1, power * stride)
+    poly = _divide(space, list(num.coeffs[:size]) + [0] * (size - len(num.coeffs)))
+    for _ in range(power):
+        for h in range(size - 1, stride - 1, -1):
+            poly[h] -= poly[h - stride]
+    return _stride_sum(poly, stride, power, i)
 
 
 def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
@@ -86,12 +115,7 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     _series_shape(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
     if i_max >= MAX_SPECTRUM_LINES:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
-    series = _lattice_series(space.p, space.q, i_max, with_zp=True)
-    for stride, times in ((space.p, space.m), (2, space.m - 1)):
-        for _ in range(times):
-            for h in range(stride, i_max + 1):
-                series[h] += series[h - stride]
-    return series
+    return _divide(space, _lattice_series(space.p, space.q, i_max, with_zp=True))
 
 
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:

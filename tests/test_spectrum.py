@@ -27,6 +27,7 @@ from strategies import lens_spaces, units_mod
 
 L211 = make_lens_space(2, (1, 1))
 N211 = numerator(L211)
+HUGE = 10**30
 
 
 # -------------------------------------------------------------- N(h) counts
@@ -52,6 +53,8 @@ def test_formula_h1_is_zero_for_p_at_least_2():
 def test_formula_rejects_foreign_table():
     with pytest.raises(ValueError, match="different lens space"):
         n_lattice_formula(make_lens_space(3, (1, 1)), N211, 2)
+    with pytest.raises(ValueError, match="different lens space"):
+        multiplicity(make_lens_space(3, (1, 1)), N211, 2)
 
 
 def test_formula_matches_oracle_small_grid():
@@ -134,13 +137,18 @@ def test_multiplicity_l211():
 
 def test_sphere_consistency():
     # p = 1 gives the round sphere S^(2m-1); multiplicities are the
-    # classical harmonic-polynomial dimensions in 2m variables
+    # classical harmonic-polynomial dimensions in 2m variables, at small
+    # and huge degree.  L(2;1,...,1) = RP^(2m-1) keeps the even-degree
+    # harmonics and none of the odd ones
     for m in (2, 3, 4):
         space = make_lens_space(1, (1,) * m)
         num = numerator(space)
-        for i in range(21):
+        projective = make_lens_space(2, (1,) * m)
+        projective_num = numerator(projective)
+        for i in [*range(21), *(HUGE + j for j in range(4))]:
             expected = binom(i + 2 * m - 1, 2 * m - 1) - binom(i + 2 * m - 3, 2 * m - 1)
             assert multiplicity(space, num, i) == expected
+            assert multiplicity(projective, projective_num, i) == (0 if i % 2 else expected)
 
 
 @given(space=lens_spaces())
@@ -150,6 +158,51 @@ def test_multiplicity_anchors(space):
     assert multiplicity(space, num, 0) == 1
     if space.p >= 2:
         assert multiplicity(space, num, 1) == 0
+
+
+def convolution_multiplicities(space, num, i_max):
+    """dim(lambda_0..lambda_i_max) by re-summing N over the second denominator,
+    dim(lambda_i) = sum_s binom(s + m - 2, m - 2) * N(i - 2s)."""
+    counts = [n_lattice_formula(space, num, h) for h in range(i_max + 1)]
+    weights = [binom(s + space.m - 2, space.m - 2) for s in range(i_max // 2 + 1)]
+    return [
+        sum(weights[s] * counts[i - 2 * s] for s in range(i // 2 + 1)) for i in range(i_max + 1)
+    ]
+
+
+def test_multiplicity_matches_convolution_over_n():
+    # past one period of the stride form: Q has degree below (2m - 1)*lcm(p, 2)
+    for p in range(1, 12):
+        for m in (2, 3, 4):
+            i_max = (2 * m + 1) * math.lcm(p, 2)
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                num = numerator(space)
+                expected = convolution_multiplicities(space, num, i_max)
+                assert [multiplicity(space, num, i) for i in range(i_max + 1)] == expected, space
+
+
+def test_multiplicity_at_huge_degree_parity_and_n():
+    # the parity law, and N(i) = sum_j (-1)^j binom(m - 1, j) dim(lambda_(i - 2j)),
+    # which multiplies the dims back by (1 - z^2)^(m - 1)
+    for p, m in [(3, 2), (5, 2), (6, 3), (7, 3), (12, 3), (13, 4)]:
+        space = make_lens_space(p, canonical_q_tuples(p, m)[-1])
+        num = numerator(space)
+        for j in range(2 * math.lcm(p, 2)):
+            i = HUGE + j
+            dims = [multiplicity(space, num, i - 2 * r) for r in range(m)]
+            law = binom(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0
+            assert dims[0] % 2 == law, (space, j)
+            undone = sum((-1) ** r * binom(m - 1, r) * dim for r, dim in enumerate(dims))
+            assert undone == n_lattice_formula(space, num, i), (space, j)
+
+
+def test_multiplicity_pins_l1009_at_huge_degree():
+    space = make_lens_space(1009, (1, 2, 3))
+    assert multiplicity(space, numerator(space), HUGE) == int(
+        "82590023125206475057813016188305252725470763131813676907831433762801453584407"
+        "003633961019821605550049554013875281823"
+    )
 
 
 # ---------------------------------------------------------------- spectrum
@@ -183,11 +236,13 @@ def test_spectrum_table_shape(space, i_max):
 
 
 def test_spectrum_matches_pointwise_multiplicity():
-    # i_max below and above the numerator's degree m*p
+    # i_max below and above the numerator's degree m*p, and past one period
+    # (2m - 1)*lcm(p, 2) of the stride form
     for p, q in [(1, (1, 1, 1)), (2, (1, 1)), (5, (1, 2)), (6, (1, 5, 1)), (7, (1, 2, 3, 4))]:
         space = make_lens_space(p, q)
         num = numerator(space)
-        for i_max in (0, 1, p, space.m * p - 1, 3 * space.m * p):
+        m = space.m
+        for i_max in (0, 1, p, m * p - 1, 3 * m * p, (2 * m + 1) * math.lcm(p, 2)):
             mults = [e.mult for e in spectrum(space, i_max)]
             assert mults == [multiplicity(space, num, i) for i in range(i_max + 1)]
 
