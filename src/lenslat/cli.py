@@ -96,24 +96,23 @@ def _check_h_max(h_max: int) -> None:
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(",")) if text else ()
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _space_spec(text: str) -> tuple[int, tuple[int, ...]]:
     """Parse 'p:q1,q2,...' into (p, q)."""
     head, sep, tail = text.partition(":")
-    if not sep:
-        raise ValueError(f"expected p:q1,q2,... , got {text!r}")
     try:
-        p = int(head)
+        if sep:
+            return int(head), _ints(tail)
     except ValueError:
-        raise ValueError(f"expected p:q1,q2,... , got {text!r}") from None
-    return p, _ints(tail)
+        pass
+    raise argparse.ArgumentTypeError(f"expected p:q1,q2,... , got {text!r}")
 
 
 def _json_text(obj) -> str:
@@ -299,9 +298,8 @@ def run_verify(args: argparse.Namespace):
 def run_bench(args: argparse.Namespace):
     """Time the formula against the oracle for every h up to h_max.
 
-    The oracle runs only while its candidate count fits the budget;
-    beyond that the row says 'skipped'.  Timings are the one
-    non-deterministic output of the CLI.
+    Where the oracle refuses h as over its budget, the row says 'skipped'.
+    Timings are the one non-deterministic output of the CLI.
     """
     _check_h_max(args.h_max)
     budget = _resolve_budget(args.oracle_budget, BENCH_DEFAULT_BUDGET)
@@ -315,10 +313,12 @@ def run_bench(args: argparse.Namespace):
         start = time.perf_counter()
         value = n_lattice_formula(space, num, h)
         formula_seconds = time.perf_counter() - start
-        oracle_seconds = None
-        if oracle.l1_sphere_count(space.m, h) <= budget:
-            start = time.perf_counter()
+        start = time.perf_counter()
+        try:
             count = oracle.n_lattice_bruteforce(space, h, budget)
+        except oracle.OracleBudgetError:
+            oracle_seconds = None
+        else:
             oracle_seconds = time.perf_counter() - start
             if count != value:
                 raise Disagreement(f"formula and oracle disagree at h = {h}: {value} vs {count}")

@@ -9,18 +9,15 @@ One count, h = k + n*p with 0 <= k < p, expands the denominator:
 
     N(k + n*p) = sum_{t=0}^{m} binom(n - t + m - 1, m - 1) * P[k + t*p],
 
-O(m) work for any h (binomials are zero out of range).  With L = lcm(p, 2),
-both denominators of dim divide (1 - z^L)^(2m - 1), so dim(lambda_i) has
-the same form at stride L and power 2m - 1, over the polynomial
-Q = P * (1 - z^L)^(2m - 1) / ((1 - z^p)^m * (1 - z^2)^(m - 1)).  A range
-of degrees divides in place: m running sums with stride p turn P into
-N(0..H), and m - 1 more with stride 2 give dim(lambda_0..lambda_H).
-All of it is exact integer arithmetic.
+O(m) work for any h (binomials are zero out of range).  dim(lambda_i) has
+the same form at stride p and power 2m - 1 over the polynomial
+Q = P * ((1 - z^p) / (1 - z^2))^(m - 1).  A range of degrees divides in
+place: m running sums with stride p turn P into N(0..H), and m - 1 more
+with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .lattice import LensSpace, Numerator, _lattice_series, _series_shape, binom, decompose
@@ -71,15 +68,6 @@ def _stride_sum(coeffs: list[int] | tuple[int, ...], stride: int, power: int, h:
     )
 
 
-def _divide(space: LensSpace, series: list[int]) -> list[int]:
-    """Divide series by (1 - z^p)^m (1 - z^2)^(m - 1) in place, over its length."""
-    for stride, times in ((space.p, space.m), (2, space.m - 1)):
-        for _ in range(times):
-            for h in range(stride, len(series)):
-                series[h] += series[h - stride]
-    return series
-
-
 def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
     """Number of congruence-lattice points of 1-norm h, by the closed form."""
     if num.space != space:
@@ -90,32 +78,43 @@ def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
 def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     """Dimension of the eigenspace for lambda_i = i*(i + d - 1), at any i.
 
-    The stride sum at i reads Q at degrees <= i only (later binomials are
-    zero), and there Q needs dims at degrees <= i only; its degree is below
-    (2m - 1)*L.  So P is cut or zero-padded to min(i + 1, (2m - 1)*L) terms,
-    divided and differenced: O(m^2 * p) additions for any i, then 2m terms.
+    dim(z) = Q(z) / (1 - z^p)^(2m - 1), where Q = P*((1 - z^p)/(1 - z^2))^(m - 1)
+    has degree mp + (m - 1)(p - 2) < (2m - 1)*p: for even p, 1 - z^2 divides
+    1 - z^p; for odd p, 1 - z does and (1 + z)^m divides P, since at each
+    p-th root of unity w, z^p + sum_{|x|<p} w^(qx) z^|x| =
+    (1 - z^p)(1 - z^2)/((1 - w^q z)(1 - w^-q z)) is zero at z = -1
+    (w^(+-q) != -1) and P averages their products over w.  The passes are
+    causal, so P cut or zero-padded to min(i + 1, (2m - 1)*p) terms gives Q
+    where the stride sum reads it: O(m^2 * p) additions, then 2m terms.
     """
     if num.space != space:
         raise ValueError("numerator was built for a different lens space")
     if i < 0:
         raise ValueError(f"degree must be non-negative, got {i}")
-    stride, power = math.lcm(space.p, 2), 2 * space.m - 1
-    size = min(i + 1, power * stride)
-    poly = _divide(space, list(num.coeffs[:size]) + [0] * (size - len(num.coeffs)))
-    for _ in range(power):
-        for h in range(size - 1, stride - 1, -1):
-            poly[h] -= poly[h - stride]
-    return _stride_sum(poly, stride, power, i)
+    p, power = space.p, 2 * space.m - 1
+    size = min(i + 1, power * p)
+    poly = list(num.coeffs[:size]) + [0] * (size - len(num.coeffs))
+    for _ in range(space.m - 1):
+        for h in range(2, size):
+            poly[h] += poly[h - 2]
+        for h in range(size - 1, p - 1, -1):
+            poly[h] -= poly[h - p]
+    return _stride_sum(poly, p, power, i)
 
 
 def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
-    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators."""
+    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
     _series_shape(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
     if i_max >= MAX_SPECTRUM_LINES:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
-    return _divide(space, _lattice_series(space.p, space.q, i_max, with_zp=True))
+    series = _lattice_series(space.p, space.q, i_max, with_zp=True)
+    for stride, times in ((space.p, space.m), (2, space.m - 1)):
+        for _ in range(times):
+            for h in range(stride, len(series)):
+                series[h] += series[h - stride]
+    return series
 
 
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:

@@ -120,10 +120,18 @@ def test_compare_json_equal(capsys):
     assert obj["first_divergence"] is None
 
 
-def test_compare_bad_spec():
+def test_compare_bad_spec(capsys):
     with pytest.raises(SystemExit) as err:
         main(["compare", "--a", "nonsense", "--b", "2:1,1", "--i-max", "2"])
     assert err.value.code == 2
+    assert "expected p:q1,q2" in capsys.readouterr().err
+
+
+def test_bad_int_list_reports_its_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["nl", "--p", "7", "--q", "1,x", "--h", "3"])
+    assert err.value.code == 2
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ parity

@@ -243,6 +243,28 @@ def test_numerator_truncation():
         num.value(-1)
 
 
+def divide_by_one_plus_z(coeffs):
+    """Synthetic division by 1 + z: (quotient, remainder), low degree first."""
+    carry, quotient = 0, []
+    for c in reversed(coeffs):
+        carry = c - carry
+        quotient.append(carry)
+    remainder = quotient.pop()
+    return quotient[::-1], remainder
+
+
+def test_odd_p_numerator_has_factor_one_plus_z_to_the_m():
+    # multiplicity reads dim(lambda_i) at stride p for odd p because
+    # (1 + z)^m divides P there: each coordinate's factor vanishes at z = -1
+    cases = [(p, q) for p in range(1, 16, 2) for m in (2, 3, 4) for q in canonical_q_tuples(p, m)]
+    for p, q in cases + [(1009, (1, 2, 3))]:
+        poly = list(numerator(make_lens_space(p, q)).coeffs)
+        for _ in q:
+            poly, remainder = divide_by_one_plus_z(poly)
+            assert remainder == 0, (p, q)
+    assert divide_by_one_plus_z([1, 0, 1]) == ([-1, 1], 2)  # 1 + z^2 = (1 + z)(z - 1) + 2
+
+
 def list_series(p, qs, s_max, with_zp):
     """The packed kernel's reference: the same DP over a list of p residues per degree."""
     columns = min(s_max, len(qs) * (p if with_zp else p - 1)) + 1

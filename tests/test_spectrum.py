@@ -171,7 +171,7 @@ def convolution_multiplicities(space, num, i_max):
 
 
 def test_multiplicity_matches_convolution_over_n():
-    # past one period of the stride form: Q has degree below (2m - 1)*lcm(p, 2)
+    # past one period of the stride form: Q has degree below (2m - 1)*p
     for p in range(1, 12):
         for m in (2, 3, 4):
             i_max = (2 * m + 1) * math.lcm(p, 2)
@@ -237,7 +237,7 @@ def test_spectrum_table_shape(space, i_max):
 
 def test_spectrum_matches_pointwise_multiplicity():
     # i_max below and above the numerator's degree m*p, and past one period
-    # (2m - 1)*lcm(p, 2) of the stride form
+    # (2m - 1)*p of the stride form
     for p, q in [(1, (1, 1, 1)), (2, (1, 1)), (5, (1, 2)), (6, (1, 5, 1)), (7, (1, 2, 3, 4))]:
         space = make_lens_space(p, q)
         num = numerator(space)
