@@ -30,12 +30,15 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from collections import namedtuple
+from itertools import accumulate
 
 from . import oracle
 from .lattice import (
+    MAX_CANONICAL_CANDIDATES,
     LensSpace,
     SubsetMask,
+    _canonical_candidates,
     _canonical_form,  # noqa: F401  perfbench counts symmetry-class trials here
     canonical_q_tuples,
     gamma,
@@ -57,15 +60,14 @@ class Disagreement(Exception):
     """The formula and the oracle disagree outside verify: exit 1."""
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """One verified case: a formula-side value against its oracle value."""
+class CheckRecord(namedtuple("CheckRecord", "space h kind got expected")):
+    """One verified case: a formula-side value against its oracle value.
 
-    space: str
-    h: int
-    kind: str  # count | partition | fiber_size | fiber_cover
-    got: str
-    expected: str
+    kind is count, partition, fiber_size or fiber_cover; got and
+    expected are decimal strings.
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -229,16 +231,21 @@ def _verify_cases(
         return f"single case {space}, h in {hs[0]}..{hs[-1]}", [(space, hs)]
     p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
     m_values = VERIFY_DEFAULT_M if args.m is None else args.m
-    cases = []
-    for p in range(1, p_max + 1):
-        for m in m_values:
-            for q in canonical_q_tuples(p, m):
-                cases.append((make_lens_space(p, q), list(range(h_max + 1))))
     grid = (
         f"p in 1..{p_max}, m in {sorted(m_values)}, "
         f"canonical q tuples, h in 0..{h_max}"
         + (", deep" if args.deep else "")
     )
+    walked = accumulate(_canonical_candidates(p, m) for p in range(1, p_max + 1) for m in m_values)
+    if any(total > MAX_CANONICAL_CANDIDATES for total in walked):
+        raise ValueError(
+            f"verify grid ({grid}) walks over {MAX_CANONICAL_CANDIDATES} candidate tuples"
+        )
+    cases = []
+    for p in range(1, p_max + 1):
+        for m in m_values:
+            for q in canonical_q_tuples(p, m):
+                cases.append((make_lens_space(p, q), list(range(h_max + 1))))
     if not cases:
         raise ValueError(f"empty verify grid ({grid}): nothing to check")
     return grid, cases
@@ -289,7 +296,7 @@ def run_verify(args: argparse.Namespace):
         "cases": len(cases),
         "checks": len(checks),
         "mismatch_count": len(mismatches),
-        "mismatches": [asdict(c) for c in mismatches],
+        "mismatches": [c._asdict() for c in mismatches],
     }
     header = ["space", "h", "kind", "got", "expected", "ok"]
     return header, rows, payload, 1 if mismatches else 0

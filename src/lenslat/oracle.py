@@ -16,8 +16,8 @@ with + before -.  The rows of `verify --deep` follow enumerate_omega's order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 
 from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
 
@@ -106,12 +106,10 @@ def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> SubsetMask:
     return SubsetMask(bits, space.m)
 
 
-@dataclass(frozen=True)
-class PartitionClass:
+class PartitionClass(namedtuple("PartitionClass", "N members")):
     """Vectors whose coordinates are negative multiples of p exactly on N."""
 
-    N: SubsetMask
-    members: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def classify_partition(

@@ -18,24 +18,22 @@ with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lattice import LensSpace, Numerator, _lattice_series, _series_shape, binom, decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 74 MiB, 10**6 at 613 MiB
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(namedtuple("SpectrumEntry", "i eigenvalue mult")):
     """One spectral line: degree i, eigenvalue i*(i + d - 1), multiplicity."""
 
-    i: int
-    eigenvalue: int
-    mult: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IsospectralReport:
+class IsospectralReport(
+    namedtuple("IsospectralReport", "equal first_divergence dimension_mismatch", defaults=(False,))
+):
     """Outcome of comparing two multiplicity sequences up to a degree bound.
 
     first_divergence is (i, mult_a, mult_b) at the smallest differing
@@ -44,18 +42,13 @@ class IsospectralReport:
     dimension_mismatch set and no divergence degree is computed.
     """
 
-    equal: bool
-    first_divergence: tuple[int, int, int] | None
-    dimension_mismatch: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParityRow:
+class ParityRow(namedtuple("ParityRow", "i mult ok")):
     """Multiplicity of one degree; ok is False where its parity breaks parity_report's law."""
 
-    i: int
-    mult: int
-    ok: bool
+    __slots__ = ()
 
 
 def _stride_sum(coeffs: list[int] | tuple[int, ...], stride: int, power: int, h: int) -> int:

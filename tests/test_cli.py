@@ -1,16 +1,21 @@
+import hashlib
 import importlib.util
 import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from lenslat import canonical_q_tuples, make_lens_space, multiplicity, numerator
-from lenslat.cli import BENCH_DEFAULT_BUDGET, BUDGET_ENV_VAR, main, verify_grid
+from lenslat import cli
+from lenslat.cli import BENCH_DEFAULT_BUDGET, BUDGET_ENV_VAR, CheckRecord, main, verify_grid
+from lenslat.lattice import _canonical_candidates
 from lenslat.oracle import DEFAULT_BUDGET
+from records import check_record
 
 
 def _run(capsys, argv):
@@ -202,6 +207,18 @@ def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch, capsys):
     assert code == 1
 
 
+def test_verify_json_mismatches_keep_their_keys(monkeypatch, capsys):
+    monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
+    argv = ["verify", "--p", "2", "--q", "1,1", "--h-max", "4", "--format", "json"]
+    code, text = _run(capsys, argv)
+    assert code == 1
+    first = json.loads(text)["mismatches"][0]
+    assert list(first) == ["space", "h", "kind", "got", "expected"]
+    record = CheckRecord(**first)
+    check_record(record, "CheckRecord(space='L(2;1,1)', h=0, kind='count', got='8', expected='1')")
+    assert not record.ok
+
+
 def test_verify_budget_exceeded_exits_2(capsys):
     code = main(["verify", "--p", "2", "--q", "1,1", "--h", "6", "--oracle-budget", "1"])
     assert code == 2
@@ -296,7 +313,9 @@ def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
     # one row per norm 0..h_max
     (["verify", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
     (["bench", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
-], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5"])
+    # the grid's symmetry classes alone: C(107, 9) candidates at p = 199, m = 10
+    (["verify", "--p-max", "200", "--m", "10"], "candidate tuples"),
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"])
 def test_absurd_size_refused_before_allocation(argv, message, capsys):
     tracemalloc.start()
     try:
@@ -312,6 +331,17 @@ def test_absurd_size_refused_before_allocation(argv, message, capsys):
 def test_verify_negative_m_exits_2(capsys):
     assert main(["verify", "--p-max", "4", "--m", "-1"]) == 2
     assert "error: m must be non-negative, got -1" in capsys.readouterr().err
+
+
+def test_verify_grid_refuses_over_the_class_ceiling(monkeypatch, capsys):
+    # the default grid, p <= 8 and m in {2, 3}, walks exactly this many candidates
+    walked = sum(_canonical_candidates(p, m) for p in range(1, 9) for m in (2, 3))
+    argv = ["verify", "--h-max", "2"]
+    monkeypatch.setattr(cli, "MAX_CANONICAL_CANDIDATES", walked)
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, "MAX_CANONICAL_CANDIDATES", walked - 1)
+    assert main(argv) == 2
+    assert f"walks over {walked - 1} candidate tuples" in capsys.readouterr().err
 
 
 def test_canonical_q_tuples_dedupe():
@@ -389,6 +419,17 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout == "8\n"
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import lenslat.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_parity_cli_rejects_negative_i_max(capsys):
@@ -703,3 +744,23 @@ def test_census_prints_only_isospectral_families(capsys):
     assert sum(len(_census_families(capsys, p, 3)) for p in range(1, 61)) == 23
     # 3-dimensional lens spaces are isospectral only if isometric (Ikeda-Yamamoto)
     assert not any(_census_families(capsys, p, 2) for p in range(1, 101))
+
+
+@pytest.mark.parametrize("p, digest", [
+    (11, "98d2bc1b642aa777c7e46b76c4292691ef42c91670606feb94336c127433c8f4"),
+    (101, "6d14ffe91fa7ce9317e5920a64cce5185aa05bd36dd7dc25335051101f72ef04"),
+])
+def test_census_stdout_is_pinned(p, digest, capsys):
+    assert _census_main()(["--p", str(p), "--m", "3", "--i-max", "16"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):
+    # each would walk about C(107, 9) = 3.6e12 candidate tuples first
+    start = time.perf_counter()
+    assert main(["verify", "--p-max", "200", "--m", "10"]) == 2
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", "199", "--m", "10"])
+    assert time.perf_counter() - start < 1
+    assert err.value.code == 2
+    assert "3585446225075 candidate tuples at p = 199, m = 10 are over 1000000" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 import math
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslat import (
+    LensSpace,
     SubsetMask,
     binom,
     canonical_q_tuples,
@@ -15,8 +16,10 @@ from lenslat import (
     make_lens_space,
     numerator,
 )
-from lenslat.lattice import _lattice_series, _series_shape
-from lenslat.oracle import gamma_bruteforce
+from lenslat import lattice
+from lenslat.lattice import _canonical_candidates, _lattice_series, _series_shape
+from lenslat.oracle import classify_partition, enumerate_omega, gamma_bruteforce
+from records import check_record
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
 
 
@@ -66,6 +69,45 @@ def test_admits():
     assert not space.admits((1, 0))
     with pytest.raises(ValueError):
         space.admits((1, 0, 0))
+
+
+L211 = make_lens_space(2, (1, 1))
+
+
+@pytest.mark.parametrize("record, text", [
+    (make_lens_space(7, (8, 2, 3)), "LensSpace(p=7, q=(1, 2, 3))"),
+    (SubsetMask(0b101, 3), "SubsetMask(bits=5, m=3)"),
+    (numerator(L211), "Numerator(space=LensSpace(p=2, q=(1, 1)), coeffs=(1, 0, 6, 0, 1))"),
+    (
+        classify_partition(L211, enumerate_omega(L211, 2))[1],
+        "PartitionClass(N=SubsetMask(bits=1, m=2), members=((-2, 0),))",
+    ),
+], ids=["LensSpace", "SubsetMask", "Numerator", "PartitionClass"])
+def test_value_record_contract(record, text):
+    check_record(record, text)
+
+
+def test_lens_space_validates_however_it_is_built():
+    with pytest.raises(ValueError, match="^p must be a positive integer, got 0$"):
+        LensSpace(0, (1, 2))
+    with pytest.raises(
+        ValueError,
+        match=r"^invalid lens space: q_1 = 2 is not coprime to p = 6 \(gcd\(2, 6\) = 2\)$",
+    ):
+        LensSpace(6, (2, 1))
+    space = LensSpace(7, (1, 2, 3))
+    assert make_lens_space(7, (8, 2, 3)) == space
+    assert hash(make_lens_space(7, (8, 2, 3))) == hash(space)
+    assert space._replace(q=(8, 2, 3)) == space
+    with pytest.raises(ValueError, match="q_2 = 2 is not coprime to p = 6"):
+        space._replace(p=6)
+    with pytest.raises(ValueError, match="bits 0x8 out of range for an 3-bit mask"):
+        SubsetMask(5, 3)._replace(bits=8)
+
+
+def test_lens_space_is_a_tuple():
+    p, q = make_lens_space(7, (8, 2, 3))
+    assert (p, q) == (7, (1, 2, 3)) == make_lens_space(7, (8, 2, 3))
 
 
 # ---------------------------------------------------------------- SubsetMask
@@ -427,3 +469,21 @@ def test_canonical_q_tuples_rejects_bad_input():
         canonical_q_tuples(0, 2)
     with pytest.raises(ValueError, match="m must be non-negative, got -1"):
         canonical_q_tuples(5, -1)
+
+
+def test_canonical_candidates_count_the_walk():
+    for p in range(3, 60):
+        half = [v for v in range(1, p // 2 + 1) if math.gcd(v, p) == 1]
+        for m in range(1, 5):
+            walked = sum(1 for _ in combinations_with_replacement(half, m - 1))
+            assert _canonical_candidates(p, m) == walked, (p, m)
+    assert _canonical_candidates(2, 5) == _canonical_candidates(9, 0) == 1
+
+
+def test_canonical_q_tuples_refuses_over_the_ceiling(monkeypatch):
+    # p = 101, m = 3 walks binom(51, 2) = 1275 candidates
+    monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 1275)
+    assert len(canonical_q_tuples(101, 3)) == 442
+    monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 1274)
+    with pytest.raises(ValueError, match="^1275 candidate tuples at p = 101, m = 3 are over 1274$"):
+        canonical_q_tuples(101, 3)

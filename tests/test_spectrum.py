@@ -22,12 +22,29 @@ from lenslat import (
 )
 from lenslat import spectra
 from lenslat.oracle import n_lattice_bruteforce
+from records import check_record
 from strategies import lens_spaces, units_mod
 
 
 L211 = make_lens_space(2, (1, 1))
 N211 = numerator(L211)
 HUGE = 10**30
+
+
+@pytest.mark.parametrize("record, text", [
+    (spectrum(L211, 2)[2], "SpectrumEntry(i=2, eigenvalue=8, mult=9)"),
+    (
+        compare_spectra(L211, L211, 3),
+        "IsospectralReport(equal=True, first_divergence=None, dimension_mismatch=False)",
+    ),
+    (
+        compare_spectra(make_lens_space(5, (1, 1)), make_lens_space(5, (1, 2)), 10),
+        "IsospectralReport(equal=False, first_divergence=(2, 3, 1), dimension_mismatch=False)",
+    ),
+    (parity_report(L211, 2)[2], "ParityRow(i=2, mult=9, ok=True)"),
+], ids=["SpectrumEntry", "IsospectralReport", "IsospectralReport-diverged", "ParityRow"])
+def test_value_record_contract(record, text):
+    check_record(record, text)
 
 
 # -------------------------------------------------------------- N(h) counts
