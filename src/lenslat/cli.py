@@ -40,6 +40,7 @@ from .lattice import (
     SubsetMask,
     _canonical_candidates,
     _canonical_form,  # noqa: F401  perfbench counts symmetry-class trials here
+    _numerator_bits,
     canonical_q_tuples,
     gamma,
     make_lens_space,
@@ -54,6 +55,9 @@ BENCH_DEFAULT_BUDGET = 6400
 VERIFY_DEFAULT_H_MAX = 20
 VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
+# per verify grid: each symmetry class it walks builds a full numerator, priced
+# by lattice._numerator_bits; about 10 s of kernel work (AMD EPYC, Python 3.11.7)
+VERIFY_MAX_DP_BITS = 10**11
 
 
 class Disagreement(Exception):
@@ -240,6 +244,15 @@ def _verify_cases(
     if any(total > MAX_CANONICAL_CANDIDATES for total in walked):
         raise ValueError(
             f"verify grid ({grid}) walks over {MAX_CANONICAL_CANDIDATES} candidate tuples"
+        )
+    bits = accumulate(
+        _canonical_candidates(p, m) * _numerator_bits(p, m)
+        for p in range(1, p_max + 1)
+        for m in m_values
+    )
+    if any(total > VERIFY_MAX_DP_BITS for total in bits):
+        raise ValueError(
+            f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
         )
     cases = []
     for p in range(1, p_max + 1):

@@ -16,6 +16,12 @@ points over a coordinate subset U with |x_i| <= p-1 and 1-norm s, the
 same product over U without the z^p terms, by the same DP.  Each DP
 column packs its p residue counts into one integer, in bit slots too
 wide to carry, so one big-int operation does a loop's work exactly.
+Each factor with its z^p term is palindromic of degree p: its z^a and
+z^(p-a) coefficients are both w^(qa) + w^(-qa), as w^p = 1.  So the
+product of the first k factors is palindromic of degree k*p, and the DP
+builds only its degrees up to k*p/2 and copies the rest from there;
+P[s] = P[m*p - s] follows.  The box factors of gamma are not
+palindromic; their k-th product is built to its degree k*(p-1).
 canonical_q_tuples() builds the least member of each symmetry class, the
 classes among which isospectral lens spaces are sought, in ascending order.
 """
@@ -27,7 +33,10 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
-MAX_DP_BITS = 10**9  # per generating-function DP; p = 1009, m = 3 needs 1.04e8
+# per generating-function DP, priced at all m*p + 1 degree columns although
+# the palindromic numerator's DP builds only about half of each pass;
+# p = 1009, m = 3 needs 1.04e8
+MAX_DP_BITS = 10**9
 # per canonical_q_tuples call or verify grid; p = 1009, m = 3 walks 1.3e5 at
 # 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
 MAX_CANONICAL_CANDIDATES = 10**6
@@ -204,7 +213,15 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
 
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
     plus z^p when with_zp (the numerator P) and without it for gamma.
-    Degrees above the product's are zeros and cost no DP work.
+    Pass k multiplies G_(k-1) = F_1...F_(k-1) by F_k.  G_k has degree
+    deg = k*p, or k*(p - 1) without z^p, and degrees above s_max are never
+    read, so pass k fills degrees up to top = min(s_max, deg).  With z^p
+    every F_i is palindromic of degree p (module docstring), so G_k is
+    too, as a polynomial in z over Z[w]/(w^p - 1): its columns v and
+    deg - v are the same packed int.  The DP then runs only to
+    min(top, deg/2) and copies column deg - v into each v above that.
+    Without z^p it runs to top.  Degrees above the last deg come back as
+    zeros.
     cols[v] packs the coefficients of z^v so far into one int: slot r,
     bits [B*r, B*r + B), holds that of w^r.  The terms with x >= 0 and
     with x <= 0 each lie on a line (r + q*x, v + |x|), so the running
@@ -212,7 +229,9 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     give each new column in O(1) big-int operations; a shift of residues
     by q is a cyclic shift of slots.  Each window drops cols[v - p] as it
     moves on; the shifted down window still holds it, which is exactly
-    the z^p term, so without that term it is taken off once more.
+    the z^p term, so without that term it is taken off once more.  New
+    column v reads only columns up to v, so the previous product is
+    padded with zeros only up to where the DP reads.
     No slot carries: each window sum and column counts part of the
     product, at most its total mass (2p)^m < 2^(B-1).  base = col - back
     may have negative slots, but it is only ever added to a window sum,
@@ -220,12 +239,18 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     """
     columns, B = _series_shape(p, len(qs), s_max, with_zp)
     full = (1 << B * p) - 1
-    cols = [1] + [0] * (columns - 1)
+    cols = [1]
+    deg = 0
     for q in qs:
+        deg += p if with_zp else p - 1
+        top = deg if deg < s_max else s_max
+        built = min(top, deg // 2) if with_zp else top
+        if len(cols) <= built:
+            cols += [0] * (built + 1 - len(cols))
         ahead, behind = B * q, B * (p - q)
         up = down = 0
         new = []
-        for v, col in enumerate(cols):
+        for v, col in enumerate(cols[: built + 1]):
             back = cols[v - p] if v >= p else 0
             base = col - back
             from_down = ((down << behind) & full) | (down >> ahead)  # down[r + q]
@@ -233,8 +258,17 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
             down = base + from_down
             out = up + from_down
             new.append(out if with_zp else out - back)
+        if built < top:
+            new += new[deg - top : deg - built][::-1]  # column v = column deg - v
         cols = new
-    return [col & ((1 << B) - 1) for col in cols] + [0] * (s_max + 1 - columns)
+    low = (1 << B) - 1
+    return [col & low for col in cols] + [0] * (s_max + 1 - columns)
+
+
+def _numerator_bits(p: int, m: int) -> int:
+    """DP bits numerator() is priced at for p and m; refused past MAX_DP_BITS as it would be."""
+    columns, width = _series_shape(p, m, m * p, with_zp=True)
+    return columns * p * width
 
 
 class Numerator(namedtuple("Numerator", "space coeffs")):
@@ -266,17 +300,13 @@ def canonical_q_tuples(p: int, m: int) -> list[tuple[int, ...]]:
     such tuples are built; more than MAX_CANONICAL_CANDIDATES of them
     are refused before the first.
     """
-    if p < 1:
-        raise ValueError(f"p must be a positive integer, got {p}")
-    if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
-    if p <= 2 or m == 0:
-        return [(1,) * m]
     walked = _canonical_candidates(p, m)
     if walked > MAX_CANONICAL_CANDIDATES:
         raise ValueError(
             f"{walked} candidate tuples at p = {p}, m = {m} are over {MAX_CANONICAL_CANDIDATES}"
         )
+    if p <= 2 or m == 0:
+        return [(1,) * m]
     half = [v for v in range(1, p // 2 + 1) if math.gcd(v, p) == 1]
     candidates = ((1,) + rest for rest in combinations_with_replacement(half, m - 1))
     return [q for q in candidates if _canonical_form(q, p) == q]
@@ -286,7 +316,12 @@ def _canonical_candidates(p: int, m: int) -> int:
     """Tuples canonical_q_tuples(p, m) walks: (1,) then m - 1 of the phi(p)/2 units in 1..p/2.
 
     phi(p) comes from trial division, so a huge p is priced without listing its units.
+    Refuses p < 1 and m < 0, as canonical_q_tuples does.
     """
+    if p < 1:
+        raise ValueError(f"p must be a positive integer, got {p}")
+    if m < 0:
+        raise ValueError(f"m must be non-negative, got {m}")
     if p <= 2 or m <= 1:
         return 1
     phi, rest, f = p, p, 2

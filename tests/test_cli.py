@@ -328,6 +328,25 @@ def test_absurd_size_refused_before_allocation(argv, message, capsys):
     assert peak < 10 * 2**20
 
 
+def test_verify_grid_over_its_numerator_bits_is_refused_at_once(no_work, capsys):
+    # about 1.5e5 symmetry classes, each a full degree-2p numerator:
+    # 3.5e12 DP bits, refused before the first class is built
+    start = time.perf_counter()
+    assert main(["verify", "--p-max", "1000", "--m", "2", "--h-max", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "builds numerators over 100000000000 DP bits" in capsys.readouterr().err
+
+
+def test_verify_grid_price_is_classes_times_numerator_bits(monkeypatch, capsys):
+    # p in {1, 2}, m in {2, 3}: one class each, at 12 + 20 + 60 + 112 bits
+    argv = ["verify", "--p-max", "2", "--h-max", "4"]
+    monkeypatch.setattr("lenslat.cli.VERIFY_MAX_DP_BITS", 204)
+    assert main(argv) == 0
+    monkeypatch.setattr("lenslat.cli.VERIFY_MAX_DP_BITS", 203)
+    assert main(argv) == 2
+    assert "builds numerators over 203 DP bits" in capsys.readouterr().err
+
+
 def test_verify_negative_m_exits_2(capsys):
     assert main(["verify", "--p-max", "4", "--m", "-1"]) == 2
     assert "error: m must be non-negative, got -1" in capsys.readouterr().err

@@ -344,13 +344,28 @@ def kernel_cases():
 
 
 def test_packed_kernel_matches_list_reference():
+    # pass k of the kernel builds degrees up to k*p/2 of its palindromic
+    # product and mirrors the rest; list_series builds every degree
     for p, q in kernel_cases():
         qs = tuple(v % p for v in q)
         for with_zp in (False, True):
             cap = len(qs) * (p if with_zp else p - 1)
-            for s_max in (cap // 2, cap, cap + 3):
+            edges = {s for k in range(1, len(qs) + 1) for s in (k * p // 2, k * p // 2 + 1, k * p)}
+            for s_max in sorted({cap // 2, cap, cap + 3} | edges):
                 packed = _lattice_series(p, qs, s_max, with_zp)
                 assert packed == list_series(p, qs, s_max, with_zp), (p, qs, s_max, with_zp)
+
+
+def test_numerator_is_palindromic_with_mass_2_to_the_m_p_to_the_m_minus_1():
+    # each factor z^p + sum_{|x|<p} w^(qx) z^|x| is palindromic of degree p,
+    # and at z = 1 it is 2*sum_r w^r, so P[s] = P[m*p - s] and
+    # P(1) = 2^m * p^(m-1); the kernel mirrors half of every pass, so a
+    # wrong half or a wrong mirror index breaks one of the two
+    cases = [(p, q) for p in range(1, 11) for m in (2, 3) for q in canonical_q_tuples(p, m)]
+    for p, q in cases + [(1009, (1, 2, 3))]:
+        coeffs = numerator(make_lens_space(p, q)).coeffs
+        assert coeffs == coeffs[::-1], (p, q)
+        assert sum(coeffs) == 2 ** len(q) * p ** (len(q) - 1), (p, q)
 
 
 def test_largest_documented_size_is_admitted():
