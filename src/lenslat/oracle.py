@@ -9,6 +9,11 @@ enumerate_omega, the whole box for a direct call of enumerate_c.  The
 sphere count also bounds the box-shell walks of fold_law_checks(), the
 partition and fiber laws that `lenslat verify --deep` checks.
 
+The walk recurses over every coordinate but the last two, which it runs
+as one flat loop over the next-to-last absolute value a, the last being
+what is left of the norm; it tests every sign pair of each (a, rest)
+against the congruence, so every candidate is still generated and tested.
+
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
 with + before -.  The rows of `verify --deep` follow enumerate_omega's order.
@@ -51,8 +56,10 @@ def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[
     """Every x with 1-norm s, all |x_j| <= cap and sum q_j*x_j = 0 (mod p).
 
     Walks the absolute values coordinate by coordinate in composition
-    order; each signed prefix carries its residue, both signs of the last
-    coordinate are tested, and a whole tuple is built only for a passing point.
+    order; each signed prefix carries its residue.  The last two
+    coordinates are one flat loop over the next-to-last absolute value,
+    the last taking the rest of the norm; every sign pair of the two is
+    tested, and a whole tuple is built only for a passing point.
     """
     if not qs or s > cap * len(qs):
         return [()] if s == 0 else []
@@ -62,7 +69,12 @@ def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[
 
 
 def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list, out: list) -> None:
-    """Extend each (residue, signed prefix) over coordinates j.. to 1-norm rem, into out."""
+    """Extend each (residue, signed prefix) over coordinates j.. to 1-norm rem, into out.
+
+    Coordinates before the last two extend the prefixes and recurse; the
+    last two (or a lone coordinate) are tested in place, + before - on
+    each, so points come out in composition order, then sign order.
+    """
     last = len(qs) - 1
     if j == last:
         qa = qs[j] * rem
@@ -71,6 +83,24 @@ def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list,
                 out.append((*x, rem))
             if rem and (r - qa) % p == 0:
                 out.append((*x, -rem))
+        return
+    if j == last - 1:
+        qj, ql = qs[j], qs[last]
+        for a in range(max(0, rem - cap), min(rem, cap) + 1):
+            c = rem - a
+            qa, qc = qj * a, ql * c
+            for r, x in prefixes:
+                ra = r + qa
+                if (ra + qc) % p == 0:
+                    out.append((*x, a, c))
+                if c and (ra - qc) % p == 0:
+                    out.append((*x, a, -c))
+                if a:
+                    ra = r - qa
+                    if (ra + qc) % p == 0:
+                        out.append((*x, -a, c))
+                    if c and (ra - qc) % p == 0:
+                        out.append((*x, -a, -c))
         return
     for a in range(max(0, rem - cap * (last - j)), min(rem, cap) + 1):
         nxt, qa = [], qs[j] * a
@@ -102,7 +132,10 @@ def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET)
 
 def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> SubsetMask:
     """Indices whose coordinate is a negative multiple of p, as a mask."""
-    bits = sum(1 << j for j, v in enumerate(x) if v < 0 and v % space.p == 0)
+    p, bits = space.p, 0
+    for j, v in enumerate(x):
+        if v < 0 and v % p == 0:
+            bits |= 1 << j
     return SubsetMask(bits, space.m)
 
 
@@ -140,13 +173,14 @@ def fold_point(
     (x_j mod p) - p when x_j < 0.  The folded vector keeps the
     congruence over the complement and satisfies |y_j| <= p-1.
     """
-    x = tuple(int(v) for v in x)
+    x = tuple(map(int, x))
     if not space.admits(x):
         raise ValueError(f"{x} violates the congruence of {space}")
     p = space.p
     mask = negative_multiple_mask(space, x)
-    y = tuple(v % p if v >= 0 else v % p - p for j, v in enumerate(x) if not mask.bits >> j & 1)
-    return mask, y
+    bits = mask.bits
+    y = [v % p if v >= 0 else v % p - p for j, v in enumerate(x) if not bits >> j & 1]
+    return mask, tuple(y)
 
 
 def fiber_census(
@@ -157,15 +191,17 @@ def fiber_census(
     Keys are (N, t, y): the partition mask, the folded norm offset t
     (||y||_1 = k + t*p where h = k + n*p), and the folded vector.  For
     every occupied key the size equals binom(n - t + (m - |N|) - 1, m - 1).
+    A point whose 1-norm is not h raises ValueError.
     """
     k, _ = decompose(h, space.p)
     census: dict[tuple[SubsetMask, int, tuple[int, ...]], int] = {}
     for x in points:
         mask, y = fold_point(space, x)
-        offset = sum(abs(v) for v in y) - k
-        # the fold drops whole multiples of p from the norm
-        assert offset >= 0 and offset % space.p == 0
-        key = (mask, offset // space.p, y)
+        norm = sum(map(abs, x))
+        if norm != h:  # an explicit check, which python -O keeps
+            raise ValueError(f"{x} has 1-norm {norm}, not {h}")
+        # the fold drops whole multiples of p from the norm h = k + n*p
+        key = (mask, (sum(map(abs, y)) - k) // space.p, y)
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -209,7 +245,7 @@ def fold_law_checks(
     Values are decimal strings; a check passes iff got == expected.
 
     Each point is folded once, by fiber_census; class N's size is the
-    sum of its fiber sizes, and its law is
+    sum of its fiber sizes, added up in one pass, and its law is
     sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
     with lattice.gamma.  The partition check expects the sum of the laws
     over every N; got is len(points) with a note for each class whose
@@ -224,8 +260,11 @@ def fold_law_checks(
     p, m = space.p, space.m
     k, n = decompose(h, p)
     census = fiber_census(space, h, points)
+    sizes = [0] * (1 << m)
+    for (mask, _t, _y), c in census.items():
+        sizes[mask.bits] += c
     got, expected, cover = str(len(points)), 0, []
-    for bits in range(1 << m):
+    for bits, size in enumerate(sizes):
         mask = SubsetMask(bits, m)
         rest = mask.complement()
         law = 0
@@ -234,7 +273,6 @@ def fold_law_checks(
             shell = _congruent_shell(p, rest.pick(space.q), k + t * p, p - 1)
             cover += [(mask, t, y) in census for y in shell]
         expected += law
-        size = sum(c for (N, _t, _y), c in census.items() if N == mask)
         if size != law:
             got += f" (class {bits:#b}: {size}, law {law})"
     yield "partition", got, str(expected)

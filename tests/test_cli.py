@@ -774,6 +774,19 @@ def test_census_stdout_is_pinned(p, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("verify --p-max 10 --m 2,3 --h-max 24",
+     "d5a346cb816e469841c9a8bf3ee2818cffa96379e1de5c558c044197fad222d9"),
+    ("verify --p-max 5 --m 2,3 --h-max 8 --deep",
+     "efdd9f22ee1351230dc6b15eba10ad96dac5c4a19bc98251fa8422c97e092fd2"),
+])
+def test_verify_stdout_is_pinned(argv, digest, capsys):
+    # every row, in the oracle's enumeration order: the walk and the fold may
+    # get faster, but not reorder, drop or add a check
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):
     # each would walk about C(107, 9) = 3.6e12 candidate tuples first
     start = time.perf_counter()

@@ -1,4 +1,7 @@
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -40,25 +43,26 @@ def test_enumerate_order_is_deterministic():
     assert enumerate_omega(L211, 4) == enumerate_omega(L211, 4)
 
 
-def naive_omega(space, h):
-    """The walk's reference: compositions of h, then sign patterns, each point tested."""
+def naive_shell(p, qs, s, cap):
+    """The walk's reference: capped compositions of s, then sign patterns, each point tested."""
 
     def compositions(total, parts):
         if parts == 1:
-            yield (total,)
+            if total <= cap:
+                yield (total,)
             return
-        for first in range(total + 1):
+        for first in range(min(total, cap) + 1):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
     out = []
-    for comp in compositions(h, space.m):
+    for comp in compositions(s, len(qs)):
         nonzero = [j for j, a in enumerate(comp) if a]
         for signs in product((1, -1), repeat=len(nonzero)):
             x = list(comp)
             for j, sign in zip(nonzero, signs):
                 x[j] = sign * x[j]
-            if space.admits(x):
+            if sum(q * v for q, v in zip(qs, x)) % p == 0:
                 out.append(tuple(x))
     return out
 
@@ -83,7 +87,26 @@ def test_enumerate_omega_matches_naive_in_order():
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
                 for h in range(h_max + 1):
-                    assert enumerate_omega(space, h) == naive_omega(space, h), (space, h)
+                    expected = naive_shell(p, space.q, h, h)
+                    assert enumerate_omega(space, h) == expected, (space, h)
+
+
+def test_congruent_shell_matches_naive_in_order_under_every_cap():
+    # the box shells of enumerate_c and fold_law_checks: the cap binds, and
+    # the last two coordinates run as one loop with its own cap bound; q
+    # tuples unsorted or with non-units too, since the walk takes any
+    for p in range(1, 10):
+        for k in (1, 2, 3, 4):
+            tuples = set(canonical_q_tuples(p, k))
+            tuples |= {q[::-1] for q in tuples} | {tuple(range(k))}
+            for qs in sorted(tuples):
+                for cap in sorted({0, 1, p - 1}):
+                    for s in range(cap * k + 2):
+                        expected = naive_shell(p, qs, s, cap)
+                        assert oracle._congruent_shell(p, qs, s, cap) == expected, (p, qs, s, cap)
+                for s in range(9 if k < 4 else 7):  # cap = s: the whole sphere
+                    expected = naive_shell(p, qs, s, s)
+                    assert oracle._congruent_shell(p, qs, s, s) == expected, (p, qs, s)
 
 
 def test_enumerate_c_matches_naive_box():
@@ -285,6 +308,30 @@ def test_fiber_census_h0():
     space = make_lens_space(3, (1, 1, 1))
     census = fiber_census(space, 0, enumerate_omega(space, 0))
     assert census == {(SubsetMask.empty(3), 0, (0, 0, 0)): 1}
+
+
+def test_fiber_census_refuses_a_point_off_the_sphere():
+    # (2, 2) is congruent in L(3;1,2) but has 1-norm 4: filed under h = 5
+    # it would be a fiber with t = 0
+    with pytest.raises(ValueError, match=r"\(2, 2\) has 1-norm 4, not 5"):
+        fiber_census(make_lens_space(3, (1, 2)), 5, [(2, 2)])
+
+
+def test_fiber_census_refuses_a_point_off_the_sphere_under_python_O():
+    # the check must not be an assert, which python -O strips
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r})\n"
+        "from lenslat import make_lens_space\n"
+        "from lenslat.oracle import fiber_census\n"
+        "try:\n"
+        "    fiber_census(make_lens_space(3, (1, 2)), 5, [(2, 2)])\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "(2, 2) has 1-norm 4, not 5\n"
 
 
 @given(space=lens_spaces(p_max=5), h=st.integers(0, 8))
