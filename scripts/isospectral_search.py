@@ -43,8 +43,6 @@ def main(argv=None):
     spectra = []  # (prefix, classes) with equal numerators, so equal spectra
     try:  # invalid p, m or i_max: a usage error with exit 2, not a traceback
         tuples = canonical_q_tuples(args.p, args.m)
-        print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
-              f"comparing degrees 0..{args.i_max}")
         for q in tuples:
             families[multiplicity_sequence(args.p, q, args.i_max)].append(q)
         for seq, qs in families.items():
@@ -58,6 +56,8 @@ def main(argv=None):
     except ValueError as err:
         parser.error(str(err))
 
+    print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
+          f"comparing degrees 0..{args.i_max}")
     coincident = sorted((seq, qs) for seq, qs in spectra if len(qs) > 1)
     print(f"{len(spectra)} distinct multiplicity sequences")
     if not coincident:

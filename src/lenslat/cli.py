@@ -17,8 +17,7 @@ arbitrary-precision values survive every parser.  Exit codes: 0 success,
 unwritable --output or a refused enumeration budget.  Input that would
 check nothing (an empty verify grid, a negative --h-max, a bench oracle
 budget of 0) is invalid.
-The environment variable LENSLAT_ORACLE_BUDGET overrides the default
-oracle candidate budget; a --oracle-budget flag wins over both.
+--oracle-budget overrides the default oracle candidate budget.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from collections import namedtuple
-from itertools import accumulate
 
 from . import oracle
 from .lattice import (
@@ -48,7 +45,6 @@ from .lattice import (
 )
 from .spectra import MAX_SPECTRUM_LINES, compare_spectra, n_lattice_formula, parity_report, spectrum
 
-BUDGET_ENV_VAR = "LENSLAT_ORACLE_BUDGET"
 # bench keeps the oracle at desk scale (a few thousand candidates per
 # norm) so the gap report itself stays fast
 BENCH_DEFAULT_BUDGET = 6400
@@ -79,15 +75,7 @@ class CheckRecord(namedtuple("CheckRecord", "space h kind got expected")):
 
 
 def _resolve_budget(flag_value: int | None, default: int) -> int:
-    budget = flag_value
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV_VAR)
-        try:
-            budget = default if env is None else int(env)
-        except ValueError:
-            raise ValueError(
-                f"{BUDGET_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
+    budget = default if flag_value is None else flag_value
     if budget < 0:
         raise ValueError(f"oracle budget must be non-negative, got {budget}")
     return budget
@@ -235,22 +223,26 @@ def _verify_cases(
         return f"single case {space}, h in {hs[0]}..{hs[-1]}", [(space, hs)]
     p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
     m_values = VERIFY_DEFAULT_M if args.m is None else args.m
+    for n, m in enumerate(m_values):
+        if m in m_values[:n]:
+            raise ValueError(f"--m value {m} given more than once")
     grid = (
         f"p in 1..{p_max}, m in {sorted(m_values)}, "
         f"canonical q tuples, h in 0..{h_max}"
         + (", deep" if args.deep else "")
     )
-    walked = accumulate(_canonical_candidates(p, m) for p in range(1, p_max + 1) for m in m_values)
-    if any(total > MAX_CANONICAL_CANDIDATES for total in walked):
-        raise ValueError(
-            f"verify grid ({grid}) walks over {MAX_CANONICAL_CANDIDATES} candidate tuples"
-        )
-    bits = accumulate(
-        _canonical_candidates(p, m) * _numerator_bits(p, m)
-        for p in range(1, p_max + 1)
-        for m in m_values
-    )
-    if any(total > VERIFY_MAX_DP_BITS for total in bits):
+    # the class walk is refused at once; the DP bits, all non-negative, once summed
+    walked = bits = 0
+    for p in range(1, p_max + 1):
+        for m in m_values:
+            classes = _canonical_candidates(p, m)
+            walked += classes
+            if walked > MAX_CANONICAL_CANDIDATES:
+                raise ValueError(
+                    f"verify grid ({grid}) walks over {MAX_CANONICAL_CANDIDATES} candidate tuples"
+                )
+            bits += classes * _numerator_bits(p, m)
+    if bits > VERIFY_MAX_DP_BITS:
         raise ValueError(
             f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
         )
@@ -444,8 +436,7 @@ def main(argv=None) -> int:
         header, rows, payload, code = args.run(args)
     except oracle.OracleBudgetError as err:
         print(
-            f"error: {err}; shrink the grid or raise the budget "
-            f"(--oracle-budget or {BUDGET_ENV_VAR})",
+            f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
             file=sys.stderr,
         )
         return 2

