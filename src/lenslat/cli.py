@@ -14,10 +14,10 @@ Output is CSV (default) or JSON on stdout (or --output PATH).
 Multiplicities and counts are serialized as decimal strings in JSON so
 arbitrary-precision values survive every parser.  Exit codes: 0 success,
 1 verification mismatch (in verify or bench), 2 invalid input, an
-unwritable --output or a refused enumeration budget.  Input that would
-check nothing (an empty verify grid, a negative --h-max, a bench oracle
-budget of 0) is invalid.
---oracle-budget overrides the default oracle candidate budget.
+unwritable --output or a size over its resource's one rule (a DP, a result
+list, a class walk, a verify grid, an enumeration's --oracle-budget),
+refused before that work.  Input that would check nothing (an empty
+verify grid, a negative --h-max, a bench oracle budget of 0) is invalid.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from collections import namedtuple
 
 from . import oracle
 from .lattice import (
-    MAX_CANONICAL_CANDIDATES,
     LensSpace,
     SubsetMask,
     _canonical_candidates,
@@ -52,7 +51,8 @@ VERIFY_DEFAULT_H_MAX = 20
 VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
 # per verify grid: each symmetry class it walks builds a full numerator, priced
-# by lattice._numerator_bits; about 10 s of kernel work (AMD EPYC, Python 3.11.7)
+# by lattice._numerator_bits; about 10 s of kernel work (AMD EPYC, Python 3.11.7);
+# it bounds the grid's class walks too
 VERIFY_MAX_DP_BITS = 10**11
 
 
@@ -226,26 +226,22 @@ def _verify_cases(
     for n, m in enumerate(m_values):
         if m in m_values[:n]:
             raise ValueError(f"--m value {m} given more than once")
+        if m < 2:
+            raise ValueError(f"need at least two rotation parameters, got {m}")
     grid = (
         f"p in 1..{p_max}, m in {sorted(m_values)}, "
         f"canonical q tuples, h in 0..{h_max}"
         + (", deep" if args.deep else "")
     )
-    # the class walk is refused at once; the DP bits, all non-negative, once summed
-    walked = bits = 0
+    # refused as soon as the running sum passes, so a huge --p-max stops at once
+    bits = 0
     for p in range(1, p_max + 1):
         for m in m_values:
-            classes = _canonical_candidates(p, m)
-            walked += classes
-            if walked > MAX_CANONICAL_CANDIDATES:
+            bits += _canonical_candidates(p, m) * _numerator_bits(p, m)
+            if bits > VERIFY_MAX_DP_BITS:
                 raise ValueError(
-                    f"verify grid ({grid}) walks over {MAX_CANONICAL_CANDIDATES} candidate tuples"
+                    f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
                 )
-            bits += classes * _numerator_bits(p, m)
-    if bits > VERIFY_MAX_DP_BITS:
-        raise ValueError(
-            f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
-        )
     cases = []
     for p in range(1, p_max + 1):
         for m in m_values:

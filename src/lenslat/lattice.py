@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement
 # the palindromic numerator's DP builds only about half of each pass;
 # p = 1009, m = 3 needs 1.04e8
 MAX_DP_BITS = 10**9
-# per canonical_q_tuples call or verify grid; p = 1009, m = 3 walks 1.3e5 at
+# per canonical_q_tuples call; p = 1009, m = 3 walks 1.3e5 at
 # 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
 MAX_CANONICAL_CANDIDATES = 10**6
 
@@ -200,10 +200,10 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
 
 
 def _series_shape(p: int, m: int, s_max: int, with_zp: bool) -> tuple[int, int]:
-    """(degree columns, bits per slot) of the kernel; refused past MAX_DP_BITS, result list too."""
+    """(degree columns, bits per slot) of the kernel; refused past MAX_DP_BITS."""
     columns = min(s_max, m * (p if with_zp else p - 1)) + 1
     width = ((2 * p) ** m).bit_length() + 1
-    if max(columns * p * width, 64 * (s_max + 1)) > MAX_DP_BITS:
+    if columns * p * width > MAX_DP_BITS:
         raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
     return columns, width
 
@@ -316,7 +316,8 @@ def _canonical_candidates(p: int, m: int) -> int:
     """Tuples canonical_q_tuples(p, m) walks: (1,) then m - 1 of the phi(p)/2 units in 1..p/2.
 
     phi(p) comes from trial division, so a huge p is priced without listing its units.
-    Refuses p < 1 and m < 0, as canonical_q_tuples does.
+    Refuses p < 1 and m < 0, as canonical_q_tuples does, and before trial division a walk
+    that phi(p) >= sqrt(p/2) alone puts over MAX_CANONICAL_CANDIDATES.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
@@ -324,6 +325,8 @@ def _canonical_candidates(p: int, m: int) -> int:
         raise ValueError(f"m must be non-negative, got {m}")
     if p <= 2 or m <= 1:
         return 1
+    if binom(math.isqrt(p // 2) // 2 + m - 2, m - 1) > MAX_CANONICAL_CANDIDATES:
+        raise ValueError(f"over {MAX_CANONICAL_CANDIDATES} candidate tuples at p = {p}, m = {m}")
     phi, rest, f = p, p, 2
     while f * f <= rest:
         if rest % f == 0:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .lattice import LensSpace, Numerator, _lattice_series, _series_shape, binom, decompose
+from .lattice import LensSpace, Numerator, _lattice_series, binom, decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 74 MiB, 10**6 at 613 MiB
 
@@ -99,7 +99,6 @@ def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
     """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
-    _series_shape(space.p, space.m, i_max, with_zp=True)  # the kernel's ceiling first
     if i_max >= MAX_SPECTRUM_LINES:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
     series = _lattice_series(space.p, space.q, i_max, with_zp=True)

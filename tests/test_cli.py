@@ -11,9 +11,8 @@ from pathlib import Path
 import pytest
 
 from lenslat import canonical_q_tuples, make_lens_space, multiplicity, numerator
-from lenslat import cli
-from lenslat.cli import BENCH_DEFAULT_BUDGET, CheckRecord, main, verify_grid
-from lenslat.lattice import _canonical_candidates
+from lenslat.cli import BENCH_DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, main, verify_grid
+from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
 from lenslat.oracle import DEFAULT_BUDGET
 from records import check_record
 
@@ -290,7 +289,7 @@ def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "DP bits"),
+    (["spectrum", "--p", "2", "--q", "1,1", "--i-max", "100000000"], "spectral lines"),
     (["nl", "--p", "100000007", "--q", "1,2", "--h", "5"], "DP bits"),
     (["gamma", "--p", "100000007", "--q", "1,2", "--s", "5"], "DP bits"),
     # under the DP ceiling, but 10**7 lines would not fit
@@ -298,8 +297,8 @@ def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
     # one row per norm 0..h_max
     (["verify", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
     (["bench", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
-    # the grid's symmetry classes alone: C(107, 9) candidates at p = 199, m = 10
-    (["verify", "--p-max", "200", "--m", "10"], "candidate tuples"),
+    # the grid's classes times their numerators' DP bits, summed over p <= 200
+    (["verify", "--p-max", "200", "--m", "10"], "DP bits"),
 ], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"])
 def test_absurd_size_refused_before_allocation(argv, message, capsys):
     tracemalloc.start()
@@ -333,11 +332,11 @@ def test_verify_grid_price_is_classes_times_numerator_bits(monkeypatch, capsys):
 
 
 def test_verify_grid_huge_p_max_is_refused_at_once(capsys):
-    # the pricing pass stops at the class ceiling, not at p = 10**12
+    # the running sum passes the DP-bits ceiling near p = 300, not at p = 10**12
     start = time.perf_counter()
     assert main(["verify", "--p-max", "1000000000000", "--m", "2"]) == 2
     assert time.perf_counter() - start < 1
-    assert "candidate tuples" in capsys.readouterr().err
+    assert "builds numerators over 100000000000 DP bits" in capsys.readouterr().err
 
 
 def test_verify_repeated_m_exits_2(no_work, capsys):
@@ -348,18 +347,35 @@ def test_verify_repeated_m_exits_2(no_work, capsys):
 
 def test_verify_negative_m_exits_2(capsys):
     assert main(["verify", "--p-max", "4", "--m", "-1"]) == 2
-    assert "error: m must be non-negative, got -1" in capsys.readouterr().err
+    assert "error: need at least two rotation parameters, got -1" in capsys.readouterr().err
 
 
-def test_verify_grid_refuses_over_the_class_ceiling(monkeypatch, capsys):
-    # the default grid, p <= 8 and m in {2, 3}, walks exactly this many candidates
-    walked = sum(_canonical_candidates(p, m) for p in range(1, 9) for m in (2, 3))
-    argv = ["verify", "--h-max", "2"]
-    monkeypatch.setattr(cli, "MAX_CANONICAL_CANDIDATES", walked)
-    assert main(argv) == 0
-    monkeypatch.setattr(cli, "MAX_CANONICAL_CANDIDATES", walked - 1)
-    assert main(argv) == 2
-    assert f"walks over {walked - 1} candidate tuples" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["--p-max", "4", "--m", "1"],
+    ["--p-max", "100000000000", "--m", "1"],  # pricing would pass one numerator's ceiling
+    ["--p-max", "0", "--m", "3,1"],  # empty, yet refused for its m
+], ids=["small", "huge", "empty"])
+def test_verify_m_1_exits_2(argv, no_work, capsys):
+    # the same reason whatever --p-max is, before any pricing
+    assert main(["verify"] + argv) == 2
+    assert "error: need at least two rotation parameters, got 1" in capsys.readouterr().err
+
+
+def test_verify_grid_bits_ceiling_implies_the_class_ceiling():
+    # _numerator_bits grows in p and in m: these are all the (p, m >= 2) at
+    # most `cheap` bits each, and together they walk this many tuples
+    cheap, pairs, walked = 200_000, 0, 0
+    m = 2
+    while _numerator_bits(1, m) <= cheap:
+        p = 1
+        while _numerator_bits(p, m) <= cheap:
+            pairs, walked = pairs + 1, walked + _canonical_candidates(p, m)
+            p += 1
+        m += 1
+    assert (pairs, walked) == (1207, 253538)
+    # a grid of distinct (p, m) walking over the class ceiling has the rest of
+    # its tuples at over `cheap` bits each: the DP-bits ceiling refuses it first
+    assert (MAX_CANONICAL_CANDIDATES - walked) * cheap > VERIFY_MAX_DP_BITS
 
 
 def test_canonical_q_tuples_dedupe():
@@ -776,6 +792,18 @@ def test_census_prints_only_isospectral_families(capsys):
     assert not any(_census_families(capsys, p, 2) for p in range(1, 101))
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_census_at_a_huge_prime_is_refused_at_once(m, capsys):
+    # p = 2**61 - 1 is prime: trial division to sqrt(p) would not end, but
+    # phi(p) >= sqrt(p/2) alone puts the walk over the ceiling
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", str(2**61 - 1), "--m", str(m)])
+    assert time.perf_counter() - start < 1
+    assert err.value.code == 2
+    assert f"over 1000000 candidate tuples at p = {2**61 - 1}, m = {m}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p, digest", [
     (11, "98d2bc1b642aa777c7e46b76c4292691ef42c91670606feb94336c127433c8f4"),
     (101, "6d14ffe91fa7ce9317e5920a64cce5185aa05bd36dd7dc25335051101f72ef04"),
@@ -799,7 +827,8 @@ def test_verify_stdout_is_pinned(argv, digest, capsys):
 
 
 def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):
-    # each would walk about C(107, 9) = 3.6e12 candidate tuples first
+    # the census would walk about C(107, 9) = 3.6e12 candidate tuples first;
+    # verify prices its classes' numerators over the DP-bits ceiling
     start = time.perf_counter()
     assert main(["verify", "--p-max", "200", "--m", "10"]) == 2
     with pytest.raises(SystemExit) as err:

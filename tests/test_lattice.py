@@ -491,6 +491,22 @@ def test_canonical_candidates_count_the_walk():
     assert _canonical_candidates(2, 5) == _canonical_candidates(9, 0) == 1
 
 
+def test_canonical_candidates_refuse_early_only_over_the_ceiling(monkeypatch):
+    # phi(p) >= sqrt(p/2) bounds the walk from below: every p refused before
+    # trial division walks over the ceiling, and every other p is counted exactly
+    exact = {(p, m): _canonical_candidates(p, m) for p in range(3, 3000) for m in (2, 3, 4)}
+    monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 50)
+    refused = 0
+    for (p, m), walked in exact.items():
+        try:
+            assert _canonical_candidates(p, m) == walked
+        except ValueError as err:
+            assert str(err) == f"over 50 candidate tuples at p = {p}, m = {m}"
+            assert walked > 50, (p, m)
+            refused += 1
+    assert refused > 1000
+
+
 def test_canonical_q_tuples_refuses_over_the_ceiling(monkeypatch):
     # p = 101, m = 3 walks binom(51, 2) = 1275 candidates
     monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 1275)
