@@ -15,7 +15,7 @@ Multiplicities and counts are serialized as decimal strings in JSON so
 arbitrary-precision values survive every parser.  Exit codes: 0 success,
 1 verification mismatch (in verify or bench), 2 invalid input, an
 unwritable --output or a size over its resource's one rule (a DP, a result
-list, a class walk, a verify grid, an enumeration's --oracle-budget),
+list, a class walk, a verify grid's DP bits, a verify run's --oracle-budget),
 refused before that work.  Input that would check nothing (an empty
 verify grid, a negative --h-max, a bench oracle budget of 0) is invalid.
 """
@@ -151,6 +151,8 @@ def run_spectrum(args: argparse.Namespace):
 
 
 def run_nl(args: argparse.Namespace):
+    if args.h < 0:  # before the numerator, whose size may be refused first
+        raise ValueError(f"h must be non-negative, got {args.h}")
     space = make_lens_space(args.p, args.q)
     value = n_lattice_formula(space, numerator(space), args.h)
     payload = _space_json(space) | {"h": args.h, "count": str(value)}
@@ -215,12 +217,20 @@ def run_parity(args: argparse.Namespace):
 
 
 def _verify_cases(
-    args: argparse.Namespace, h_max: int
+    args: argparse.Namespace, h_max: int, budget: int
 ) -> tuple[str, list[tuple[LensSpace, list[int]]]]:
+    """The run's label and cases; its enumeration is priced against budget before any case.
+
+    A grid prices every tuple it walks, as its DP-bits rule does.
+    """
     if args.p is not None:
         space = make_lens_space(args.p, args.q)
         hs = [args.h] if args.h is not None else list(range(h_max + 1))
-        return f"single case {space}, h in {hs[0]}..{hs[-1]}", [(space, hs)]
+        run = f"single case {space}, h in {hs[0]}..{hs[-1]}"
+        cost = oracle.l1_ball_count(space.m, hs[-1]) - oracle.l1_ball_count(space.m, hs[0] - 1)
+        if cost > budget:
+            raise oracle.OracleBudgetError(cost, budget, f"verify run ({run})")
+        return run, [(space, hs)]
     p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
     m_values = VERIFY_DEFAULT_M if args.m is None else args.m
     for n, m in enumerate(m_values):
@@ -234,14 +244,18 @@ def _verify_cases(
         + (", deep" if args.deep else "")
     )
     # refused as soon as the running sum passes, so a huge --p-max stops at once
-    bits = 0
+    bits = cost = 0
     for p in range(1, p_max + 1):
         for m in m_values:
-            bits += _canonical_candidates(p, m) * _numerator_bits(p, m)
+            classes = _canonical_candidates(p, m)
+            bits += classes * _numerator_bits(p, m)
             if bits > VERIFY_MAX_DP_BITS:
                 raise ValueError(
                     f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
                 )
+            cost += classes * oracle.l1_ball_count(m, h_max)
+    if cost > budget:
+        raise oracle.OracleBudgetError(cost, budget, f"verify grid ({grid})")
     cases = []
     for p in range(1, p_max + 1):
         for m in m_values:
@@ -287,8 +301,10 @@ def run_verify(args: argparse.Namespace):
         raise ValueError("--q/--h only apply together with --p")
     if args.p is not None and (args.p_max is not None or args.m is not None):
         raise ValueError("--p-max/--m only apply to the grid, not with --p")
+    if args.h is not None and args.h < 0:  # before pricing, which prices it at 0
+        raise ValueError(f"h must be non-negative, got {args.h}")
     budget = _resolve_budget(args.oracle_budget, oracle.DEFAULT_BUDGET)
-    grid, cases = _verify_cases(args, h_max)
+    grid, cases = _verify_cases(args, h_max, budget)
     checks = verify_grid(cases, budget, args.deep)
     mismatches = [c for c in checks if not c.ok]
     rows = [[c.space, c.h, c.kind, c.got, c.expected, _bool(c.ok)] for c in checks]

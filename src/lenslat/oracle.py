@@ -7,12 +7,13 @@ they refuse to start when the raw candidate count (before the congruence
 filter) would exceed a budget: the whole 1-norm sphere for
 enumerate_omega, the whole box for a direct call of enumerate_c.  The
 sphere count also bounds the box-shell walks of fold_law_checks(), the
-partition and fiber laws that `lenslat verify --deep` checks.
+partition and fiber laws that `lenslat verify --deep` checks; the 1-norm
+ball count, its spheres summed, prices a whole `verify` run.
 
 The walk recurses over every coordinate but the last two, which it runs
 as one flat loop over the next-to-last absolute value a, the last being
-what is left of the norm; it tests every sign pair of each (a, rest)
-against the congruence, so every candidate is still generated and tested.
+what is left of the norm; a lone coordinate takes the whole norm, + then
+-.  Every sign pattern is still generated and tested against the congruence.
 
 Enumeration order is fixed: compositions of the norm into non-negative
 parts in lexicographic order, then sign patterns over the nonzero parts
@@ -40,28 +41,32 @@ class OracleBudgetError(RuntimeError):
         self.budget = budget
 
 
-def l1_sphere_count(m: int, h: int) -> int:
-    """Number of x in Z^m with 1-norm exactly h (no congruence filter).
+def l1_ball_count(m: int, h: int) -> int:
+    """Number of x in Z^m with 1-norm at most h (no congruence filter); 0 for h < 0.
 
-    This is the candidate count of enumerate_omega: support of size j,
-    a positive composition of h into j parts, and j signs.
+    Support of size j, j signs, and binom(h, j) choices of j positive
+    parts with sum at most h.
     """
-    if h == 0:
-        return 1
-    return sum(2**j * binom(m, j) * binom(h - 1, j - 1) for j in range(1, m + 1))
+    return sum(2**j * binom(m, j) * binom(h, j) for j in range(m + 1))
+
+
+def l1_sphere_count(m: int, h: int) -> int:
+    """Number of x in Z^m with 1-norm exactly h: the candidate count of enumerate_omega."""
+    return l1_ball_count(m, h) - l1_ball_count(m, h - 1)
 
 
 def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[int, ...]]:
     """Every x with 1-norm s, all |x_j| <= cap and sum q_j*x_j = 0 (mod p).
 
-    Walks the absolute values coordinate by coordinate in composition
-    order; each signed prefix carries its residue.  The last two
-    coordinates are one flat loop over the next-to-last absolute value,
-    the last taking the rest of the norm; every sign pair of the two is
-    tested, and a whole tuple is built only for a passing point.
+    Walks the absolute values in composition order, each signed prefix
+    carrying its residue; the last two coordinates are one flat loop over
+    the next-to-last absolute value that tests every sign pair, and a lone
+    coordinate is s, then -s.  Only a passing point becomes a whole tuple.
     """
     if not qs or s > cap * len(qs):
         return [()] if s == 0 else []
+    if len(qs) == 1:
+        return [(x,) for x in ((s, -s) if s else (0,)) if qs[0] * x % p == 0]
     out: list[tuple[int, ...]] = []
     _walk(p, qs, cap, 0, s, [(0, ())], out)
     return out
@@ -70,19 +75,11 @@ def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[
 def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list, out: list) -> None:
     """Extend each (residue, signed prefix) over coordinates j.. to 1-norm rem, into out.
 
-    Coordinates before the last two extend the prefixes and recurse; the
-    last two (or a lone coordinate) are tested in place, + before - on
+    At least two coordinates remain.  Those before the last two extend the
+    prefixes and recurse; the last two are tested in place, + before - on
     each, so points come out in composition order, then sign order.
     """
     last = len(qs) - 1
-    if j == last:
-        qa = qs[j] * rem
-        for r, x in prefixes:
-            if (r + qa) % p == 0:
-                out.append((*x, rem))
-            if rem and (r - qa) % p == 0:
-                out.append((*x, -rem))
-        return
     if j == last - 1:
         qj, ql = qs[j], qs[last]
         for a in range(max(0, rem - cap), min(rem, cap) + 1):
@@ -129,19 +126,17 @@ def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET)
     return len(enumerate_omega(space, h, budget))
 
 
-def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> SubsetMask:
-    """Indices whose coordinate is a negative multiple of p, as a mask."""
+def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> int:
+    """Indices whose coordinate is a negative multiple of p, as mask bits."""
     p, bits = space.p, 0
     for j, v in enumerate(x):
         if v < 0 and v % p == 0:
             bits |= 1 << j
-    return SubsetMask(bits, space.m)
+    return bits
 
 
-def fold_point(
-    space: LensSpace, x: Sequence[int]
-) -> tuple[SubsetMask, tuple[int, ...]]:
-    """Partition mask of x and its folded, box-bounded representative.
+def fold_point(space: LensSpace, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Partition mask bits of x and its folded, box-bounded representative.
 
     Coordinates that are negative multiples of p are dropped; each
     remaining coordinate x_j is replaced by its congruence
@@ -153,10 +148,9 @@ def fold_point(
     if not space.admits(x):
         raise ValueError(f"{x} violates the congruence of {space}")
     p = space.p
-    mask = negative_multiple_mask(space, x)
-    bits = mask.bits
+    bits = negative_multiple_mask(space, x)
     y = [v % p if v >= 0 else v % p - p for j, v in enumerate(x) if not bits >> j & 1]
-    return mask, tuple(y)
+    return bits, tuple(y)
 
 
 def fiber_census(
@@ -167,17 +161,19 @@ def fiber_census(
     Keys are (N, t, y): the partition mask, the folded norm offset t
     (||y||_1 = k + t*p where h = k + n*p), and the folded vector.  For
     every occupied key the size equals binom(n - t + (m - |N|) - 1, m - 1).
-    A point whose 1-norm is not h raises ValueError.
+    A point whose 1-norm is not h raises ValueError.  The 2^m masks are
+    built once per call; each point's fold gives only the bits of its N.
     """
     k, _ = decompose(h, space.p)
+    masks = [SubsetMask(bits, space.m) for bits in range(1 << space.m)]
     census: dict[tuple[SubsetMask, int, tuple[int, ...]], int] = {}
     for x in points:
-        mask, y = fold_point(space, x)
+        bits, y = fold_point(space, x)
         norm = sum(map(abs, x))
         if norm != h:  # an explicit check, which python -O keeps
             raise ValueError(f"{x} has 1-norm {norm}, not {h}")
         # the fold drops whole multiples of p from the norm h = k + n*p
-        key = (mask, (sum(map(abs, y)) - k) // space.p, y)
+        key = (masks[bits], (sum(map(abs, y)) - k) // space.p, y)
         census[key] = census.get(key, 0) + 1
     return census
 

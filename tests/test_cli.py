@@ -224,15 +224,59 @@ def test_verify_budget_exceeded_exits_2(capsys):
     assert "shrink the grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, fits", [
+    # L(2;1,1) at h = 0..3: the 1-norm ball of radius 3 in Z^2 holds 25 points
+    (["verify", "--p", "2", "--q", "1,1", "--h-max", "3"], 25),
+    # one norm: the 1-norm sphere of radius 3 in Z^2, 25 - 13 points
+    (["verify", "--p", "2", "--q", "1,1", "--h", "3"], 12),
+    # p in {1, 2}, m in {2, 3}: one class each, balls of 41 and 129 points at radius 4
+    (["verify", "--p-max", "2", "--h-max", "4"], 340),
+    # p <= 7 walks 14 tuples for its 11 classes of m = 3, each priced at the
+    # 25-point ball of radius 2, as the DP-bits rule prices walked tuples
+    (["verify", "--p-max", "7", "--m", "3", "--h-max", "2"], 350),
+], ids=["single", "single-h", "grid", "grid-walked"])
+def test_verify_run_is_priced_against_the_oracle_budget(argv, fits, capsys):
+    # the whole run, not each enumeration: every sphere alone fits in fits - 1
+    assert main(argv + ["--oracle-budget", str(fits)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--oracle-budget", str(fits - 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: verify ")
+    assert f"needs {fits} candidates, exceeding the oracle budget of {fits - 1}; shrink" in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the input was refused")
+
+
+@pytest.mark.parametrize("argv", [
+    # about 1.3e15 candidates in the radius-99999 ball of Z^3
+    ["verify", "--p", "7", "--q", "1,2,3", "--h-max", "99999"],
+    # about 1.3e11 candidates, nearly all from the m = 6 classes
+    ["verify", "--p-max", "30", "--m", "2,6"],
+], ids=["single", "grid"])
+def test_verify_run_over_the_oracle_budget_is_refused_at_once(argv, monkeypatch, capsys):
+    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    monkeypatch.setattr("lenslat.oracle.enumerate_omega", _refuse)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    assert f"exceeding the oracle budget of {DEFAULT_BUDGET}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["nl", "verify"])
+def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, capsys):
+    # the numerator of p = 100003 would be refused for its size first
+    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    assert main([command, "--p", "100003", "--q", "1,2", "--h", "-1"]) == 2
+    assert capsys.readouterr().err == "error: h must be non-negative, got -1\n"
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a command starts computing before refusing its input."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("work started before the input was refused")
-
     for name in ("numerator", "canonical_q_tuples", "make_lens_space"):
-        monkeypatch.setattr(f"lenslat.cli.{name}", refuse)
+        monkeypatch.setattr(f"lenslat.cli.{name}", _refuse)
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from lenslat.oracle import (
     fold_law_checks,
     fold_point,
     gamma_bruteforce,
+    l1_ball_count,
     l1_sphere_count,
     n_lattice_bruteforce,
     negative_multiple_mask,
@@ -149,6 +150,23 @@ def test_l1_sphere_count_matches_vacuous_congruence(m, h):
     assert n_lattice_bruteforce(sphere, h) == l1_sphere_count(m, h)
 
 
+def test_l1_ball_count_sums_the_sphere_counts():
+    # each sphere counted on its own: j signs and binom(h - 1, j - 1)
+    # compositions of h into the j positive parts of a support of size j
+    def sphere(m, h):
+        if h == 0:
+            return 1
+        return sum(2**j * binom(m, j) * binom(h - 1, j - 1) for j in range(1, m + 1))
+
+    for m in range(7):
+        assert l1_ball_count(m, -1) == 0
+        total = 0
+        for h in range(31):
+            total += sphere(m, h)
+            assert l1_sphere_count(m, h) == sphere(m, h), (m, h)
+            assert l1_ball_count(m, h) == total, (m, h)
+
+
 def test_budget_refusal():
     with pytest.raises(OracleBudgetError) as err:
         enumerate_omega(L211, 10, budget=5)
@@ -182,7 +200,7 @@ def test_classify_l211_h2():
 @settings(max_examples=60, deadline=None)
 def test_partition_law(space, h):
     points = enumerate_omega(space, h)
-    members = Counter(negative_multiple_mask(space, x).bits for x in points)
+    members = Counter(negative_multiple_mask(space, x) for x in points)
     sizes = _class_sizes(space, h, points)
     assert sizes == members  # each point counted once, in the class of its N
     assert sum(sizes.values()) == len(points)  # exhaustive
@@ -217,7 +235,7 @@ def test_partition_check_holds_on_grid():
 def test_partition_check_flags_misclassified_points(monkeypatch):
     # every point put in the class N = {} breaks the law of every class it left
     def misclassify(space, x):
-        return SubsetMask.empty(space.m)
+        return 0
 
     monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
     points = enumerate_omega(L211, 2)
@@ -253,13 +271,33 @@ def test_fold_law_checks_reads_class_sizes_from_the_census(monkeypatch):
         assert sorted(folded) == sorted(points), h
 
 
+def test_fiber_census_builds_each_mask_once_per_call(monkeypatch):
+    # a fold gives only its mask bits: the census builds at most the 2^m
+    # masks, not one per point
+    space = make_lens_space(5, (1, 2, 3))
+    new, built = SubsetMask.__new__, []
+
+    def counted(cls, bits, m):
+        built.append(bits)
+        return new(cls, bits, m)
+
+    monkeypatch.setattr(SubsetMask, "__new__", staticmethod(counted))
+    for h in range(13):
+        points = enumerate_omega(space, h)
+        built.clear()
+        census = fiber_census(space, h, points)
+        assert sum(census.values()) == len(points), h
+        assert len(built) <= 1 << space.m, (h, len(built), len(points))
+    assert len(points) > 1 << space.m
+
+
 # ------------------------------------------------------------------- fold
 
 
 def test_fold_examples():
-    assert fold_point(L211, (-2, 0)) == (SubsetMask(0b01, 2), (0,))
-    assert fold_point(L211, (3, -1)) == (SubsetMask.empty(2), (1, -1))
-    assert fold_point(L211, (0, 0)) == (SubsetMask.empty(2), (0, 0))
+    assert fold_point(L211, (-2, 0)) == (0b01, (0,))
+    assert fold_point(L211, (3, -1)) == (0, (1, -1))
+    assert fold_point(L211, (0, 0)) == (0, (0, 0))
 
 
 def test_fold_rejects_noncongruent():
@@ -272,8 +310,9 @@ def test_fold_rejects_noncongruent():
 def test_fold_norm_drop_and_box(space, h):
     p = space.p
     for x in enumerate_omega(space, h):
-        mask, y = fold_point(space, x)
-        assert mask == negative_multiple_mask(space, x)
+        bits, y = fold_point(space, x)
+        assert bits == negative_multiple_mask(space, x)
+        mask = SubsetMask(bits, space.m)
         assert len(y) == space.m - mask.u
         drop = h - sum(abs(v) for v in y)
         assert drop >= 0 and drop % p == 0
