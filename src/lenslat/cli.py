@@ -5,19 +5,19 @@ Subcommands
 spectrum   eigenvalue/multiplicity table for one lens space
 nl         single 1-norm lattice count N(h)
 gamma      single box-bounded count gamma(U, s)
-verify     counting formula vs. brute-force enumeration over a grid
+verify     counting formula vs. brute-force enumeration, over a grid or one space
 compare    multiplicity sequences of two lens spaces
 parity     parity law of the multiplicities, checked at every degree for every p
 bench      wall-clock of the formula path vs. the enumeration oracle
 
-Output is CSV (default) or JSON on stdout (or --output PATH).
-Multiplicities and counts are serialized as decimal strings in JSON so
-arbitrary-precision values survive every parser.  Exit codes: 0 success,
-1 verification mismatch (in verify or bench), 2 invalid input, an
-unwritable --output or a size over its resource's one rule (a DP, a result
-list, a class walk, a verify grid's DP bits, a verify run's --oracle-budget),
-refused before that work.  Input that would check nothing (an empty
-verify grid, a negative --h-max, a bench oracle budget of 0) is invalid.
+Output is CSV (default) or JSON on stdout (or --output PATH), exact at any
+size; in JSON, multiplicities and counts are decimal strings so they survive
+every parser.  Exit codes: 0 success, 1 verification mismatch (in verify or
+bench), 2 invalid input, an unwritable --output or a size over its
+resource's rule (a DP, a result list, a class walk, a verify run's DP bits
+or its --oracle-budget), refused before that work.  Input that would check
+nothing (an empty verify grid, a negative --h-max, a bench oracle budget of
+0) is invalid.
 """
 
 from __future__ import annotations
@@ -219,51 +219,46 @@ def run_parity(args: argparse.Namespace):
 def _verify_cases(
     args: argparse.Namespace, h_max: int, budget: int
 ) -> tuple[str, list[tuple[LensSpace, list[int]]]]:
-    """The run's label and cases; its enumeration is priced against budget before any case.
+    """The run's label and cases, priced by one loop over (p, m, walked tuples) before any case.
 
-    A grid prices every tuple it walks, as its DP-bits rule does.
+    Each walked tuple costs a full numerator's DP bits and its 1-norm spheres' candidates.
     """
+    hs = [args.h] if args.h is not None else list(range(h_max + 1))
     if args.p is not None:
         space = make_lens_space(args.p, args.q)
-        hs = [args.h] if args.h is not None else list(range(h_max + 1))
-        run = f"single case {space}, h in {hs[0]}..{hs[-1]}"
-        cost = oracle.l1_ball_count(space.m, hs[-1]) - oracle.l1_ball_count(space.m, hs[0] - 1)
-        if cost > budget:
-            raise oracle.OracleBudgetError(cost, budget, f"verify run ({run})")
-        return run, [(space, hs)]
-    p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
-    m_values = VERIFY_DEFAULT_M if args.m is None else args.m
-    for n, m in enumerate(m_values):
-        if m in m_values[:n]:
-            raise ValueError(f"--m value {m} given more than once")
-        if m < 2:
-            raise ValueError(f"need at least two rotation parameters, got {m}")
-    grid = (
-        f"p in 1..{p_max}, m in {sorted(m_values)}, "
-        f"canonical q tuples, h in 0..{h_max}"
-        + (", deep" if args.deep else "")
-    )
+        kind, label = "run", f"single case {space}, h in {hs[0]}..{hs[-1]}"
+        priced, spaces = [(space.p, space.m, 1)], [space]
+    else:
+        p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
+        ms = VERIFY_DEFAULT_M if args.m is None else args.m
+        for n, m in enumerate(ms):
+            if m in ms[:n]:
+                raise ValueError(f"--m value {m} given more than once")
+            if m < 2:
+                raise ValueError(f"need at least two rotation parameters, got {m}")
+        kind, label = "grid", (
+            f"p in 1..{p_max}, m in {sorted(ms)}, "
+            f"canonical q tuples, h in 0..{h_max}"
+            + (", deep" if args.deep else "")
+        )
+        ps = range(1, p_max + 1)
+        priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
+        spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
     # refused as soon as the running sum passes, so a huge --p-max stops at once
     bits = cost = 0
-    for p in range(1, p_max + 1):
-        for m in m_values:
-            classes = _canonical_candidates(p, m)
-            bits += classes * _numerator_bits(p, m)
-            if bits > VERIFY_MAX_DP_BITS:
-                raise ValueError(
-                    f"verify grid ({grid}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
-                )
-            cost += classes * oracle.l1_ball_count(m, h_max)
+    for p, m, walked in priced:
+        bits += walked * _numerator_bits(p, m)
+        if bits > VERIFY_MAX_DP_BITS:
+            raise ValueError(
+                f"verify {kind} ({label}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
+            )
+        cost += walked * (oracle.l1_ball_count(m, hs[-1]) - oracle.l1_ball_count(m, hs[0] - 1))
     if cost > budget:
-        raise oracle.OracleBudgetError(cost, budget, f"verify grid ({grid})")
-    cases = []
-    for p in range(1, p_max + 1):
-        for m in m_values:
-            for q in canonical_q_tuples(p, m):
-                cases.append((make_lens_space(p, q), list(range(h_max + 1))))
+        raise oracle.OracleBudgetError(cost, budget, f"verify {kind} ({label})")
+    cases = [(space, hs) for space in spaces]
     if not cases:
-        raise ValueError(f"empty verify grid ({grid}): nothing to check")
-    return grid, cases
+        raise ValueError(f"empty verify {kind} ({label}): nothing to check")
+    return label, cases
 
 
 def verify_grid(
@@ -444,28 +439,36 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # exact at any size: lift the int-to-str digit limit (0: none, or Python < 3.10.7) once parsed
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        header, rows, payload, code = args.run(args)
-    except oracle.OracleBudgetError as err:
-        print(
-            f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
-            file=sys.stderr,
-        )
-        return 2
-    except (ValueError, Disagreement) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1 if isinstance(err, Disagreement) else 2
-    text = _json_text(payload) if args.fmt == "json" else _csv_text(header, rows)
-    if args.output is None:
-        sys.stdout.write(text)
+        try:
+            header, rows, payload, code = args.run(args)
+        except oracle.OracleBudgetError as err:
+            print(
+                f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
+                file=sys.stderr,
+            )
+            return 2
+        except (ValueError, Disagreement) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1 if isinstance(err, Disagreement) else 2
+        text = _json_text(payload) if args.fmt == "json" else _csv_text(header, rows)
+        if args.output is None:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.output}: {err.strerror}", file=sys.stderr)
+            return 2
         return code
-    try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as err:
-        print(f"error: cannot write {args.output}: {err.strerror}", file=sys.stderr)
-        return 2
-    return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def console_main() -> None:

@@ -95,12 +95,17 @@ def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     return _stride_sum(poly, p, power, i)
 
 
-def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
-    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
+def _check_i_max(i_max: int) -> None:
+    """Refuse degrees 0..i_max that are empty or over MAX_SPECTRUM_LINES."""
     if i_max < 0:
         raise ValueError(f"i_max must be non-negative, got {i_max}")
     if i_max >= MAX_SPECTRUM_LINES:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
+
+
+def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
+    _check_i_max(i_max)
     series = _lattice_series(space.p, space.q, i_max, with_zp=True)
     for stride, times in ((space.p, space.m), (2, space.m - 1)):
         for _ in range(times):
@@ -129,8 +134,7 @@ def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
 
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:
     """Compare multiplicity sequences of two lens spaces up to degree i_max."""
-    if i_max < 0:
-        raise ValueError(f"i_max must be non-negative, got {i_max}")
+    _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
     pairs = zip(_multiplicities(a, i_max), _multiplicities(b, i_max))

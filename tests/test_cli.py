@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from lenslat import canonical_q_tuples, make_lens_space, multiplicity, numerator
+from lenslat import (
+    canonical_q_tuples,
+    make_lens_space,
+    multiplicity,
+    n_lattice_formula,
+    numerator,
+)
 from lenslat.cli import BENCH_DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, main, verify_grid
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
 from lenslat.oracle import DEFAULT_BUDGET
@@ -272,6 +278,13 @@ def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, cap
     assert capsys.readouterr().err == "error: h must be non-negative, got -1\n"
 
 
+def test_single_space_over_its_numerator_bits_is_refused_before_the_numerator(monkeypatch, capsys):
+    # one walked tuple, priced by the same loop as a grid's, before numerator() runs
+    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    assert main(["verify", "--p", "100003", "--q", "1,2", "--h", "3"]) == 2
+    assert "DP bits" in capsys.readouterr().err
+
+
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a command starts computing before refusing its input."""
@@ -343,7 +356,9 @@ def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
     (["bench", "--p", "2", "--q", "1,1", "--h-max", "100000000"], "--h-max must be below"),
     # the grid's classes times their numerators' DP bits, summed over p <= 200
     (["verify", "--p-max", "200", "--m", "10"], "DP bits"),
-], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6"])
+    # refused for its degrees although the dimensions differ
+    (["compare", "--a", "2:1,1", "--b", "2:1,1,1", "--i-max", "100000000"], "spectral lines"),
+], ids=["argv0", "argv1", "argv2", "argv3", "argv4", "argv5", "argv6", "argv7"])
 def test_absurd_size_refused_before_allocation(argv, message, capsys):
     tracemalloc.start()
     try:
@@ -354,6 +369,30 @@ def test_absurd_size_refused_before_allocation(argv, message, capsys):
     assert code == 2
     assert message in capsys.readouterr().err
     assert peak < 10 * 2**20
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit"
+)
+def test_results_over_the_int_digit_limit_are_printed(capsys):
+    h = 10**1500  # N(h) of L(2;1,1,1,1) has 4,501 digits
+    limit = sys.get_int_max_str_digits()
+    code, text = _run(capsys, ["nl", "--p", "2", "--q", "1,1,1,1", "--h", str(h)])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    space = make_lens_space(2, (1, 1, 1, 1))
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n_lattice_formula(space, numerator(space), h))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 4501
+    assert text == expected + "\n"
+    # the arguments are still parsed under the limit
+    with pytest.raises(SystemExit) as err:
+        main(["nl", "--p", "2", "--q", "1,1,1,1", "--h", "1" + "0" * 4999])
+    assert err.value.code == 2
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_verify_grid_over_its_numerator_bits_is_refused_at_once(no_work, capsys):
