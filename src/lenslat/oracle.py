@@ -2,27 +2,43 @@
 
 Everything here enumerates lattice points directly to certify the
 closed-form counting path on desk-scale instances; none of it is a
-production path.  One walk, _congruent_shell, serves both enumerations;
-they refuse to start when the raw candidate count (before the congruence
-filter) would exceed a budget: the whole 1-norm sphere for
-enumerate_omega, the whole box for a direct call of enumerate_c.  The
-sphere count also bounds the box-shell walks of fold_law_checks(), the
-partition and fiber laws that `lenslat verify --deep` checks; the 1-norm
+production path.  Two walks serve it.  shell_counts counts every norm of
+a range in one pass, without listing a point: n_lattice_bruteforce is its
+one-norm case, and `lenslat verify` takes each case's count rows from
+one call.  _congruent_shell lists points, for enumerate_omega and
+enumerate_c; only the fold laws that `lenslat verify --deep` checks
+(fold_law_checks) need the points themselves.
+
+Each walk refuses to start when the raw candidate count (before the
+congruence filter) would exceed a budget: the 1-norm spheres of its
+range for shell_counts and enumerate_omega, the whole box for a direct
+call of enumerate_c.  That count bounds shell_counts' work from above:
+each signed prefix it lists extends to a distinct candidate, and each
+value it adds completes one.  The sphere count also bounds the box-shell
+walks of fold_law_checks(), the partition and fiber laws; the 1-norm
 ball count, its spheres summed, prices a whole `verify` run.
 
-The walk recurses over every coordinate but the last two, which it runs
-as one flat loop over the next-to-last absolute value a, the last being
-what is left of the norm; a lone coordinate takes the whole norm, + then
--.  Every sign pattern is still generated and tested against the congruence.
+shell_counts lists the signed prefixes of the first m - 1 coordinates,
+each carrying its residue, and reads the last coordinate's values from a
+table that groups 0, +-1, ..., +-h_hi by residue, each value tested once.
+It keeps no tally over coordinates, so it stays independent of the
+kernel's DP.
 
-Enumeration order is fixed: compositions of the norm into non-negative
-parts in lexicographic order, then sign patterns over the nonzero parts
-with + before -.  The rows of `verify --deep` follow enumerate_omega's order.
+_congruent_shell recurses over every coordinate but the last two, which
+it runs as one flat loop over the next-to-last absolute value a, the last
+being what is left of the norm; a lone coordinate takes the whole norm,
++ then -.  Every sign pattern is generated and tested against the
+congruence.  Its order is fixed: compositions of the norm into
+non-negative parts in lexicographic order, then sign patterns over the
+nonzero parts with + before -.  The rows of `verify --deep` follow
+enumerate_omega's order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
+from itertools import islice
 
 from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
 
@@ -121,9 +137,53 @@ def enumerate_omega(
     return _congruent_shell(space.p, space.q, h, h)
 
 
+def shell_counts(
+    space: LensSpace, h_lo: int, h_hi: int, budget: int = DEFAULT_BUDGET
+) -> list[int]:
+    """[|Omega(M, h)| for h in h_lo..h_hi], counted by one walk that lists no point.
+
+    Each signed prefix of the first m - 1 coordinates with 1-norm n <= h_hi
+    adds one to N(n + |x|) for each last value x with q_m*x = -r (mod p),
+    r the prefix's residue, and h_lo - n <= |x| <= h_hi - n.  The values
+    x come from one table per call, keyed by -q_m*x mod p, ascending in |x|.
+    The budget counts every candidate of norm h_lo..h_hi.
+    """
+    if h_lo < 0:
+        raise ValueError(f"h must be non-negative, got {h_lo}")
+    candidates = l1_ball_count(space.m, h_hi) - l1_ball_count(space.m, h_lo - 1)
+    if candidates > budget:
+        raise OracleBudgetError(
+            candidates, budget, f"counting 1-norm {h_lo}..{h_hi} vectors in Z^{space.m}"
+        )
+    p, (*head, q_y, q_x) = space.p, space.q
+    ends: dict[int, list[int]] = {}
+    for a in range(h_hi + 1):
+        for x in (a, -a) if a else (0,):
+            ends.setdefault(-q_x * x % p, []).append(a)
+    # (norm, residue) of each signed prefix before the last two coordinates;
+    # the next-to-last runs as a flat loop over its signed value y
+    prefixes = [(0, 0)]
+    for q in head:
+        prefixes = [
+            (n + abs(x), r + q * x) for n, r in prefixes for x in range(n - h_hi, h_hi - n + 1)
+        ]
+    counts = [0] * (h_hi + 1)
+    for n, r in prefixes:
+        for y in range(n - h_hi, h_hi - n + 1):
+            ny = n + abs(y)
+            lo, hi = h_lo - ny, h_hi - ny
+            row = ends.get((r + q_y * y) % p, ())
+            # a prefix below h_lo starts at the row's first |x| >= lo
+            for a in islice(row, bisect_left(row, lo), None) if lo > 0 else row:
+                if a > hi:
+                    break
+                counts[ny + a] += 1
+    return counts[h_lo:]
+
+
 def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET) -> int:
-    """|Omega(M, h)| by direct enumeration."""
-    return len(enumerate_omega(space, h, budget))
+    """|Omega(M, h)| by direct enumeration: the one-norm case of shell_counts."""
+    return shell_counts(space, h, h, budget)[0]
 
 
 def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> int:

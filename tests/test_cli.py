@@ -19,7 +19,7 @@ from lenslat import (
 )
 from lenslat.cli import BENCH_DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, main, verify_grid
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
-from lenslat.oracle import DEFAULT_BUDGET
+from lenslat.oracle import DEFAULT_BUDGET, enumerate_omega
 from records import check_record
 
 
@@ -264,10 +264,28 @@ def _refuse(*args, **kwargs):
 def test_verify_run_over_the_oracle_budget_is_refused_at_once(argv, monkeypatch, capsys):
     monkeypatch.setattr("lenslat.cli.numerator", _refuse)
     monkeypatch.setattr("lenslat.oracle.enumerate_omega", _refuse)
+    monkeypatch.setattr("lenslat.oracle.shell_counts", _refuse)
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1
     assert f"exceeding the oracle budget of {DEFAULT_BUDGET}" in capsys.readouterr().err
+
+
+def test_only_deep_verify_lists_the_points(monkeypatch, capsys):
+    # the count rows come from the count walk; only the fold laws of --deep
+    # need enumerate_omega's lists, one per (case, norm)
+    monkeypatch.setattr("lenslat.oracle.enumerate_omega", _refuse)
+    assert main(["verify", "--p-max", "4", "--h-max", "10"]) == 0
+    listed = []
+
+    def counted(space, h, budget):
+        listed.append((space, h))
+        return enumerate_omega(space, h, budget)
+
+    monkeypatch.setattr("lenslat.oracle.enumerate_omega", counted)
+    assert main(["verify", "--p-max", "4", "--h-max", "10", "--deep"]) == 0
+    cases = [make_lens_space(p, q) for p in range(1, 5) for m in (2, 3) for q in canonical_q_tuples(p, m)]
+    assert listed == [(space, h) for space in cases for h in range(11)]
 
 
 @pytest.mark.parametrize("command", ["nl", "verify"])

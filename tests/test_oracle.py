@@ -22,6 +22,7 @@ from lenslat.oracle import (
     l1_sphere_count,
     n_lattice_bruteforce,
     negative_multiple_mask,
+    shell_counts,
 )
 from strategies import lens_spaces
 
@@ -90,6 +91,25 @@ def test_enumerate_omega_matches_naive_in_order():
                 for h in range(h_max + 1):
                     expected = naive_shell(p, space.q, h, h)
                     assert enumerate_omega(space, h) == expected, (space, h)
+
+
+def test_shell_counts_match_the_listing():
+    # the count walk against enumerate_omega's lists: a range from 0, one
+    # starting above 0 and every single norm; p = 1 passes every candidate
+    for p in range(1, 12):
+        for m, h_max in ((2, 12), (3, 12), (4, 8)):
+            for q in canonical_q_tuples(p, m):
+                space = make_lens_space(p, q)
+                listed = [len(enumerate_omega(space, h)) for h in range(h_max + 1)]
+                assert shell_counts(space, 0, h_max) == listed, space
+                assert shell_counts(space, 3, h_max - 2) == listed[3:h_max - 1], space
+                for h in range(h_max + 1):
+                    assert shell_counts(space, h, h) == [listed[h]], (space, h)
+
+
+def test_shell_counts_refuse_a_negative_norm():
+    with pytest.raises(ValueError, match="h must be non-negative, got -1"):
+        shell_counts(L211, -1, 3)
 
 
 def test_congruent_shell_matches_naive_in_order_under_every_cap():
@@ -168,10 +188,12 @@ def test_l1_ball_count_sums_the_sphere_counts():
 
 
 def test_budget_refusal():
-    with pytest.raises(OracleBudgetError) as err:
-        enumerate_omega(L211, 10, budget=5)
-    assert err.value.budget == 5
-    assert err.value.candidates == l1_sphere_count(2, 10)
+    # the listing and the count walk price the same sphere
+    for walk in (enumerate_omega, lambda space, h, budget: shell_counts(space, h, h, budget)):
+        with pytest.raises(OracleBudgetError) as err:
+            walk(L211, 10, budget=5)
+        assert err.value.budget == 5
+        assert err.value.candidates == l1_sphere_count(2, 10)
 
 
 def test_box_budget_refusal():
