@@ -221,7 +221,7 @@ def _verify_cases(
 ) -> tuple[str, list[tuple[LensSpace, list[int]]]]:
     """The run's label and cases, priced by one loop over (p, m, walked tuples) before any case.
 
-    Each walked tuple costs a full numerator's DP bits and its 1-norm spheres' candidates.
+    Each walked tuple costs a full numerator's DP bits and oracle.shell_price of its norms.
     """
     hs = [args.h] if args.h is not None else list(range(h_max + 1))
     if args.p is not None:
@@ -244,17 +244,17 @@ def _verify_cases(
         ps = range(1, p_max + 1)
         priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
         spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
-    # refused as soon as the running sum passes, so a huge --p-max stops at once
+    # refused as soon as the running sum passes, so a huge --p-max stops at once;
+    # the shell price refuses a negative --h before any numerator is sized
     bits = cost = 0
     for p, m, walked in priced:
+        cost += walked * oracle.shell_price(m, hs[0], hs[-1])
         bits += walked * _numerator_bits(p, m)
         if bits > VERIFY_MAX_DP_BITS:
             raise ValueError(
                 f"verify {kind} ({label}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
             )
-        cost += walked * (oracle.l1_ball_count(m, hs[-1]) - oracle.l1_ball_count(m, hs[0] - 1))
-    if cost > budget:
-        raise oracle.OracleBudgetError(cost, budget, f"verify {kind} ({label})")
+    oracle.check_budget(cost, budget, f"verify {kind} ({label})")
     cases = [(space, hs) for space in spaces]
     if not cases:
         raise ValueError(f"empty verify {kind} ({label}): nothing to check")
@@ -299,8 +299,6 @@ def run_verify(args: argparse.Namespace):
         raise ValueError("--q/--h only apply together with --p")
     if args.p is not None and (args.p_max is not None or args.m is not None):
         raise ValueError("--p-max/--m only apply to the grid, not with --p")
-    if args.h is not None and args.h < 0:  # before pricing, which prices it at 0
-        raise ValueError(f"h must be non-negative, got {args.h}")
     budget = _resolve_budget(args.oracle_budget, oracle.DEFAULT_BUDGET)
     grid, cases = _verify_cases(args, h_max, budget)
     checks = verify_grid(cases, budget, args.deep)

@@ -29,6 +29,7 @@ classes among which isospectral lens spaces are sought, in ascending order.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
@@ -45,19 +46,20 @@ MAX_CANONICAL_CANDIDATES = 10**6
 class LensSpace(namedtuple("LensSpace", "p q")):
     """Validated parameters (p; q_1,...,q_m) of a lens space.
 
-    Entries of q are reduced mod p at construction (all become 0 when
-    p = 1, where the congruence is vacuous).  The underlying manifold
-    has dimension d = 2m - 1.  A LensSpace is a tuple (p, q): it
-    unpacks, and it equals the plain tuple with the same fields.
-    Every way of building one, _replace and unpickling too, validates.
+    p and q must hold integers (types with __index__; a float or str
+    raises TypeError); q is reduced mod p (all 0 when p = 1, where the
+    congruence is vacuous).  The underlying manifold has dimension
+    d = 2m - 1.  A LensSpace is a tuple (p, q): it unpacks, and it
+    equals the plain tuple with the same fields.  Every way of
+    building one, _replace and unpickling too, validates.
     """
 
     __slots__ = ()
 
-    def __new__(cls, p: int, q: tuple[int, ...]) -> LensSpace:
+    def __new__(cls, p: int, q: Sequence[int]) -> LensSpace:
+        p, q = operator.index(p), tuple(map(operator.index, q))
         if p <= 0:
             raise ValueError(f"p must be a positive integer, got {p}")
-        q = tuple(int(v) for v in q)
         if len(q) < 2:
             raise ValueError(
                 f"need at least two rotation parameters, got {len(q)}"
@@ -100,7 +102,7 @@ class LensSpace(namedtuple("LensSpace", "p q")):
 
 def make_lens_space(p: int, q: Sequence[int]) -> LensSpace:
     """Validated constructor for L(p; q_1,...,q_m)."""
-    return LensSpace(int(p), tuple(int(v) for v in q))
+    return LensSpace(p, q)
 
 
 class SubsetMask(namedtuple("SubsetMask", "bits m")):
@@ -109,6 +111,7 @@ class SubsetMask(namedtuple("SubsetMask", "bits m")):
     __slots__ = ()
 
     def __new__(cls, bits: int, m: int) -> SubsetMask:
+        bits, m = operator.index(bits), operator.index(m)
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
         if not 0 <= bits < (1 << m):
@@ -171,6 +174,7 @@ def binom(pool: int, choose: int) -> int:
 
 def decompose(h: int, p: int) -> tuple[int, int]:
     """Split h >= 0 uniquely as h = k + n*p with 0 <= k < p; returns (k, n)."""
+    h, p = operator.index(h), operator.index(p)
     if h < 0:
         raise ValueError(f"h must be non-negative, got {h}")
     if p <= 0:

@@ -9,14 +9,14 @@ one call.  _congruent_shell lists points, for enumerate_omega and
 enumerate_c; only the fold laws that `lenslat verify --deep` checks
 (fold_law_checks) need the points themselves.
 
-Each walk refuses to start when the raw candidate count (before the
-congruence filter) would exceed a budget: the 1-norm spheres of its
-range for shell_counts and enumerate_omega, the whole box for a direct
-call of enumerate_c.  That count bounds shell_counts' work from above:
-each signed prefix it lists extends to a distinct candidate, and each
-value it adds completes one.  The sphere count also bounds the box-shell
-walks of fold_law_checks(), the partition and fiber laws; the 1-norm
-ball count, its spheres summed, prices a whole `verify` run.
+Each walk is priced at its raw candidates (before the congruence filter)
+and refused past a budget by the one check_budget.  shell_price, the
+candidates of the 1-norm shells h_lo..h_hi of Z^m, prices shell_counts,
+enumerate_omega (h..h) and, summed over the cases, a whole `verify` run;
+a direct call of enumerate_c is priced at its whole box.  The shell
+price bounds shell_counts' work from above: each signed prefix it lists
+extends to a distinct candidate, and each value it adds completes one.
+It bounds the box-shell walks of fold_law_checks() too.
 
 shell_counts lists the signed prefixes of the first m - 1 coordinates,
 each carrying its residue, and reads the last coordinate's values from a
@@ -69,6 +69,19 @@ def l1_ball_count(m: int, h: int) -> int:
 def l1_sphere_count(m: int, h: int) -> int:
     """Number of x in Z^m with 1-norm exactly h: the candidate count of enumerate_omega."""
     return l1_ball_count(m, h) - l1_ball_count(m, h - 1)
+
+
+def shell_price(m: int, h_lo: int, h_hi: int) -> int:
+    """Raw candidates of the 1-norm shells h_lo..h_hi of Z^m, a walk's price; refuses h_lo < 0."""
+    if h_lo < 0:
+        raise ValueError(f"h must be non-negative, got {h_lo}")
+    return l1_ball_count(m, h_hi) - l1_ball_count(m, h_lo - 1)
+
+
+def check_budget(candidates: int, budget: int, what: str) -> None:
+    """Refuse, with OracleBudgetError, a walk priced over the budget."""
+    if candidates > budget:
+        raise OracleBudgetError(candidates, budget, what)
 
 
 def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[int, ...]]:
@@ -127,13 +140,8 @@ def enumerate_omega(
     space: LensSpace, h: int, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, ...]]:
     """Every x in Z^m with 1-norm h satisfying the congruence, exactly once."""
-    if h < 0:
-        raise ValueError(f"h must be non-negative, got {h}")
-    candidates = l1_sphere_count(space.m, h)
-    if candidates > budget:
-        raise OracleBudgetError(
-            candidates, budget, f"enumerating 1-norm {h} vectors in Z^{space.m}"
-        )
+    what = f"enumerating 1-norm {h} vectors in Z^{space.m}"
+    check_budget(shell_price(space.m, h, h), budget, what)
     return _congruent_shell(space.p, space.q, h, h)
 
 
@@ -146,15 +154,9 @@ def shell_counts(
     adds one to N(n + |x|) for each last value x with q_m*x = -r (mod p),
     r the prefix's residue, and h_lo - n <= |x| <= h_hi - n.  The values
     x come from one table per call, keyed by -q_m*x mod p, ascending in |x|.
-    The budget counts every candidate of norm h_lo..h_hi.
     """
-    if h_lo < 0:
-        raise ValueError(f"h must be non-negative, got {h_lo}")
-    candidates = l1_ball_count(space.m, h_hi) - l1_ball_count(space.m, h_lo - 1)
-    if candidates > budget:
-        raise OracleBudgetError(
-            candidates, budget, f"counting 1-norm {h_lo}..{h_hi} vectors in Z^{space.m}"
-        )
+    what = f"counting 1-norm {h_lo}..{h_hi} vectors in Z^{space.m}"
+    check_budget(shell_price(space.m, h_lo, h_hi), budget, what)
     p, (*head, q_y, q_x) = space.p, space.q
     ends: dict[int, list[int]] = {}
     for a in range(h_hi + 1):
@@ -248,13 +250,8 @@ def enumerate_c(
     _check_subset(space, U)
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
-    p = space.p
-    qs = U.pick(space.q)
-    candidates = (2 * p - 1) ** len(qs)
-    if candidates > budget:
-        raise OracleBudgetError(
-            candidates, budget, f"scanning the box over {len(qs)} coordinates"
-        )
+    p, qs = space.p, U.pick(space.q)
+    check_budget((2 * p - 1) ** len(qs), budget, f"scanning the box over {len(qs)} coordinates")
     return _congruent_shell(p, qs, s, p - 1)
 
 

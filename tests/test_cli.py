@@ -919,6 +919,9 @@ def test_census_stdout_is_pinned(p, digest, capsys):
      "d5a346cb816e469841c9a8bf3ee2818cffa96379e1de5c558c044197fad222d9"),
     ("verify --p-max 5 --m 2,3 --h-max 8 --deep",
      "efdd9f22ee1351230dc6b15eba10ad96dac5c4a19bc98251fa8422c97e092fd2"),
+    # the --deep listing order over two and three prefix coordinates (m = 4, 5)
+    ("verify --p-max 5 --m 4,5 --h-max 6 --deep",
+     "14bac320d10f4d34aad130d72a37a1a670ce080b9186de9f4cae58fd77d771a2"),
 ])
 def test_verify_stdout_is_pinned(argv, digest, capsys):
     # every row, in the oracle's enumeration order: the walk and the fold may

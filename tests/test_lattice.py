@@ -101,6 +101,43 @@ def test_lens_space_validates_however_it_is_built():
         SubsetMask(5, 3)._replace(bits=8)
 
 
+class _Index:
+    """An integer-like type that is not an int: it converts only through __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_lens_space(7.9, (1, 2)),
+    lambda: make_lens_space(7, (1, 2.6)),
+    lambda: LensSpace(7, (1, 2.6)),
+    lambda: make_lens_space("7", (1, 2)),
+    lambda: LensSpace(7, ("1", 2)),
+    lambda: decompose(7.5, 3),
+    lambda: decompose(7, 3.0),
+    lambda: decompose("7", 3),
+    lambda: SubsetMask(1.5, 2),
+    lambda: SubsetMask(1, 2.0),
+    lambda: SubsetMask("1", 2),
+])
+def test_non_integer_parameters_are_refused_not_truncated(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_index_types_are_accepted_as_integers():
+    space = make_lens_space(_Index(7), (_Index(8), _Index(2)))
+    assert space == LensSpace(7, (1, 2)) and type(space.p) is int
+    assert all(type(v) is int for v in space.q)
+    assert decompose(_Index(9), _Index(4)) == (1, 2)
+    mask = SubsetMask(_Index(5), _Index(3))
+    assert mask == (5, 3) and mask.u == 2
+
+
 def test_lens_space_is_a_tuple():
     p, q = make_lens_space(7, (8, 2, 3))
     assert (p, q) == (7, (1, 2, 3)) == make_lens_space(7, (8, 2, 3))

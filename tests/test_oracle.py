@@ -198,8 +198,11 @@ def test_budget_refusal():
 
 def test_box_budget_refusal():
     space = make_lens_space(7, (1, 2, 3))
-    with pytest.raises(OracleBudgetError):
+    with pytest.raises(OracleBudgetError) as err:
         enumerate_c(space, SubsetMask.full(3), 2, budget=100)
+    # the whole box (2p - 1)^|U| is priced, not the norm-2 shell walked
+    assert err.value.candidates == 13**3
+    assert err.value.budget == 100
 
 
 # ---------------------------------------------------------------- partition
