@@ -267,15 +267,18 @@ def verify_grid(
     """Every check of the formula against the enumeration oracle, in order.
 
     For each (space, norms) case and each norm h, one 'count' check of
-    N(h), every count of a case from one oracle.shell_counts walk over its
-    norm range; with deep, also the oracle's partition and fiber-law
+    N(h), norms 0..h_max from one oracle.shell_counts walk and a lone --h
+    from oracle.n_lattice_bruteforce; with deep, also the oracle's fold-law
     checks, which fold the points that oracle.enumerate_omega lists.
     """
     checks = []
     for space, hs in cases:
         num = numerator(space)
         label = space.label()
-        counts = oracle.shell_counts(space, hs[0], hs[-1], budget)
+        if hs[0] == 0:
+            counts = oracle.shell_counts(space, hs[-1], budget)
+        else:
+            counts = [oracle.n_lattice_bruteforce(space, h, budget) for h in hs]
         for h, count in zip(hs, counts):
             formula = n_lattice_formula(space, num, h)
             checks.append(CheckRecord(label, h, "count", str(formula), str(count)))

@@ -34,9 +34,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
-# per generating-function DP, priced at all m*p + 1 degree columns although
-# the palindromic numerator's DP builds only about half of each pass;
-# p = 1009, m = 3 needs 1.04e8
+# per generating-function DP, priced at m passes of its degree columns, at
+# most all m*p + 1 of them (the numerator's price, though its palindromic DP
+# builds only about half of each pass); p = 1009, m = 3 needs 1.04e8
 MAX_DP_BITS = 10**9
 # per canonical_q_tuples call; p = 1009, m = 3 walks 1.3e5 at
 # 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
@@ -88,10 +88,10 @@ class LensSpace(namedtuple("LensSpace", "p q")):
         return 2 * self.m - 1
 
     def admits(self, x: Sequence[int]) -> bool:
-        """Whether x satisfies sum q_i*x_i = 0 (mod p)."""
+        """Whether x satisfies sum q_i*x_i = 0 (mod p); a non-integer x_i raises TypeError."""
         if len(x) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(x)}")
-        return sum(qi * xi for qi, xi in zip(self.q, x)) % self.p == 0
+        return sum(qi * operator.index(xi) for qi, xi in zip(self.q, x)) % self.p == 0
 
     def label(self) -> str:
         return f"L({self.p};{','.join(str(v) for v in self.q)})"
@@ -205,9 +205,11 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
 
 def _series_shape(p: int, m: int, s_max: int, with_zp: bool) -> tuple[int, int]:
     """(degree columns, bits per slot) of the kernel; refused past MAX_DP_BITS."""
-    columns = min(s_max, m * (p if with_zp else p - 1)) + 1
+    full = m * (p if with_zp else p - 1) + 1  # columns of the whole series
+    columns = min(s_max + 1, full)
     width = ((2 * p) ** m).bit_length() + 1
-    if columns * p * width > MAX_DP_BITS:
+    # each of the m passes builds up to `columns`; priced at most as the whole series
+    if min(m * columns, full) * p * width > MAX_DP_BITS:
         raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
     return columns, width
 

@@ -2,27 +2,23 @@
 
 Everything here enumerates lattice points directly to certify the
 closed-form counting path on desk-scale instances; none of it is a
-production path.  Two walks serve it.  shell_counts counts every norm of
-a range in one pass, without listing a point: n_lattice_bruteforce is its
-one-norm case, and `lenslat verify` takes each case's count rows from
-one call.  _congruent_shell lists points, for enumerate_omega and
-enumerate_c; only the fold laws that `lenslat verify --deep` checks
-(fold_law_checks) need the points themselves.
+production path.  Two walks serve it.  The listing walk, _congruent_shell,
+yields the points of one norm: enumerate_omega and enumerate_c list them,
+n_lattice_bruteforce (so `lenslat verify --h`) counts them and keeps none,
+and the fold laws of `lenslat verify --deep` fold them.  The count walk,
+shell_counts, counts norms 0..h_max in one pass that lists no point, and
+`lenslat verify` takes a case's count rows from one call.  It keeps no
+tally over coordinates, so it stays independent of the kernel's DP.
 
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
-candidates of the 1-norm shells h_lo..h_hi of Z^m, prices shell_counts,
-enumerate_omega (h..h) and, summed over the cases, a whole `verify` run;
-a direct call of enumerate_c is priced at its whole box.  The shell
-price bounds shell_counts' work from above: each signed prefix it lists
+candidates of the 1-norm shells h_lo..h_hi of Z^m, prices the sphere
+(h..h) of enumerate_omega and n_lattice_bruteforce, the ball (0..h_max)
+of shell_counts and, summed over the cases, a whole `verify` run; a
+direct call of enumerate_c is priced at its whole box.  The ball price
+bounds shell_counts' work from above: each signed prefix it lists
 extends to a distinct candidate, and each value it adds completes one.
 It bounds the box-shell walks of fold_law_checks() too.
-
-shell_counts lists the signed prefixes of the first m - 1 coordinates,
-each carrying its residue, and reads the last coordinate's values from a
-table that groups 0, +-1, ..., +-h_hi by residue, each value tested once.
-It keeps no tally over coordinates, so it stays independent of the
-kernel's DP.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -36,9 +32,8 @@ enumerate_omega's order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import operator
 from collections.abc import Iterator, Sequence
-from itertools import islice
 
 from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
 
@@ -61,9 +56,9 @@ def l1_ball_count(m: int, h: int) -> int:
     """Number of x in Z^m with 1-norm at most h (no congruence filter); 0 for h < 0.
 
     Support of size j, j signs, and binom(h, j) choices of j positive
-    parts with sum at most h.
+    parts with sum at most h; binom(h, j) = 0 for j > h, so those terms are skipped.
     """
-    return sum(2**j * binom(m, j) * binom(h, j) for j in range(m + 1))
+    return sum(2**j * binom(m, j) * binom(h, j) for j in range(min(m, h) + 1))
 
 
 def l1_sphere_count(m: int, h: int) -> int:
@@ -72,9 +67,9 @@ def l1_sphere_count(m: int, h: int) -> int:
 
 
 def shell_price(m: int, h_lo: int, h_hi: int) -> int:
-    """Raw candidates of the 1-norm shells h_lo..h_hi of Z^m, a walk's price; refuses h_lo < 0."""
-    if h_lo < 0:
-        raise ValueError(f"h must be non-negative, got {h_lo}")
+    """Raw candidates of the 1-norm shells h_lo..h_hi of Z^m, a walk's price; refuses h < 0."""
+    if h_lo < 0 or h_hi < 0:
+        raise ValueError(f"h must be non-negative, got {min(h_lo, h_hi)}")
     return l1_ball_count(m, h_hi) - l1_ball_count(m, h_lo - 1)
 
 
@@ -84,8 +79,8 @@ def check_budget(candidates: int, budget: int, what: str) -> None:
         raise OracleBudgetError(candidates, budget, what)
 
 
-def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[int, ...]]:
-    """Every x with 1-norm s, all |x_j| <= cap and sum q_j*x_j = 0 (mod p).
+def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Yield every x with 1-norm s, all |x_j| <= cap and sum q_j*x_j = 0 (mod p).
 
     Walks the absolute values in composition order, each signed prefix
     carrying its residue; the last two coordinates are one flat loop over
@@ -93,16 +88,14 @@ def _congruent_shell(p: int, qs: Sequence[int], s: int, cap: int) -> list[tuple[
     coordinate is s, then -s.  Only a passing point becomes a whole tuple.
     """
     if not qs or s > cap * len(qs):
-        return [()] if s == 0 else []
+        return iter([()] if s == 0 else [])
     if len(qs) == 1:
-        return [(x,) for x in ((s, -s) if s else (0,)) if qs[0] * x % p == 0]
-    out: list[tuple[int, ...]] = []
-    _walk(p, qs, cap, 0, s, [(0, ())], out)
-    return out
+        return ((x,) for x in ((s, -s) if s else (0,)) if qs[0] * x % p == 0)
+    return _walk(p, qs, cap, 0, s, [(0, ())])
 
 
-def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list, out: list) -> None:
-    """Extend each (residue, signed prefix) over coordinates j.. to 1-norm rem, into out.
+def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list) -> Iterator:
+    """Yield each congruent extension of the signed prefixes over coordinates j.. to 1-norm rem.
 
     At least two coordinates remain.  Those before the last two extend the
     prefixes and recurse; the last two are tested in place, + before - on
@@ -117,15 +110,15 @@ def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list,
             for r, x in prefixes:
                 ra = r + qa
                 if (ra + qc) % p == 0:
-                    out.append((*x, a, c))
+                    yield (*x, a, c)
                 if c and (ra - qc) % p == 0:
-                    out.append((*x, a, -c))
+                    yield (*x, a, -c)
                 if a:
                     ra = r - qa
                     if (ra + qc) % p == 0:
-                        out.append((*x, -a, c))
+                        yield (*x, -a, c)
                     if c and (ra - qc) % p == 0:
-                        out.append((*x, -a, -c))
+                        yield (*x, -a, -c)
         return
     for a in range(max(0, rem - cap * (last - j)), min(rem, cap) + 1):
         nxt, qa = [], qs[j] * a
@@ -133,7 +126,7 @@ def _walk(p: int, qs: Sequence[int], cap: int, j: int, rem: int, prefixes: list,
             nxt.append((r + qa, (*x, a)))
             if a:
                 nxt.append((r - qa, (*x, -a)))
-        _walk(p, qs, cap, j + 1, rem - a, nxt, out)
+        yield from _walk(p, qs, cap, j + 1, rem - a, nxt)
 
 
 def enumerate_omega(
@@ -142,24 +135,30 @@ def enumerate_omega(
     """Every x in Z^m with 1-norm h satisfying the congruence, exactly once."""
     what = f"enumerating 1-norm {h} vectors in Z^{space.m}"
     check_budget(shell_price(space.m, h, h), budget, what)
-    return _congruent_shell(space.p, space.q, h, h)
+    return list(_congruent_shell(space.p, space.q, h, h))
 
 
-def shell_counts(
-    space: LensSpace, h_lo: int, h_hi: int, budget: int = DEFAULT_BUDGET
-) -> list[int]:
-    """[|Omega(M, h)| for h in h_lo..h_hi], counted by one walk that lists no point.
+def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET) -> int:
+    """|Omega(M, h)| by direct enumeration: the listing walk's points, counted and not kept."""
+    what = f"counting 1-norm {h} vectors in Z^{space.m}"
+    check_budget(shell_price(space.m, h, h), budget, what)
+    return sum(1 for _ in _congruent_shell(space.p, space.q, h, h))
 
-    Each signed prefix of the first m - 1 coordinates with 1-norm n <= h_hi
+
+def shell_counts(space: LensSpace, h_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """[|Omega(M, h)| for h in 0..h_max], counted by one walk that lists no point.
+
+    Each signed prefix of the first m - 1 coordinates with 1-norm n <= h_max
     adds one to N(n + |x|) for each last value x with q_m*x = -r (mod p),
-    r the prefix's residue, and h_lo - n <= |x| <= h_hi - n.  The values
-    x come from one table per call, keyed by -q_m*x mod p, ascending in |x|.
+    r the prefix's residue, and |x| <= h_max - n.  The values x come from
+    one table per call that groups 0, +-1, ..., +-h_max by -q_m*x mod p,
+    ascending in |x|, each value tested once.
     """
-    what = f"counting 1-norm {h_lo}..{h_hi} vectors in Z^{space.m}"
-    check_budget(shell_price(space.m, h_lo, h_hi), budget, what)
+    what = f"counting 1-norm 0..{h_max} vectors in Z^{space.m}"
+    check_budget(shell_price(space.m, 0, h_max), budget, what)
     p, (*head, q_y, q_x) = space.p, space.q
     ends: dict[int, list[int]] = {}
-    for a in range(h_hi + 1):
+    for a in range(h_max + 1):
         for x in (a, -a) if a else (0,):
             ends.setdefault(-q_x * x % p, []).append(a)
     # (norm, residue) of each signed prefix before the last two coordinates;
@@ -167,25 +166,17 @@ def shell_counts(
     prefixes = [(0, 0)]
     for q in head:
         prefixes = [
-            (n + abs(x), r + q * x) for n, r in prefixes for x in range(n - h_hi, h_hi - n + 1)
+            (n + abs(x), r + q * x) for n, r in prefixes for x in range(n - h_max, h_max - n + 1)
         ]
-    counts = [0] * (h_hi + 1)
+    counts = [0] * (h_max + 1)
     for n, r in prefixes:
-        for y in range(n - h_hi, h_hi - n + 1):
+        for y in range(n - h_max, h_max - n + 1):
             ny = n + abs(y)
-            lo, hi = h_lo - ny, h_hi - ny
-            row = ends.get((r + q_y * y) % p, ())
-            # a prefix below h_lo starts at the row's first |x| >= lo
-            for a in islice(row, bisect_left(row, lo), None) if lo > 0 else row:
-                if a > hi:
+            for a in ends.get((r + q_y * y) % p, ()):
+                if a > h_max - ny:
                     break
                 counts[ny + a] += 1
-    return counts[h_lo:]
-
-
-def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET) -> int:
-    """|Omega(M, h)| by direct enumeration: the one-norm case of shell_counts."""
-    return shell_counts(space, h, h, budget)[0]
+    return counts
 
 
 def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> int:
@@ -204,9 +195,10 @@ def fold_point(space: LensSpace, x: Sequence[int]) -> tuple[int, tuple[int, ...]
     remaining coordinate x_j is replaced by its congruence
     representative: x_j mod p in {0,...,p-1} when x_j >= 0, and
     (x_j mod p) - p when x_j < 0.  The folded vector keeps the
-    congruence over the complement and satisfies |y_j| <= p-1.
+    congruence over the complement and satisfies |y_j| <= p-1.  A
+    non-integer x_j (one without __index__) raises TypeError.
     """
-    x = tuple(map(int, x))
+    x = tuple(map(operator.index, x))
     if not space.admits(x):
         raise ValueError(f"{x} violates the congruence of {space}")
     p = space.p
@@ -252,7 +244,7 @@ def enumerate_c(
         raise ValueError(f"s must be non-negative, got {s}")
     p, qs = space.p, U.pick(space.q)
     check_budget((2 * p - 1) ** len(qs), budget, f"scanning the box over {len(qs)} coordinates")
-    return _congruent_shell(p, qs, s, p - 1)
+    return list(_congruent_shell(p, qs, s, p - 1))
 
 
 def gamma_bruteforce(
@@ -292,19 +284,20 @@ def fold_law_checks(
     sizes = [0] * (1 << m)
     for (mask, _t, _y), c in census.items():
         sizes[mask.bits] += c
-    got, expected, cover = str(len(points)), 0, []
+    got, expected, covered, keys = str(len(points)), 0, 0, 0
     for bits, size in enumerate(sizes):
         mask = SubsetMask(bits, m)
         rest = mask.complement()
         law = 0
         for t in range(n - mask.u + 1):
             law += binom(n - t + m - mask.u - 1, m - 1) * gamma(space, rest, k + t * p)
-            shell = _congruent_shell(p, rest.pick(space.q), k + t * p, p - 1)
-            cover += [(mask, t, y) in census for y in shell]
+            for y in _congruent_shell(p, rest.pick(space.q), k + t * p, p - 1):
+                keys += 1
+                covered += (mask, t, y) in census
         expected += law
         if size != law:
             got += f" (class {bits:#b}: {size}, law {law})"
     yield "partition", got, str(expected)
     for (mask, t, _y), size in census.items():
         yield "fiber_size", str(size), str(binom(n - t + m - mask.u - 1, m - 1))
-    yield "fiber_cover", str(sum(cover)), str(len(cover))
+    yield "fiber_cover", str(covered), str(keys)

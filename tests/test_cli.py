@@ -288,6 +288,33 @@ def test_only_deep_verify_lists_the_points(monkeypatch, capsys):
     assert listed == [(space, h) for space in cases for h in range(11)]
 
 
+def test_a_lone_norm_is_counted_by_the_listing_walk(monkeypatch, capsys):
+    # --h 4 needs only the norm-4 sphere, not the count walk's whole ball
+    monkeypatch.setattr("lenslat.oracle.shell_counts", _refuse)
+    code, text = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "4"])
+    assert code == 0
+    assert text.splitlines()[1:] == ['"L(2;1,1)",4,count,16,16,true']
+
+
+def test_a_range_from_0_is_counted_by_the_count_walk(monkeypatch, capsys):
+    monkeypatch.setattr("lenslat.oracle.n_lattice_bruteforce", _refuse)
+    code, text = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h-max", "4"])
+    assert code == 0
+    counts = [1, 0, 8, 0, 16]
+    assert text.splitlines()[1:] == [f'"L(2;1,1)",{h},count,{n},{n},true' for h, n in enumerate(counts)]
+
+
+@pytest.mark.parametrize("m", ["20000", "10000000"])
+def test_verify_absurd_m_is_priced_at_once(m, capsys):
+    # the shell price sums only the supports j <= h: binom(h, j) = 0 above,
+    # where 2^j * binom(m, j) cost 95 s at m = 20000
+    start = time.perf_counter()
+    assert main(["verify", "--p-max", "2", "--m", m]) == 2
+    assert time.perf_counter() - start < 1
+    degree, p = (40000, 2) if m == "20000" else (10**7, 1)
+    assert f"degree {degree} at p = {p} is over 1000000000 DP bits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["nl", "verify"])
 def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, capsys):
     # the numerator of p = 100003 would be refused for its size first
@@ -928,6 +955,19 @@ def test_verify_stdout_is_pinned(argv, digest, capsys):
     # get faster, but not reorder, drop or add a check
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cut_series_of_many_passes_are_refused_at_once(capsys):
+    # one pass of the spectrum's DP fits the ceiling, but m passes do not; the
+    # work grew as m^2 (0.63 s at m = 8000), so the census at m = 10^6 ran on
+    start = time.perf_counter()
+    assert main(["spectrum", "--p", "2", "--q", ",".join(["1"] * 20000), "--i-max", "100"]) == 2
+    assert "degree 100 at p = 2 is over 1000000000 DP bits" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", "2", "--m", "1000000"])
+    assert time.perf_counter() - start < 2
+    assert err.value.code == 2
+    assert "degree 16 at p = 2 is over 1000000000 DP bits" in capsys.readouterr().err
 
 
 def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):

@@ -18,7 +18,7 @@ from lenslat import (
 )
 from lenslat import lattice
 from lenslat.lattice import _canonical_candidates, _lattice_series, _series_shape
-from lenslat.oracle import gamma_bruteforce
+from lenslat.oracle import fold_point, gamma_bruteforce
 from records import check_record
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
 
@@ -136,6 +136,20 @@ def test_index_types_are_accepted_as_integers():
     assert decompose(_Index(9), _Index(4)) == (1, 2)
     mask = SubsetMask(_Index(5), _Index(3))
     assert mask == (5, 3) and mask.u == 2
+
+
+def test_lattice_points_are_integer_gated():
+    # a float coordinate used to be summed as it was, or truncated by the fold
+    space = make_lens_space(2, (1, 1))
+    for x in ((1.5, 0.5), (2.7, 0.2), (1, "1")):
+        with pytest.raises(TypeError):
+            space.admits(x)
+        with pytest.raises(TypeError):
+            fold_point(space, x)
+    assert space.admits((_Index(3), _Index(-1)))
+    assert not space.admits((_Index(3), _Index(0)))
+    bits, y = fold_point(space, (_Index(-2), _Index(4)))
+    assert (bits, y) == (0b01, (0,)) and type(y[0]) is int
 
 
 def test_lens_space_is_a_tuple():
@@ -403,6 +417,31 @@ def test_numerator_is_palindromic_with_mass_2_to_the_m_p_to_the_m_minus_1():
 
 def test_largest_documented_size_is_admitted():
     assert _series_shape(1009, 3, 3 * 1009, with_zp=True) == (3028, 34)
+
+
+def test_a_cut_series_is_priced_per_pass():
+    # each of the m passes builds up to the cut, so m * columns are priced,
+    # capped at the full numerator's m * step + 1; one pass's price would
+    # admit 20,000 ones at p = 2 cut at degree 100 (101 columns * 2 slots *
+    # 40,002 bits = 8.1e6), though its work grows as m^2
+    ones = (1,) * 20000
+    with pytest.raises(ValueError, match="degree 100 at p = 2 is over 1000000000 DP bits"):
+        _lattice_series(2, ones, 100, with_zp=True)
+    width = (4**20000).bit_length() + 1
+    assert 20000 * 101 * 2 * width > lattice.MAX_DP_BITS >= 101 * 2 * width
+    # a cut below the full degree prices m * columns; at or past it, the cap
+    # prices what the full numerator does (m * p + 1 columns, with z^p)
+    for (p, m, s_max, with_zp), priced in (
+        ((7, 3, 5, True), 3 * 6 * 7 * 13),
+        ((7, 3, 30, True), 22 * 7 * 13),
+        ((5, 4, 9, False), 17 * 5 * 15),
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattice, "MAX_DP_BITS", priced)
+            _series_shape(p, m, s_max, with_zp)
+            patch.setattr(lattice, "MAX_DP_BITS", priced - 1)
+            with pytest.raises(ValueError, match="DP bits"):
+                _series_shape(p, m, s_max, with_zp)
 
 
 # ------------------------------------------------------------- properties

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -94,22 +95,35 @@ def test_enumerate_omega_matches_naive_in_order():
 
 
 def test_shell_counts_match_the_listing():
-    # the count walk against enumerate_omega's lists: a range from 0, one
-    # starting above 0 and every single norm; p = 1 passes every candidate
+    # the count walk and the listing walk's single-norm count against
+    # enumerate_omega's lists; p = 1 passes every candidate
     for p in range(1, 12):
         for m, h_max in ((2, 12), (3, 12), (4, 8)):
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
                 listed = [len(enumerate_omega(space, h)) for h in range(h_max + 1)]
-                assert shell_counts(space, 0, h_max) == listed, space
-                assert shell_counts(space, 3, h_max - 2) == listed[3:h_max - 1], space
+                assert shell_counts(space, h_max) == listed, space
                 for h in range(h_max + 1):
-                    assert shell_counts(space, h, h) == [listed[h]], (space, h)
+                    assert n_lattice_bruteforce(space, h) == listed[h], (space, h)
 
 
 def test_shell_counts_refuse_a_negative_norm():
     with pytest.raises(ValueError, match="h must be non-negative, got -1"):
-        shell_counts(L211, -1, 3)
+        shell_counts(L211, -1)
+
+
+def test_single_norm_count_keeps_no_point():
+    # the norm-300 sphere of L(2;1,1,1) holds 360,002 points, 37 MB as
+    # enumerate_omega's list; the count keeps only the walk's prefixes
+    space = make_lens_space(2, (1, 1, 1))
+    tracemalloc.start()
+    try:
+        count = n_lattice_bruteforce(space, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 360002
+    assert peak < 100_000
 
 
 def test_congruent_shell_matches_naive_in_order_under_every_cap():
@@ -124,10 +138,11 @@ def test_congruent_shell_matches_naive_in_order_under_every_cap():
                 for cap in sorted({0, 1, p - 1}):
                     for s in range(cap * k + 2):
                         expected = naive_shell(p, qs, s, cap)
-                        assert oracle._congruent_shell(p, qs, s, cap) == expected, (p, qs, s, cap)
+                        got = list(oracle._congruent_shell(p, qs, s, cap))
+                        assert got == expected, (p, qs, s, cap)
                 for s in range(9 if k < 4 else 7):  # cap = s: the whole sphere
                     expected = naive_shell(p, qs, s, s)
-                    assert oracle._congruent_shell(p, qs, s, s) == expected, (p, qs, s)
+                    assert list(oracle._congruent_shell(p, qs, s, s)) == expected, (p, qs, s)
 
 
 def test_enumerate_c_matches_naive_box():
@@ -188,12 +203,16 @@ def test_l1_ball_count_sums_the_sphere_counts():
 
 
 def test_budget_refusal():
-    # the listing and the count walk price the same sphere
-    for walk in (enumerate_omega, lambda space, h, budget: shell_counts(space, h, h, budget)):
+    # the listing and its single-norm count price the same sphere, the count
+    # walk its whole ball
+    for walk in (enumerate_omega, n_lattice_bruteforce):
         with pytest.raises(OracleBudgetError) as err:
             walk(L211, 10, budget=5)
         assert err.value.budget == 5
         assert err.value.candidates == l1_sphere_count(2, 10)
+    with pytest.raises(OracleBudgetError) as err:
+        shell_counts(L211, 10, budget=5)
+    assert err.value.candidates == l1_ball_count(2, 10)
 
 
 def test_box_budget_refusal():
