@@ -51,8 +51,8 @@ VERIFY_DEFAULT_H_MAX = 20
 VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
 # per verify grid: each symmetry class it walks builds a full numerator, priced
-# by lattice._numerator_bits; about 10 s of kernel work (AMD EPYC, Python 3.11.7);
-# it bounds the grid's class walks too
+# by lattice._numerator_bits; the grid p <= 454, m = 2 fits and runs 25 s (shared
+# 2-vCPU Intel Xeon, Python 3.11.7); it bounds the grid's class walks too
 VERIFY_MAX_DP_BITS = 10**11
 
 

@@ -34,9 +34,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import combinations_with_replacement
 
-# per generating-function DP, priced at m passes of its degree columns, at
-# most all m*p + 1 of them (the numerator's price, though its palindromic DP
-# builds only about half of each pass); p = 1009, m = 3 needs 1.04e8
+# per generating-function DP, priced by _pass_plan at the columns its passes
+# build; p = 1009, m = 3 needs 1.04e8
 MAX_DP_BITS = 10**9
 # per canonical_q_tuples call; p = 1009, m = 3 walks 1.3e5 at
 # 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
@@ -203,15 +202,28 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
     return _lattice_series(space.p, U.pick(space.q), s, with_zp=False)[s]
 
 
-def _series_shape(p: int, m: int, s_max: int, with_zp: bool) -> tuple[int, int]:
-    """(degree columns, bits per slot) of the kernel; refused past MAX_DP_BITS."""
-    full = m * (p if with_zp else p - 1) + 1  # columns of the whole series
-    columns = min(s_max + 1, full)
+def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, int]:
+    """(passes, bits per slot, DP bits) of the kernel; refused past MAX_DP_BITS.
+
+    Pass k reaches degree deg = k*p, or k*(p - 1) without z^p, and keeps
+    degrees up to top = min(s_max, deg), since higher ones are never read.
+    It builds columns 0..built, built = min(top, deg // 2) with z^p and top
+    without; each pass is (built, the slice of its built columns that,
+    reversed, are its mirrored columns built + 1..top).  The price is the
+    running sum of built columns * p slots * bits per slot, refused as soon
+    as it passes MAX_DP_BITS, so a huge m stops after a few passes.
+    """
     width = ((2 * p) ** m).bit_length() + 1
-    # each of the m passes builds up to `columns`; priced at most as the whole series
-    if min(m * columns, full) * p * width > MAX_DP_BITS:
-        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
-    return columns, width
+    passes, bits, deg = [], 0, 0
+    for _ in range(m):
+        deg += p if with_zp else p - 1
+        top = min(s_max, deg)
+        built = min(top, deg // 2) if with_zp else top
+        bits += (built + 1) * p * width
+        if bits > MAX_DP_BITS:
+            raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
+        passes.append((built, slice(deg - top, deg - built)))
+    return passes, width, bits
 
 
 def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
@@ -219,15 +231,11 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
 
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
     plus z^p when with_zp (the numerator P) and without it for gamma.
-    Pass k multiplies G_(k-1) = F_1...F_(k-1) by F_k.  G_k has degree
-    deg = k*p, or k*(p - 1) without z^p, and degrees above s_max are never
-    read, so pass k fills degrees up to top = min(s_max, deg).  With z^p
-    every F_i is palindromic of degree p (module docstring), so G_k is
-    too, as a polynomial in z over Z[w]/(w^p - 1): its columns v and
-    deg - v are the same packed int.  The DP then runs only to
-    min(top, deg/2) and copies column deg - v into each v above that.
-    Without z^p it runs to top.  Degrees above the last deg come back as
-    zeros.
+    Pass k multiplies G_(k-1) = F_1...F_(k-1) by F_k over the extents
+    _pass_plan gives it.  With z^p every F_i is palindromic of degree p
+    (module docstring), so G_k is too over Z[w]/(w^p - 1): its columns v
+    and deg - v are the same packed int, which gives the mirrored columns.
+    Degrees above the last pass's degree come back as zeros.
     cols[v] packs the coefficients of z^v so far into one int: slot r,
     bits [B*r, B*r + B), holds that of w^r.  The terms with x >= 0 and
     with x <= 0 each lie on a line (r + q*x, v + |x|), so the running
@@ -243,16 +251,11 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     may have negative slots, but it is only ever added to a window sum,
     whose exact value has non-negative slots.
     """
-    columns, B = _series_shape(p, len(qs), s_max, with_zp)
+    passes, B, _ = _pass_plan(p, len(qs), s_max, with_zp)
     full = (1 << B * p) - 1
     cols = [1]
-    deg = 0
-    for q in qs:
-        deg += p if with_zp else p - 1
-        top = deg if deg < s_max else s_max
-        built = min(top, deg // 2) if with_zp else top
-        if len(cols) <= built:
-            cols += [0] * (built + 1 - len(cols))
+    for q, (built, mirror) in zip(qs, passes):
+        cols += [0] * (built + 1 - len(cols))
         ahead, behind = B * q, B * (p - q)
         up = down = 0
         new = []
@@ -264,17 +267,14 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
             down = base + from_down
             out = up + from_down
             new.append(out if with_zp else out - back)
-        if built < top:
-            new += new[deg - top : deg - built][::-1]  # column v = column deg - v
-        cols = new
+        cols = new + new[mirror][::-1]  # column v = column deg - v
     low = (1 << B) - 1
-    return [col & low for col in cols] + [0] * (s_max + 1 - columns)
+    return [col & low for col in cols] + [0] * (s_max + 1 - len(cols))
 
 
 def _numerator_bits(p: int, m: int) -> int:
     """DP bits numerator() is priced at for p and m; refused past MAX_DP_BITS as it would be."""
-    columns, width = _series_shape(p, m, m * p, with_zp=True)
-    return columns * p * width
+    return _pass_plan(p, m, m * p, with_zp=True)[2]
 
 
 class Numerator(namedtuple("Numerator", "space coeffs")):
@@ -349,5 +349,5 @@ def _canonical_form(q: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Least member of the unit tuple q's class (p >= 3): led by 1, so scaled by a q_j^-1."""
     return min(
         tuple(sorted(min(c * v % p, p - c * v % p) for v in q))
-        for c in (pow(u, -1, p) for u in q)
+        for c in (pow(u, -1, p) for u in set(q))
     )

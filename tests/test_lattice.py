@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -17,7 +18,13 @@ from lenslat import (
     numerator,
 )
 from lenslat import lattice
-from lenslat.lattice import _canonical_candidates, _lattice_series, _series_shape
+from lenslat.lattice import (
+    _canonical_candidates,
+    _canonical_form,
+    _lattice_series,
+    _numerator_bits,
+    _pass_plan,
+)
 from lenslat.oracle import fold_point, gamma_bruteforce
 from records import check_record
 from strategies import lens_spaces, q_tuples, subset_masks, units_mod
@@ -416,32 +423,71 @@ def test_numerator_is_palindromic_with_mass_2_to_the_m_p_to_the_m_minus_1():
 
 
 def test_largest_documented_size_is_admitted():
-    assert _series_shape(1009, 3, 3 * 1009, with_zp=True) == (3028, 34)
+    # passes of degree 1009, 2018 and 3027 build 505 + 1010 + 1514 columns
+    assert _pass_plan(1009, 3, 3 * 1009, with_zp=True)[1:] == (34, 3029 * 1009 * 34)
 
 
 def test_a_cut_series_is_priced_per_pass():
-    # each of the m passes builds up to the cut, so m * columns are priced,
-    # capped at the full numerator's m * step + 1; one pass's price would
-    # admit 20,000 ones at p = 2 cut at degree 100 (101 columns * 2 slots *
-    # 40,002 bits = 8.1e6), though its work grows as m^2
+    # one pass's price would admit 20,000 ones at p = 2 cut at degree 100
+    # (101 columns * 2 slots * 40,002 bits = 8.1e6), though its work grows as m^2
     ones = (1,) * 20000
     with pytest.raises(ValueError, match="degree 100 at p = 2 is over 1000000000 DP bits"):
         _lattice_series(2, ones, 100, with_zp=True)
     width = (4**20000).bit_length() + 1
-    assert 20000 * 101 * 2 * width > lattice.MAX_DP_BITS >= 101 * 2 * width
-    # a cut below the full degree prices m * columns; at or past it, the cap
-    # prices what the full numerator does (m * p + 1 columns, with z^p)
+    columns = sum(min(100, k) + 1 for k in range(1, 20001))
+    assert columns * 2 * width > lattice.MAX_DP_BITS >= 101 * 2 * width
+    # with z^p, pass k builds min(cut, k * p // 2) + 1 columns (the mirror
+    # gives the rest); without it, min(cut, k * (p - 1)) + 1
     for (p, m, s_max, with_zp), priced in (
-        ((7, 3, 5, True), 3 * 6 * 7 * 13),
-        ((7, 3, 30, True), 22 * 7 * 13),
-        ((5, 4, 9, False), 17 * 5 * 15),
+        ((7, 3, 5, True), (4 + 6 + 6) * 7 * 13),
+        ((7, 3, 30, True), (4 + 8 + 11) * 7 * 13),
+        ((5, 4, 9, False), (5 + 9 + 10 + 10) * 5 * 15),
     ):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(lattice, "MAX_DP_BITS", priced)
-            _series_shape(p, m, s_max, with_zp)
+            _pass_plan(p, m, s_max, with_zp)
             patch.setattr(lattice, "MAX_DP_BITS", priced - 1)
             with pytest.raises(ValueError, match="DP bits"):
-                _series_shape(p, m, s_max, with_zp)
+                _pass_plan(p, m, s_max, with_zp)
+
+
+@pytest.mark.parametrize("p, q", [
+    (1, (1, 1)), (2, (1, 1, 1)), (7, (1, 2, 3)), (10, (1, 3, 7, 9)), (13, (1,) * 6),
+])
+def test_numerator_bits_is_where_numerator_starts_to_refuse(p, q, monkeypatch):
+    # the price verify sums is the kernel's own refusal boundary: pass k
+    # builds k * p // 2 + 1 columns of p slots, mirroring the rest
+    m, space, bits = len(q), make_lens_space(p, q), _numerator_bits(p, len(q))
+    columns = sum(k * p // 2 + 1 for k in range(1, m + 1))
+    assert bits == columns * p * (((2 * p) ** m).bit_length() + 1)
+    monkeypatch.setattr(lattice, "MAX_DP_BITS", bits)
+    assert sum(numerator(space).coeffs) == 2**m * p ** (m - 1)
+    monkeypatch.setattr(lattice, "MAX_DP_BITS", bits - 1)
+    with pytest.raises(ValueError, match=f"at p = {p} is over {bits - 1} DP bits"):
+        numerator(space)
+
+
+def _canonical_form_over_all_entries(q, p):
+    return min(
+        tuple(sorted(min(c * v % p, p - c * v % p) for v in q))
+        for c in (pow(u, -1, p) for u in q)
+    )
+
+
+def test_canonical_form_scales_by_each_distinct_entry_once():
+    # one candidate of 3,000 equal entries: it was scaled and sorted 3,000 times
+    start = time.perf_counter()
+    assert canonical_q_tuples(3, 3000) == [(1,) * 3000]
+    assert time.perf_counter() - start < 1
+    # the minimum is over the same scalings, so every tuple keeps its form:
+    # all of m <= 2 and the sorted ones of m = 3 at p < 40, and of m = 4 at p < 20
+    for p in range(3, 40):
+        units = [v for v in range(1, p) if math.gcd(v, p) == 1]
+        tuples = [q for m in (1, 2) for q in product(units, repeat=m)]
+        tuples += combinations_with_replacement(units, 3)
+        tuples += combinations_with_replacement(units, 4) if p < 20 else []
+        for q in tuples:
+            assert _canonical_form(q, p) == _canonical_form_over_all_entries(q, p), (p, q)
 
 
 # ------------------------------------------------------------- properties
