@@ -22,6 +22,7 @@ Example:
 """
 
 import argparse
+import functools
 import sys
 from collections import defaultdict
 
@@ -32,11 +33,18 @@ def multiplicity_sequence(p, q, i_max):
     return tuple(e.mult for e in spectrum(make_lens_space(p, q), i_max))
 
 
-def main(argv=None):
+# built once per process, on first use; every default is immutable, so reuse keeps no state
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--p", type=int, required=True, help="order of the cyclic group")
     parser.add_argument("--m", type=int, default=3, help="number of rotation parameters")
     parser.add_argument("--i-max", type=int, default=16, help="degree bound for the comparison")
+    return parser
+
+
+def main(argv=None):
+    parser = _parser()
     args = parser.parse_args(argv)
 
     families = defaultdict(list)

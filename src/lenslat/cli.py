@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -361,6 +362,9 @@ def run_bench(args: argparse.Namespace):
     return ["h", "formula_seconds", "oracle_seconds"], rows, payload, 0
 
 
+# built once per process, on first use (so not at import); reuse keeps no state only
+# while no default is mutable and no action appends: parse_args returns a fresh Namespace
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lenslat",

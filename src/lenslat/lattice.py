@@ -210,20 +210,22 @@ def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, in
     It builds columns 0..built, built = min(top, deg // 2) with z^p and top
     without; each pass is (built, the slice of its built columns that,
     reversed, are its mirrored columns built + 1..top).  The price is the
-    running sum of built columns * p slots * bits per slot, refused as soon
-    as it passes MAX_DP_BITS, so a huge m stops after a few passes.
+    built columns * p slots * bits per slot.  The loop stops once it passes
+    MAX_DP_BITS at low <= bits per slot, as (2p)^m >= 2^(m*(bitlen(2p) - 1)),
+    so a huge m is refused after a few passes, before (2p)^m is computed.
     """
-    width = ((2 * p) ** m).bit_length() + 1
-    passes, bits, deg = [], 0, 0
-    for _ in range(m):
+    low = m * ((2 * p).bit_length() - 1) + 2
+    passes, cols, deg = [], 0, 0
+    while len(passes) < m and cols * p * low <= MAX_DP_BITS:
         deg += p if with_zp else p - 1
         top = min(s_max, deg)
         built = min(top, deg // 2) if with_zp else top
-        bits += (built + 1) * p * width
-        if bits > MAX_DP_BITS:
-            raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
+        cols += built + 1
         passes.append((built, slice(deg - top, deg - built)))
-    return passes, width, bits
+    width = ((2 * p) ** m).bit_length() + 1 if cols * p * low <= MAX_DP_BITS else low
+    if cols * p * width > MAX_DP_BITS:
+        raise ValueError(f"degree {s_max} at p = {p} is over {MAX_DP_BITS} DP bits")
+    return passes, width, cols * p * width
 
 
 def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:

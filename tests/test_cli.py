@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -593,6 +594,91 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     assert result.stdout == "[]\n"
 
 
+def test_parsers_are_built_once_per_process_and_never_at_import():
+    # building the parser took 1.1-1.6 ms of each in-process call, more than
+    # the maths of a small request; it must not move to import time either
+    root = Path(__file__).resolve().parent.parent
+    code = f"""
+import argparse, contextlib, importlib.util, io, sys
+sys.path.insert(0, {str(root / "src")!r})
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import lenslat.cli
+spec = importlib.util.spec_from_file_location("census", {str(root / "scripts" / "isospectral_search.py")!r})
+census = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(census)
+counts = [len(built)]
+with contextlib.redirect_stdout(io.StringIO()):
+    for entry, argv in [(lenslat.cli, ["nl", "--p", "5", "--q", "1,2", "--h", "3"]),
+                        (census, ["--p", "5", "--m", "2", "--i-max", "4"])]:
+        before = len(built)
+        entry.main(argv)
+        counts.append(len(built) - before)
+        entry.main(argv)
+        counts.append(len(built) - before)
+print(counts)
+"""
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    # the CLI's parser and its seven subcommand parsers, then the census script's one
+    assert result.stdout == "[0, 8, 8, 1, 1]\n"
+
+
+def _outcome(argv, capsys):
+    """Exit code, stdout and stderr of one in-process CLI call; usage errors exit."""
+    try:
+        code = main(argv)
+    except SystemExit as err:
+        code = err.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_a_reused_parser_leaks_no_state(tmp_path, capsys):
+    # one parser serves every call of a process: each command must give the
+    # same answer whichever command ran before it, forwards and backwards
+    target = tmp_path / "nl.csv"
+    commands = [
+        "spectrum --p 5 --q 1,2 --i-max 6 --format json",
+        "spectrum --p 5 --q 1,2 --i-max 6",
+        f"nl --p 7 --q 1,2,3 --h 30 --output {target}",
+        "nl --p 7 --q 1,2,3 --h 30",
+        "gamma --p 5 --q 1,2,3 --s 4 --subset 1,3",
+        "gamma --p 5 --q 1,2,3 --s 4",
+        "verify --p 2 --q 1,1 --h 3",
+        "verify --p-max 3 --m 2 --h-max 4",
+        "verify --h 3 --h-max 4",
+        "gamma --p 5 --q 1,2",
+        "compare --a 5:1,1 --b 5:1,2 --i-max 8 --format json",
+        "compare --a 5:1,1 --b 5:1,2 --i-max 8",
+        "parity --p 6 --q 1,1 --i-max 6",
+        "bench --p 3 --q 1,1 --h-max 3",
+    ]
+    outcomes = {}
+    for argv in commands + commands[::-1]:
+        code, out, err = _outcome(argv.split(), capsys)
+        if argv.startswith("bench"):  # its timings are the CLI's one varying output
+            out = re.sub(r"\d+\.\d{6}", "t", out)
+        outcomes.setdefault(argv, []).append((code, out, err))
+    for argv, (first, second) in outcomes.items():
+        assert first == second, argv
+    assert outcomes["verify --h 3 --h-max 4"][0][0] == 2
+    assert outcomes["gamma --p 5 --q 1,2"][0][0] == 2
+    # the full subset; the subset 1,3 of the call before alone gives 4
+    assert outcomes["gamma --p 5 --q 1,2,3 --s 4"][0][1] == "14\n"
+    assert target.read_text() == outcomes["nl --p 7 --q 1,2,3 --h 30"][0][1]
+    for argv in ("gamma --p 5 --q 1,2,3 --s 4", "verify --p-max 3 --m 2 --h-max 4",
+                 "verify --h 3 --h-max 4"):
+        result = subprocess.run(
+            [sys.executable, "-m", "lenslat", *argv.split()], capture_output=True, text=True
+        )
+        assert (result.returncode, result.stdout, result.stderr) == outcomes[argv][0], argv
+
+
 def test_parity_cli_rejects_negative_i_max(capsys):
     code = main(["parity", "--p", "2", "--q", "1,1", "--i-max", "-1"])
     assert code == 2
@@ -873,6 +959,19 @@ def test_census_script_finds_ikeda_pair(capsys):
     out = capsys.readouterr().out
     assert out.startswith("p = 11, m = 3: 7 symmetry classes, comparing degrees 0..16\n")
     assert "family of 2: L(11;1,2,3)  L(11;1,2,4)\n" in out
+
+
+def test_census_script_reuses_its_parser_without_state(capsys):
+    # one loaded script serves every call of a process (as in the benchmark
+    # worker); each --m must give what a freshly loaded script gives
+    census = _census_main()
+    for m in ("3", "2", "3"):
+        argv = ["--p", "7", "--m", m, "--i-max", "10"]
+        assert census(argv) == 0
+        reused = capsys.readouterr().out
+        assert _census_main()(argv) == 0
+        assert reused == capsys.readouterr().out
+        assert reused.startswith(f"p = 7, m = {m}: ")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -451,6 +451,15 @@ def test_a_cut_series_is_priced_per_pass():
                 _pass_plan(p, m, s_max, with_zp)
 
 
+def test_a_huge_m_is_refused_before_its_slot_width():
+    # (2p)^m alone took 1.1 s at m = 3e6; the passes are priced first at the
+    # width's lower bound m * (bit_length(2p) - 1) + 2, over the ceiling at pass 8
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="degree 16 at p = 3 is over 1000000000 DP bits"):
+        _pass_plan(3, 3_000_000, 16, True)
+    assert time.perf_counter() - start < 0.01
+
+
 @pytest.mark.parametrize("p, q", [
     (1, (1, 1)), (2, (1, 1, 1)), (7, (1, 2, 3)), (10, (1, 3, 7, 9)), (13, (1,) * 6),
 ])
