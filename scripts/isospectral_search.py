@@ -3,19 +3,19 @@
 
 Every symmetry class of parameter tuples (coordinate permutation,
 negation of entries mod p, global scaling by a unit) is represented
-once.  Classes are first grouped by their multiplicity sequence
-(dim lambda_0, ..., dim lambda_i_max), a cheap filter: equal prefixes
-only make candidates, since many agree that far and part later
-(L(54;1,1,17) and L(54;1,1,19) agree up to i = 17 and differ at 18).
-Each group of two or more is then split by the full numerator of the
-spectral generating function.  Spaces with equal (p, m) share its
-denominator, so equal numerators prove equal spectra, and every printed
-family is isospectral in every degree.  The printed sequence is the
-prefix up to i_max.
+once.  One loop files each class under its multiplicity sequence
+(dim lambda_0, ..., dim lambda_i_max), a cheap filter: many prefixes
+agree that far and part later (L(54;1,1,17) and L(54;1,1,19) agree up
+to i = 17 and differ at 18).  A class with a shared prefix is filed
+under the prefix and the full numerator of the spectral generating
+function.  Spaces with equal (p, m) share its denominator, so equal
+numerators prove equal spectra, and every printed family is
+isospectral in every degree; its printed sequence is the prefix.
 
-Each prefix comes from the space's generating-function numerator,
-built only up to degree i_max, which keeps large-p scans cheap; the
-full numerator is built only for the members of a prefix group.
+Each prefix comes from the space's numerator built only up to degree
+i_max, which keeps large-p scans cheap; the full numerator is built
+only for classes that share a prefix.  The class, degree and DP size
+rules are checked from (p, m, i_max) before any class is built.
 
 Example:
     python3 scripts/isospectral_search.py --p 11 --m 3 --i-max 16
@@ -27,10 +27,8 @@ import sys
 from collections import defaultdict
 
 from lenslat import canonical_q_tuples, make_lens_space, numerator, spectrum
-
-
-def multiplicity_sequence(p, q, i_max):
-    return tuple(e.mult for e in spectrum(make_lens_space(p, q), i_max))
+from lenslat.lattice import _canonical_candidates, _pass_plan
+from lenslat.spectra import _check_i_max
 
 
 # built once per process, on first use; every default is immutable, so reuse keeps no state
@@ -47,27 +45,28 @@ def main(argv=None):
     parser = _parser()
     args = parser.parse_args(argv)
 
-    families = defaultdict(list)
-    spectra = []  # (prefix, classes) with equal numerators, so equal spectra
+    prefixes = defaultdict(list)  # prefix -> [(q, space)], q ascending like the classes
+    families = defaultdict(list)  # (prefix, numerator if shared) -> [q]: equal spectra
     try:  # invalid p, m or i_max: a usage error with exit 2, not a traceback
+        # every class meets these rules; checked once, before the first is built
+        _canonical_candidates(args.p, args.m)
+        _check_i_max(args.i_max)
+        _pass_plan(args.p, args.m, args.i_max, True)
         tuples = canonical_q_tuples(args.p, args.m)
         for q in tuples:
-            families[multiplicity_sequence(args.p, q, args.i_max)].append(q)
-        for seq, qs in families.items():
-            if len(qs) == 1:
-                spectra.append((seq, qs))
-                continue
-            by_numerator = defaultdict(list)
-            for q in qs:
-                by_numerator[numerator(make_lens_space(args.p, q)).coeffs].append(q)
-            spectra += [(seq, sorted(group)) for group in by_numerator.values()]
+            space = make_lens_space(args.p, q)
+            prefixes[tuple(e.mult for e in spectrum(space, args.i_max))].append((q, space))
+        for seq, members in prefixes.items():
+            for q, space in members:
+                key = (seq, numerator(space).coeffs) if len(members) > 1 else (seq,)
+                families[key].append(q)
     except ValueError as err:
         parser.error(str(err))
 
     print(f"p = {args.p}, m = {args.m}: {len(tuples)} symmetry classes, "
           f"comparing degrees 0..{args.i_max}")
-    coincident = sorted((seq, qs) for seq, qs in spectra if len(qs) > 1)
-    print(f"{len(spectra)} distinct multiplicity sequences")
+    coincident = sorted((key[0], qs) for key, qs in families.items() if len(qs) > 1)
+    print(f"{len(families)} distinct multiplicity sequences")
     if not coincident:
         print("no spectral coincidences between distinct symmetry classes")
         return 0

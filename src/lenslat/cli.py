@@ -114,7 +114,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(header: list[str] | None, rows: list[list]) -> str:
+def _csv_text(header: list[str] | None, rows: list[list] | tuple[tuple, ...]) -> str:
     """CSV lines; with no header, the rows alone (a bare value for nl/gamma)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -140,7 +140,6 @@ def _bool(value: bool) -> str:
 def run_spectrum(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
     entries = spectrum(space, args.i_max)
-    rows = [[e.i, e.eigenvalue, e.mult] for e in entries]
     payload = _space_json(space) | {
         "d": space.d,
         "entries": [
@@ -148,7 +147,7 @@ def run_spectrum(args: argparse.Namespace):
             for e in entries
         ],
     }
-    return ["i", "eigenvalue", "multiplicity"], rows, payload, 0
+    return ["i", "eigenvalue", "multiplicity"], entries, payload, 0
 
 
 def run_nl(args: argparse.Namespace):
@@ -446,12 +445,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # exact at any size: lift the int-to-str digit limit (0: none, or Python < 3.10.7) once parsed
+    # inputs and output exact at any size: lift the int-to-str digit limit (0: none, or
+    # Python < 3.10.7) before parsing, and restore it however the call ends
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
+        args = _parser().parse_args(argv)
         try:
             header, rows, payload, code = args.run(args)
         except oracle.OracleBudgetError as err:

@@ -433,11 +433,31 @@ def test_results_over_the_int_digit_limit_are_printed(capsys):
         sys.set_int_max_str_digits(limit)
     assert len(expected) == 4501
     assert text == expected + "\n"
-    # the arguments are still parsed under the limit
+    # a usage error, now raised with the limit lifted, still restores it
     with pytest.raises(SystemExit) as err:
-        main(["nl", "--p", "2", "--q", "1,1,1,1", "--h", "1" + "0" * 4999])
+        main(["nl", "--p", "2", "--q", "1,1,1,1", "--h", "1" + "0" * 4999 + "x"])
     assert err.value.code == 2
     assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", int)(), reason="no int-to-str digit limit"
+)
+def test_inputs_over_the_int_digit_limit_are_parsed(capsys):
+    # --h = 10^5000 has 5,001 digits, over the 4,300 that int() reads by default;
+    # it was refused as "invalid int value" (exit 2) before the limit was lifted
+    limit = sys.get_int_max_str_digits()
+    code, text = _run(capsys, ["nl", "--p", "2", "--q", "1,1,1,1", "--h", "1" + "0" * 5000])
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    space = make_lens_space(2, (1, 1, 1, 1))
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(n_lattice_formula(space, numerator(space), 10**5000))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) == 15001
+    assert text == expected + "\n"
 
 
 def test_verify_grid_over_its_numerator_bits_is_refused_at_once(no_work, capsys):
@@ -946,12 +966,16 @@ def test_golden_output(argv, code, expected, capsys):
 # ------------------------------------------------------------ census script
 
 
-def _census_main():
+def _census_module():
     path = Path(__file__).resolve().parent.parent / "scripts" / "isospectral_search.py"
     spec = importlib.util.spec_from_file_location("isospectral_search", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.main
+    return module
+
+
+def _census_main():
+    return _census_module().main
 
 
 def test_census_script_finds_ikeda_pair(capsys):
@@ -1016,6 +1040,53 @@ def test_census_prints_only_isospectral_families(capsys):
     assert sum(len(_census_families(capsys, p, 3)) for p in range(1, 61)) == 23
     # 3-dimensional lens spaces are isospectral only if isometric (Ikeda-Yamamoto)
     assert not any(_census_families(capsys, p, 2) for p in range(1, 101))
+
+
+def test_census_families_are_the_numerator_classes(capsys):
+    # the prefix is only a filter: the families printed are exactly the classes
+    # that share a full numerator, grouped by nothing else
+    for p_max, m in ((40, 3), (20, 4)):
+        for p in range(1, p_max + 1):
+            by_numerator = {}
+            for q in canonical_q_tuples(p, m):
+                label = f"L({p};{','.join(map(str, q))})"
+                by_numerator.setdefault(numerator(make_lens_space(p, q)).coeffs, []).append(label)
+            expected = sorted(labels for labels in by_numerator.values() if len(labels) > 1)
+            assert _census_main()(["--p", str(p), "--m", str(m)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            found = [line.split(": ", 1)[1].split("  ") for line in lines if line.startswith("family")]
+            assert sorted(found) == expected, (p, m)
+
+
+def test_census_builds_one_space_per_class(capsys):
+    # each class's space serves its prefix and, if the prefix is shared, its
+    # numerator; building it again for the numerator made 25 at 13/4/30
+    census = _census_module()
+    built = []
+    census.make_lens_space = lambda p, q: built.append(q) or make_lens_space(p, q)
+    assert census.main(["--p", "13", "--m", "4", "--i-max", "30"]) == 0
+    assert capsys.readouterr().out.startswith("p = 13, m = 4: 22 symmetry classes")
+    assert len(built) == 22
+    assert built == canonical_q_tuples(13, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3, 6])
+def test_census_refuses_a_huge_m_before_building_its_class(p, capsys):
+    # one class for every m at p in {2, 3, 6}: its 3e7-entry tuple (240 MB) was
+    # built and validated before the DP rule refused it, a MemoryError under a
+    # 400 MB address-space cap; the rules are now checked from (p, m, i_max)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as err:
+            _census_main()(["--p", str(p), "--m", "30000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert err.value.code == 2
+    assert f"degree 16 at p = {p} is over 1000000000 DP bits" in capsys.readouterr().err
+    assert peak < 10 * 2**20
 
 
 @pytest.mark.parametrize("m", [2, 3])
