@@ -3,9 +3,9 @@
 The library side: validated lens-space parameters and their symmetry
 classes, box-bounded counts, the 1-norm generating function's numerator
 by dynamic programming, and N(h) and multiplicity tables read off it,
-all in exact integers.  The brute-force enumeration twin lives in
-lenslat.oracle (test instrument, not a stable surface); the command
-line lives in lenslat.cli.
+all in exact integers.  lenslat.oracle holds the enumeration twin and
+the plan, checks and timing loop of `lenslat verify` and `lenslat bench`
+(test instrument, not a stable surface); the command line is lenslat.cli.
 """
 
 from .lattice import (

@@ -13,36 +13,28 @@ bench      wall-clock of the formula path vs. the enumeration oracle
 Output is CSV (default) or JSON on stdout (or --output PATH), exact at any
 size; in JSON, multiplicities and counts are decimal strings so they survive
 every parser.  Exit codes: 0 success, 1 verification mismatch (in verify or
-bench), 2 invalid input, an unwritable --output or a size over its
-resource's rule (a DP, a result list, a class walk, a verify run's DP bits
-or its --oracle-budget), refused before that work.  Input that would check
-nothing (an empty verify grid, a negative --h-max, a bench oracle budget of
-0) is invalid.
+bench), 2 invalid input, an unwritable stdout or --output or a size over
+its resource's rule (a DP, a result list, a class walk, a verify run's DP
+bits or its --oracle-budget), refused before that work.  Input that would
+check nothing (an empty verify grid, a negative --h-max, a bench oracle
+budget of 0) is invalid.  verify and bench check their options here and
+call lenslat.oracle, which plans, checks and times them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import sys
-import time
-from collections import namedtuple
 
 from . import oracle
-from .lattice import (
-    LensSpace,
-    SubsetMask,
-    _canonical_candidates,
-    _canonical_form,  # noqa: F401  perfbench counts symmetry-class trials here
-    _numerator_bits,
-    canonical_q_tuples,
-    gamma,
-    make_lens_space,
-    numerator,
-)
+from .lattice import LensSpace, SubsetMask, gamma, make_lens_space, numerator
+from .lattice import _canonical_form, canonical_q_tuples  # noqa: F401  probed by perfbench
+from .oracle import VERIFY_MAX_DP_BITS, CheckRecord, verify_grid  # noqa: F401  re-exported
 from .spectra import MAX_SPECTRUM_LINES, compare_spectra, n_lattice_formula, parity_report, spectrum
 
 # bench keeps the oracle at desk scale (a few thousand candidates per
@@ -51,28 +43,6 @@ BENCH_DEFAULT_BUDGET = 6400
 VERIFY_DEFAULT_H_MAX = 20
 VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
-# per verify grid: each symmetry class it walks builds a full numerator, priced
-# by lattice._numerator_bits; the grid p <= 454, m = 2 fits and runs 25 s (shared
-# 2-vCPU Intel Xeon, Python 3.11.7); it bounds the grid's class walks too
-VERIFY_MAX_DP_BITS = 10**11
-
-
-class Disagreement(Exception):
-    """The formula and the oracle disagree outside verify: exit 1."""
-
-
-class CheckRecord(namedtuple("CheckRecord", "space h kind got expected")):
-    """One verified case: a formula-side value against its oracle value.
-
-    kind is count, partition, fiber_size or fiber_cover; got and
-    expected are decimal strings.
-    """
-
-    __slots__ = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.got == self.expected
 
 
 def _resolve_budget(flag_value: int | None, default: int) -> int:
@@ -216,81 +186,6 @@ def run_parity(args: argparse.Namespace):
     return ["i", "multiplicity", "parity_ok"], rows, payload, 0
 
 
-def _verify_cases(
-    args: argparse.Namespace, h_max: int, budget: int
-) -> tuple[str, list[tuple[LensSpace, list[int]]]]:
-    """The run's label and cases, priced by one loop over (p, m, walked tuples) before any case.
-
-    Each walked tuple costs a full numerator's DP bits and oracle.shell_price of its norms.
-    """
-    hs = [args.h] if args.h is not None else list(range(h_max + 1))
-    if args.p is not None:
-        space = make_lens_space(args.p, args.q)
-        kind, label = "run", f"single case {space}, h in {hs[0]}..{hs[-1]}"
-        priced, spaces = [(space.p, space.m, 1)], [space]
-    else:
-        p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
-        ms = VERIFY_DEFAULT_M if args.m is None else args.m
-        for n, m in enumerate(ms):
-            if m in ms[:n]:
-                raise ValueError(f"--m value {m} given more than once")
-            if m < 2:
-                raise ValueError(f"need at least two rotation parameters, got {m}")
-        kind, label = "grid", (
-            f"p in 1..{p_max}, m in {sorted(ms)}, "
-            f"canonical q tuples, h in 0..{h_max}"
-            + (", deep" if args.deep else "")
-        )
-        ps = range(1, p_max + 1)
-        priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
-        spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
-    # refused as soon as the running sum passes, so a huge --p-max stops at once;
-    # the shell price refuses a negative --h before any numerator is sized
-    bits = cost = 0
-    for p, m, walked in priced:
-        cost += walked * oracle.shell_price(m, hs[0], hs[-1])
-        bits += walked * _numerator_bits(p, m)
-        if bits > VERIFY_MAX_DP_BITS:
-            raise ValueError(
-                f"verify {kind} ({label}) builds numerators over {VERIFY_MAX_DP_BITS} DP bits"
-            )
-    oracle.check_budget(cost, budget, f"verify {kind} ({label})")
-    cases = [(space, hs) for space in spaces]
-    if not cases:
-        raise ValueError(f"empty verify {kind} ({label}): nothing to check")
-    return label, cases
-
-
-def verify_grid(
-    cases: list[tuple[LensSpace, list[int]]], budget: int, deep: bool
-) -> list[CheckRecord]:
-    """Every check of the formula against the enumeration oracle, in order.
-
-    For each (space, norms) case and each norm h, one 'count' check of
-    N(h), norms 0..h_max from one oracle.shell_counts walk and a lone --h
-    from oracle.n_lattice_bruteforce; with deep, also the oracle's fold-law
-    checks, which fold the points that oracle.enumerate_omega lists.
-    """
-    checks = []
-    for space, hs in cases:
-        num = numerator(space)
-        label = space.label()
-        if hs[0] == 0:
-            counts = oracle.shell_counts(space, hs[-1], budget)
-        else:
-            counts = [oracle.n_lattice_bruteforce(space, h, budget) for h in hs]
-        for h, count in zip(hs, counts):
-            formula = n_lattice_formula(space, num, h)
-            checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
-            if deep:
-                points = oracle.enumerate_omega(space, h, budget)
-                checks.extend(
-                    CheckRecord(label, h, *check)
-                    for check in oracle.fold_law_checks(space, h, points)
-                )
-    return checks
-
-
 def run_verify(args: argparse.Namespace):
     # --h-max, --p-max and --m default to None: argparse lets an excluded option
     # through when its value is the default object, so `--h 3 --h-max 20` would pass
@@ -303,8 +198,18 @@ def run_verify(args: argparse.Namespace):
     if args.p is not None and (args.p_max is not None or args.m is not None):
         raise ValueError("--p-max/--m only apply to the grid, not with --p")
     budget = _resolve_budget(args.oracle_budget, oracle.DEFAULT_BUDGET)
-    grid, cases = _verify_cases(args, h_max, budget)
-    checks = verify_grid(cases, budget, args.deep)
+    hs = [args.h] if args.h is not None else list(range(h_max + 1))
+    if args.p is not None:
+        space = make_lens_space(args.p, args.q)
+        grid = f"single case {space}, h in {hs[0]}..{hs[-1]}"
+        cases = oracle.verify_cases(hs, budget, f"verify run ({grid})", space)
+    else:
+        p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
+        ms = VERIFY_DEFAULT_M if args.m is None else args.m
+        grid = f"p in 1..{p_max}, m in {sorted(ms)}, canonical q tuples, h in 0..{h_max}"
+        grid += ", deep" if args.deep else ""
+        cases = oracle.verify_cases(hs, budget, f"verify grid ({grid})", p_max=p_max, ms=ms)
+    checks = oracle.verify_grid(cases, budget, args.deep)
     mismatches = [c for c in checks if not c.ok]
     rows = [[c.space, c.h, c.kind, c.got, c.expected, _bool(c.ok)] for c in checks]
     payload = {
@@ -330,22 +235,7 @@ def run_bench(args: argparse.Namespace):
         # h = 0 alone has one candidate, so every row would be skipped
         raise ValueError("an oracle budget of 0 lets bench check nothing")
     space = make_lens_space(args.p, args.q)
-    num = numerator(space)
-    timings = []
-    for h in range(args.h_max + 1):
-        start = time.perf_counter()
-        value = n_lattice_formula(space, num, h)
-        formula_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        try:
-            count = oracle.n_lattice_bruteforce(space, h, budget)
-        except oracle.OracleBudgetError:
-            oracle_seconds = None
-        else:
-            oracle_seconds = time.perf_counter() - start
-            if count != value:
-                raise Disagreement(f"formula and oracle disagree at h = {h}: {value} vs {count}")
-        timings.append((h, formula_seconds, oracle_seconds))
+    timings = oracle.bench_timings(space, args.h_max, budget)
     rows = [
         [h, f"{f_sec:.6f}", "skipped" if o_sec is None else f"{o_sec:.6f}"]
         for h, f_sec, o_sec in timings
@@ -460,18 +350,20 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
-        except (ValueError, Disagreement) as err:
+        except (ValueError, oracle.Disagreement) as err:
             print(f"error: {err}", file=sys.stderr)
-            return 1 if isinstance(err, Disagreement) else 2
+            return 1 if isinstance(err, oracle.Disagreement) else 2
         text = _json_text(payload) if args.fmt == "json" else _csv_text(header, rows)
-        if args.output is None:
-            sys.stdout.write(text)
-            return code
         try:
-            with open(args.output, "w", encoding="utf-8") as handle:
+            with (
+                contextlib.nullcontext(sys.stdout) if args.output is None
+                else open(args.output, "w", encoding="utf-8")
+            ) as handle:
                 handle.write(text)
+                handle.flush()
         except OSError as err:
-            print(f"error: cannot write {args.output}: {err.strerror}", file=sys.stderr)
+            target = "stdout" if args.output is None else args.output
+            print(f"error: cannot write {target}: {err.strerror}", file=sys.stderr)
             return 2
         return code
     finally:

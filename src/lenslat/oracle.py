@@ -18,7 +18,9 @@ of shell_counts and, summed over the cases, a whole `verify` run; a
 direct call of enumerate_c is priced at its whole box.  The ball price
 bounds shell_counts' work from above: each signed prefix it lists
 extends to a distinct candidate, and each value it adds completes one.
-It bounds the box-shell walks of fold_law_checks() too.
+It bounds the box-shell walks of fold_law_checks() too.  The plan and
+checks of `lenslat verify` (verify_cases, verify_grid) and the loop of
+`lenslat bench` (bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -33,11 +35,18 @@ enumerate_omega's order.
 from __future__ import annotations
 
 import operator
+import time
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .lattice import LensSpace, SubsetMask, _check_subset, binom, decompose, gamma
+from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _numerator_bits
+from .lattice import binom, canonical_q_tuples, decompose, gamma, make_lens_space, numerator
+from .spectra import n_lattice_formula
 
 DEFAULT_BUDGET = 10**8
+# per verify run: each class it walks builds a full numerator, priced by _numerator_bits; the
+# grid p <= 454, m = 2 fits and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)
+VERIFY_MAX_DP_BITS = 10**11
 
 
 class OracleBudgetError(RuntimeError):
@@ -50,6 +59,23 @@ class OracleBudgetError(RuntimeError):
         )
         self.candidates = candidates
         self.budget = budget
+
+
+class Disagreement(Exception):
+    """The formula and the oracle disagree outside verify: exit 1."""
+
+
+class CheckRecord(namedtuple("CheckRecord", "space h kind got expected")):
+    """One verified case: got, the formula side, against expected, the oracle's value.
+
+    kind is count, partition, fiber_size or fiber_cover; values are decimal strings.
+    """
+
+    __slots__ = ()
+
+    @property
+    def ok(self) -> bool:
+        return self.got == self.expected
 
 
 def l1_ball_count(m: int, h: int) -> int:
@@ -301,3 +327,90 @@ def fold_law_checks(
     for (mask, t, _y), size in census.items():
         yield "fiber_size", str(size), str(binom(n - t + m - mask.u - 1, m - 1))
     yield "fiber_cover", str(covered), str(keys)
+
+
+def verify_cases(
+    hs: list[int], budget: int, what: str,
+    space: LensSpace | None = None, p_max: int = 0, ms: Sequence[int] = (),
+) -> list[tuple[LensSpace, list[int]]]:
+    """The (space, hs) cases of the verify run what, priced by one loop over (p, m, walked tuples).
+
+    The run is one space, or every canonical q tuple of p in 1..p_max and m in ms.  Each walked
+    tuple costs a full numerator's DP bits and the shell_price of hs; a run over
+    VERIFY_MAX_DP_BITS or the budget, or with no case, is refused before any case is built.
+    """
+    if space is not None:
+        priced, spaces = [(space.p, space.m, 1)], [space]
+    else:
+        for n, m in enumerate(ms):
+            if m in ms[:n]:
+                raise ValueError(f"--m value {m} given more than once")
+            if m < 2:
+                raise ValueError(f"need at least two rotation parameters, got {m}")
+        ps = range(1, p_max + 1)
+        priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
+        spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
+    # refused as soon as the running sum passes, so a huge p_max stops at once;
+    # the shell price refuses a negative norm before any numerator is sized
+    bits = cost = 0
+    for p, m, walked in priced:
+        cost += walked * shell_price(m, hs[0], hs[-1])
+        bits += walked * _numerator_bits(p, m)
+        if bits > VERIFY_MAX_DP_BITS:
+            raise ValueError(f"{what} builds numerators over {VERIFY_MAX_DP_BITS} DP bits")
+    check_budget(cost, budget, what)
+    cases = [(case, hs) for case in spaces]
+    if not cases:
+        raise ValueError(f"empty {what}: nothing to check")
+    return cases
+
+
+def verify_grid(
+    cases: list[tuple[LensSpace, list[int]]], budget: int, deep: bool
+) -> list[CheckRecord]:
+    """Every check of the formula against the enumeration oracle, in order.
+
+    For each (space, norms) case and each norm h, one 'count' check of
+    N(h), norms 0..h_max from one shell_counts walk and a lone norm from
+    n_lattice_bruteforce; with deep, also the fold-law checks, which fold
+    the points that enumerate_omega lists.
+    """
+    checks = []
+    for space, hs in cases:
+        num = numerator(space)
+        label = space.label()
+        if hs[0] == 0:
+            counts = shell_counts(space, hs[-1], budget)
+        else:
+            counts = [n_lattice_bruteforce(space, h, budget) for h in hs]
+        for h, count in zip(hs, counts):
+            formula = n_lattice_formula(space, num, h)
+            checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
+            if deep:
+                for check in fold_law_checks(space, h, enumerate_omega(space, h, budget)):
+                    checks.append(CheckRecord(label, h, *check))
+    return checks
+
+
+def bench_timings(space: LensSpace, h_max: int, budget: int) -> list[tuple]:
+    """(h, formula seconds, oracle seconds) for h in 0..h_max, the formula against the listing walk.
+
+    Oracle seconds are None where n_lattice_bruteforce refuses h as over the budget; a count
+    that differs from the formula's raises Disagreement.
+    """
+    num = numerator(space)
+    timings = []
+    for h in range(h_max + 1):
+        start = time.perf_counter()
+        value = n_lattice_formula(space, num, h)
+        middle = time.perf_counter()
+        try:
+            count = n_lattice_bruteforce(space, h, budget)
+        except OracleBudgetError:
+            oracle_seconds = None
+        else:
+            oracle_seconds = time.perf_counter() - middle
+            if count != value:
+                raise Disagreement(f"formula and oracle disagree at h = {h}: {value} vs {count}")
+        timings.append((h, middle - start, oracle_seconds))
+    return timings

@@ -1,7 +1,10 @@
+import contextlib
+import errno
 import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -264,6 +267,7 @@ def _refuse(*args, **kwargs):
 ], ids=["single", "grid"])
 def test_verify_run_over_the_oracle_budget_is_refused_at_once(argv, monkeypatch, capsys):
     monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
     monkeypatch.setattr("lenslat.oracle.enumerate_omega", _refuse)
     monkeypatch.setattr("lenslat.oracle.shell_counts", _refuse)
     start = time.perf_counter()
@@ -319,6 +323,7 @@ def test_verify_absurd_m_is_priced_at_once(m, capsys):
 def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, capsys):
     # the numerator of p = 100003 would be refused for its size first
     monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
     assert main([command, "--p", "100003", "--q", "1,2", "--h", "-1"]) == 2
     assert capsys.readouterr().err == "error: h must be non-negative, got -1\n"
 
@@ -326,6 +331,7 @@ def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, cap
 def test_single_space_over_its_numerator_bits_is_refused_before_the_numerator(monkeypatch, capsys):
     # one walked tuple, priced by the same loop as a grid's, before numerator() runs
     monkeypatch.setattr("lenslat.cli.numerator", _refuse)
+    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
     assert main(["verify", "--p", "100003", "--q", "1,2", "--h", "3"]) == 2
     assert "DP bits" in capsys.readouterr().err
 
@@ -335,6 +341,7 @@ def no_work(monkeypatch):
     """Fail the test if a command starts computing before refusing its input."""
     for name in ("numerator", "canonical_q_tuples", "make_lens_space"):
         monkeypatch.setattr(f"lenslat.cli.{name}", _refuse)
+        monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
 
 
 @pytest.mark.parametrize("argv", [
@@ -472,9 +479,9 @@ def test_verify_grid_over_its_numerator_bits_is_refused_at_once(no_work, capsys)
 def test_verify_grid_price_is_classes_times_numerator_bits(monkeypatch, capsys):
     # p in {1, 2}, m in {2, 3}: one class each, at 12 + 25 + 60 + 144 bits
     argv = ["verify", "--p-max", "2", "--h-max", "4"]
-    monkeypatch.setattr("lenslat.cli.VERIFY_MAX_DP_BITS", 241)
+    monkeypatch.setattr("lenslat.oracle.VERIFY_MAX_DP_BITS", 241)
     assert main(argv) == 0
-    monkeypatch.setattr("lenslat.cli.VERIFY_MAX_DP_BITS", 240)
+    monkeypatch.setattr("lenslat.oracle.VERIFY_MAX_DP_BITS", 240)
     assert main(argv) == 2
     assert "builds numerators over 240 DP bits" in capsys.readouterr().err
 
@@ -591,6 +598,41 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {target}: ")
     assert "Traceback" not in captured.err
+
+
+class _FullStdout:
+    """A stdout on a full device: every write fails, as on /dev/full."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+def test_unwritable_stdout_exits_2(capsys):
+    # exit 1 is kept for a verification mismatch: a failed write is exit 2,
+    # as for an unwritable --output
+    with contextlib.redirect_stdout(_FullStdout()):
+        code = main(["nl", "--p", "2", "--q", "1,1", "--h", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    "nl --p 2 --q 1,1 --h 2",
+    "verify --p 2 --q 1,1 --h 2",
+    "spectrum --p 2 --q 1,1 --i-max 99999",  # 100,000 lines, past any stdout buffer
+], ids=["nl", "verify", "spectrum"])
+def test_stdout_on_a_full_device_exits_2(argv):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "lenslat", *argv.split()], stdout=full, stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert result.returncode == 2
+    assert result.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -438,3 +439,39 @@ def test_gamma_bruteforce_examples():
     assert gamma_bruteforce(make_lens_space(3, (1, 1)), SubsetMask.full(2), 3) == 4
     assert gamma_bruteforce(L211, SubsetMask.empty(2), 0) == 1
     assert gamma_bruteforce(L211, SubsetMask.full(2), 4) == 0  # beyond the box
+
+
+# ------------------------------------------------------------- verify plan
+
+
+def test_verify_cases_of_a_small_grid_are_its_canonical_classes_in_order():
+    hs = [0, 1, 2, 3, 4]
+    cases = oracle.verify_cases(hs, oracle.DEFAULT_BUDGET, "verify grid", p_max=2, ms=(2, 3))
+    # one class per (p, m): p = 1 reduces every q to 0, p = 2 every unit to 1
+    assert cases == [
+        (make_lens_space(1, (1, 1)), hs),
+        (make_lens_space(1, (1, 1, 1)), hs),
+        (make_lens_space(2, (1, 1)), hs),
+        (make_lens_space(2, (1, 1, 1)), hs),
+    ]
+
+
+def test_verify_cases_of_one_space_are_that_space():
+    space = make_lens_space(7, (1, 2, 3))
+    assert oracle.verify_cases([5], oracle.DEFAULT_BUDGET, "verify run", space) == [(space, [5])]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the run was refused")
+
+
+def test_verify_cases_refuse_a_huge_grid_before_any_class(monkeypatch):
+    # the running DP-bits sum passes its ceiling near p = 300, not at p = 10**12
+    for name in ("canonical_q_tuples", "make_lens_space", "numerator"):
+        monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        oracle.verify_cases(list(range(21)), oracle.DEFAULT_BUDGET, "verify grid",
+                            p_max=10**12, ms=(2,))
+    assert time.perf_counter() - start < 1
+    assert str(err.value) == "verify grid builds numerators over 100000000000 DP bits"
