@@ -29,6 +29,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import oracle
@@ -206,6 +207,11 @@ def run_verify(args: argparse.Namespace):
     else:
         p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
         ms = VERIFY_DEFAULT_M if args.m is None else args.m
+        for n, m in enumerate(ms):
+            if m in ms[:n]:
+                raise ValueError(f"--m value {m} given more than once")
+            if m < 2:
+                raise ValueError(f"need at least two rotation parameters, got {m}")
         grid = f"p in 1..{p_max}, m in {sorted(ms)}, canonical q tuples, h in 0..{h_max}"
         grid += ", deep" if args.deep else ""
         cases = oracle.verify_cases(hs, budget, f"verify grid ({grid})", p_max=p_max, ms=ms)
@@ -364,6 +370,9 @@ def main(argv=None) -> int:
         except OSError as err:
             target = "stdout" if args.output is None else args.output
             print(f"error: cannot write {target}: {err.strerror}", file=sys.stderr)
+            if args.output is None and sys.stdout is sys.__stdout__:
+                # bytes stay in stdout's buffer: the exit flush goes to devnull, not fail (exit 120)
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return 2
         return code
     finally:

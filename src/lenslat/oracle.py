@@ -333,25 +333,18 @@ def verify_cases(
     hs: list[int], budget: int, what: str,
     space: LensSpace | None = None, p_max: int = 0, ms: Sequence[int] = (),
 ) -> list[tuple[LensSpace, list[int]]]:
-    """The (space, hs) cases of the verify run what, priced by one loop over (p, m, walked tuples).
+    """(space, hs) cases of verify run what: one space, or each canonical q of p <= p_max, m in ms.
 
-    The run is one space, or every canonical q tuple of p in 1..p_max and m in ms.  Each walked
-    tuple costs a full numerator's DP bits and the shell_price of hs; a run over
+    Each walked tuple costs a full numerator's DP bits and the shell_price of hs; a run over
     VERIFY_MAX_DP_BITS or the budget, or with no case, is refused before any case is built.
     """
     if space is not None:
         priced, spaces = [(space.p, space.m, 1)], [space]
     else:
-        for n, m in enumerate(ms):
-            if m in ms[:n]:
-                raise ValueError(f"--m value {m} given more than once")
-            if m < 2:
-                raise ValueError(f"need at least two rotation parameters, got {m}")
         ps = range(1, p_max + 1)
         priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
         spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
-    # refused as soon as the running sum passes, so a huge p_max stops at once;
-    # the shell price refuses a negative norm before any numerator is sized
+    # refused as a sum passes: a huge p_max stops at once, and shell_price refuses h < 0 first
     bits = cost = 0
     for p, m, walked in priced:
         cost += walked * shell_price(m, hs[0], hs[-1])

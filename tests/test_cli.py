@@ -625,11 +625,17 @@ def test_unwritable_stdout_exits_2(capsys):
     "verify --p 2 --q 1,1 --h 2",
     "spectrum --p 2 --q 1,1 --i-max 99999",  # 100,000 lines, past any stdout buffer
 ], ids=["nl", "verify", "spectrum"])
-def test_stdout_on_a_full_device_exits_2(argv):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_on_a_full_device_exits_2(argv, unbuffered):
+    # buffered, a small output fails only at the flush and stays in stdout's buffer,
+    # so the flush at interpreter exit must not fail again (it would exit 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         result = subprocess.run(
             [sys.executable, "-m", "lenslat", *argv.split()], stdout=full, stderr=subprocess.PIPE,
-            text=True,
+            text=True, env=env,
         )
     assert result.returncode == 2
     assert result.stderr == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
