@@ -103,22 +103,35 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# Each run_* takes the parsed arguments and returns its CSV header (None
-# for a bare value), CSV rows, JSON payload and exit code; main renders
-# one of the two forms.
+def _rows_text(rows: list[str], head: str, sep: str = "", tail: str = "") -> str:
+    """head + sep.join(rows) + tail, built in one copy: the end rows take head and tail."""
+    rows[0] = head + rows[0]  # never empty: degrees 0..i_max with i_max >= 0
+    rows[-1] += tail
+    return sep.join(rows)
+
+
+def _json_head(space: LensSpace, key: str, value: int, name: str) -> str:
+    """json.dumps(indent=2) of {"p", "q", key: value, name: [...]} up to the list's items."""
+    q = ",\n".join(f"    {x}" for x in space.q)  # never empty: m >= 2
+    return f'{{\n  "p": {space.p},\n  "q": [\n{q}\n  ],\n  "{key}": {value},\n  "{name}": [\n'
+
+
+# Each run_* takes the parsed arguments and returns its output text, in the form
+# args.fmt asks for and only that one, and its exit code; main writes it.  spectrum
+# and parity rows hold only integers and true/false, so one f-string per row writes
+# them as csv.writer and json.dumps(indent=2) would, with nothing to quote or escape.
 
 
 def run_spectrum(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
     entries = spectrum(space, args.i_max)
-    payload = _space_json(space) | {
-        "d": space.d,
-        "entries": [
-            {"i": e.i, "lambda": e.eigenvalue, "mult": str(e.mult)}
-            for e in entries
-        ],
-    }
-    return ["i", "eigenvalue", "multiplicity"], entries, payload, 0
+    if args.fmt == "json":
+        return _rows_text([
+            f'    {{\n      "i": {i},\n      "lambda": {ev},\n      "mult": "{mult}"\n    }}'
+            for i, ev, mult in entries
+        ], _json_head(space, "d", space.d, "entries"), ",\n", "\n  ]\n}\n"), 0
+    rows = [f"{i},{ev},{mult}\n" for i, ev, mult in entries]
+    return _rows_text(rows, "i,eigenvalue,multiplicity\n"), 0
 
 
 def run_nl(args: argparse.Namespace):
@@ -126,8 +139,9 @@ def run_nl(args: argparse.Namespace):
         raise ValueError(f"h must be non-negative, got {args.h}")
     space = make_lens_space(args.p, args.q)
     value = n_lattice_formula(space, numerator(space), args.h)
-    payload = _space_json(space) | {"h": args.h, "count": str(value)}
-    return None, [[value]], payload, 0
+    if args.fmt == "json":
+        return _json_text(_space_json(space) | {"h": args.h, "count": str(value)}), 0
+    return _csv_text(None, [[value]]), 0
 
 
 def run_gamma(args: argparse.Namespace):
@@ -144,47 +158,47 @@ def run_gamma(args: argparse.Namespace):
                 raise ValueError(f"subset index {j} given more than once")
         mask = SubsetMask.from_indices([j - 1 for j in args.subset], space.m)
     value = gamma(space, mask, args.s)
-    payload = _space_json(space) | {
-        "subset": [j + 1 for j in mask.indices()],
-        "s": args.s,
-        "count": str(value),
-    }
-    return None, [[value]], payload, 0
+    if args.fmt == "json":
+        return _json_text(_space_json(space) | {
+            "subset": [j + 1 for j in mask.indices()],
+            "s": args.s,
+            "count": str(value),
+        }), 0
+    return _csv_text(None, [[value]]), 0
 
 
 def run_compare(args: argparse.Namespace):
     a = make_lens_space(*args.a)
     b = make_lens_space(*args.b)
     report = compare_spectra(a, b, args.i_max)
-    row = [_bool(report.equal), _bool(report.dimension_mismatch)]
-    divergence = None
-    if report.first_divergence is None:
-        row += ["", "", ""]
-    else:
-        i, mult_a, mult_b = report.first_divergence
-        row += [i, mult_a, mult_b]
-        divergence = {"i": i, "mult_a": str(mult_a), "mult_b": str(mult_b)}
-    payload = {
-        "space_a": _space_json(a),
-        "space_b": _space_json(b),
-        "i_max": args.i_max,
-        "equal": report.equal,
-        "dimension_mismatch": report.dimension_mismatch,
-        "first_divergence": divergence,
-    }
+    divergence = report.first_divergence
+    if args.fmt == "json":
+        if divergence is not None:
+            i, mult_a, mult_b = divergence
+            divergence = {"i": i, "mult_a": str(mult_a), "mult_b": str(mult_b)}
+        return _json_text({
+            "space_a": _space_json(a),
+            "space_b": _space_json(b),
+            "i_max": args.i_max,
+            "equal": report.equal,
+            "dimension_mismatch": report.dimension_mismatch,
+            "first_divergence": divergence,
+        }), 0
+    row = [_bool(report.equal), _bool(report.dimension_mismatch), *(divergence or ("", "", ""))]
     header = ["equal", "dimension_mismatch", "first_divergence_i", "mult_a", "mult_b"]
-    return header, [row], payload, 0
+    return _csv_text(header, [row]), 0
 
 
 def run_parity(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
     report = parity_report(space, args.i_max)
-    rows = [[r.i, r.mult, _bool(r.ok)] for r in report]
-    payload = _space_json(space) | {
-        "i_max": args.i_max,
-        "rows": [{"i": r.i, "mult": str(r.mult), "ok": r.ok} for r in report],
-    }
-    return ["i", "multiplicity", "parity_ok"], rows, payload, 0
+    if args.fmt == "json":
+        return _rows_text([
+            f'    {{\n      "i": {i},\n      "mult": "{mult}",\n      "ok": {_bool(ok)}\n    }}'
+            for i, mult, ok in report
+        ], _json_head(space, "i_max", args.i_max, "rows"), ",\n", "\n  ]\n}\n"), 0
+    rows = [f"{i},{mult},{_bool(ok)}\n" for i, mult, ok in report]
+    return _rows_text(rows, "i,multiplicity,parity_ok\n"), 0
 
 
 def run_verify(args: argparse.Namespace):
@@ -217,16 +231,17 @@ def run_verify(args: argparse.Namespace):
         cases = oracle.verify_cases(hs, budget, f"verify grid ({grid})", p_max=p_max, ms=ms)
     checks = oracle.verify_grid(cases, budget, args.deep)
     mismatches = [c for c in checks if not c.ok]
+    code = 1 if mismatches else 0
+    if args.fmt == "json":
+        return _json_text({
+            "grid": grid,
+            "cases": len(cases),
+            "checks": len(checks),
+            "mismatch_count": len(mismatches),
+            "mismatches": [c._asdict() for c in mismatches],
+        }), code
     rows = [[c.space, c.h, c.kind, c.got, c.expected, _bool(c.ok)] for c in checks]
-    payload = {
-        "grid": grid,
-        "cases": len(cases),
-        "checks": len(checks),
-        "mismatch_count": len(mismatches),
-        "mismatches": [c._asdict() for c in mismatches],
-    }
-    header = ["space", "h", "kind", "got", "expected", "ok"]
-    return header, rows, payload, 1 if mismatches else 0
+    return _csv_text(["space", "h", "kind", "got", "expected", "ok"], rows), code
 
 
 def run_bench(args: argparse.Namespace):
@@ -242,19 +257,15 @@ def run_bench(args: argparse.Namespace):
         raise ValueError("an oracle budget of 0 lets bench check nothing")
     space = make_lens_space(args.p, args.q)
     timings = oracle.bench_timings(space, args.h_max, budget)
-    rows = [
-        [h, f"{f_sec:.6f}", "skipped" if o_sec is None else f"{o_sec:.6f}"]
-        for h, f_sec, o_sec in timings
-    ]
-    payload = _space_json(space) | {
-        "h_max": args.h_max,
-        "oracle_budget": budget,
-        "rows": [
-            {"h": h, "formula_seconds": f_sec, "oracle_seconds": o_sec, "skipped": o_sec is None}
-            for h, f_sec, o_sec in timings
-        ],
-    }
-    return ["h", "formula_seconds", "oracle_seconds"], rows, payload, 0
+    if args.fmt == "json":
+        return _json_text(_space_json(space) | {
+            "h_max": args.h_max,
+            "oracle_budget": budget,
+            "rows": [{"h": h, "formula_seconds": f, "oracle_seconds": o, "skipped": o is None}
+                     for h, f, o in timings],
+        }), 0
+    rows = [[h, f"{f:.6f}", "skipped" if o is None else f"{o:.6f}"] for h, f, o in timings]
+    return _csv_text(["h", "formula_seconds", "oracle_seconds"], rows), 0
 
 
 # built once per process, on first use (so not at import); reuse keeps no state only
@@ -349,7 +360,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         try:
-            header, rows, payload, code = args.run(args)
+            text, code = args.run(args)
         except oracle.OracleBudgetError as err:
             print(
                 f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
@@ -359,7 +370,6 @@ def main(argv=None) -> int:
         except (ValueError, oracle.Disagreement) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1 if isinstance(err, oracle.Disagreement) else 2
-        text = _json_text(payload) if args.fmt == "json" else _csv_text(header, rows)
         try:
             with (
                 contextlib.nullcontext(sys.stdout) if args.output is None

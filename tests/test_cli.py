@@ -1,7 +1,9 @@
 import contextlib
+import csv
 import errno
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lenslat import (
     canonical_q_tuples,
@@ -20,11 +24,14 @@ from lenslat import (
     multiplicity,
     n_lattice_formula,
     numerator,
+    parity_report,
+    spectrum,
 )
 from lenslat.cli import BENCH_DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, main, verify_grid
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
 from lenslat.oracle import DEFAULT_BUDGET, enumerate_omega
 from records import check_record
+from strategies import lens_spaces
 
 
 def _run(capsys, argv):
@@ -752,6 +759,113 @@ def test_parity_cli_rejects_negative_i_max(capsys):
     assert code == 2
 
 
+# ------------------------------------------------------------ one rendering
+
+
+def _table_references(space, i_max):
+    """spectrum's and parity's stdout in both forms, rendered by csv.writer and json.dumps."""
+    entries, report = spectrum(space, i_max), parity_report(space, i_max)
+    head = {"p": space.p, "q": list(space.q)}
+    payloads = {
+        "spectrum": head | {"d": space.d, "entries": [
+            {"i": e.i, "lambda": e.eigenvalue, "mult": str(e.mult)} for e in entries
+        ]},
+        "parity": head | {"i_max": i_max, "rows": [
+            {"i": r.i, "mult": str(r.mult), "ok": r.ok} for r in report
+        ]},
+    }
+    tables = {
+        "spectrum": [["i", "eigenvalue", "multiplicity"], *entries],
+        "parity": [["i", "multiplicity", "parity_ok"],
+                   *[[r.i, r.mult, "true" if r.ok else "false"] for r in report]],
+    }
+    for command, rows in tables.items():
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        yield command, "csv", buf.getvalue()
+        yield command, "json", json.dumps(payloads[command], indent=2) + "\n"
+
+
+def _check_row_templates(space, i_max):
+    q = ",".join(map(str, space.q))
+    for command, fmt, expected in _table_references(space, i_max):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--p", str(space.p), "--q", q, "--i-max", str(i_max),
+                         "--format", fmt])
+        assert (code, out.getvalue()) == (0, expected), (command, fmt)
+
+
+@given(space=lens_spaces(p_max=13, m_max=5), i_max=st.integers(0, 40))
+@example(space=make_lens_space(1, (3, 5, 7)), i_max=6)  # q normalised to zeros
+@example(space=make_lens_space(7, (1, 2)), i_max=0)  # one row
+@settings(max_examples=60, deadline=None)
+def test_row_templates_render_the_bytes_of_csv_and_json(space, i_max):
+    # spectrum and parity write their rows by f-string templates: the bytes
+    # must be those csv.writer and json.dumps(indent=2) would give
+    _check_row_templates(space, i_max)
+
+
+def test_row_templates_render_multiplicities_past_64_bits():
+    space = make_lens_space(1, (1,) * 5)
+    assert spectrum(space, 1000)[-1].mult > 2**64
+    _check_row_templates(space, 1000)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the form that was not asked for was rendered")
+
+
+RENDER_ONCE = [
+    "spectrum --p 5 --q 1,2 --i-max 6",
+    "nl --p 5 --q 1,2 --h 7",
+    "gamma --p 5 --q 1,2,3 --s 4 --subset 1,3",
+    "verify --p 7 --q 1,2,3 --h-max 3",
+    "compare --a 11:1,2,3 --b 11:1,2,4 --i-max 20",
+    "parity --p 6 --q 1,1 --i-max 6",
+    "bench --p 3 --q 1,1 --h-max 3",
+]
+
+
+@pytest.mark.parametrize("argv", RENDER_ONCE, ids=[c.split()[0] for c in RENDER_ONCE])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_command_renders_only_the_form_asked_for(argv, fmt, monkeypatch, capsys):
+    # a CSV run builds no JSON payload and no JSON text, a JSON run no CSV text;
+    # spectrum and parity write JSON by their row templates, not json.dumps
+    argv = [*argv.split(), "--format", fmt]
+    expected = _run(capsys, argv)
+    unused = ["json.dumps", "_space_json"] if fmt == "csv" else ["csv.writer"]
+    if fmt == "json" and argv[0] in ("spectrum", "parity"):
+        unused.append("json.dumps")
+    for name in unused:
+        monkeypatch.setattr(f"lenslat.cli.{name}", _raise)
+    outcomes = [expected, _run(capsys, argv)]
+    if argv[0] == "bench":  # its timings are the CLI's one varying output
+        outcomes = [(code, re.sub(r"\d+\.\d+(e-?\d+)?", "t", out)) for code, out in outcomes]
+    assert outcomes[0] == outcomes[1]
+    assert expected[0] == 0 and expected[1]
+
+
+def test_bench_json_keys_and_types(capsys):
+    # bench has no golden case, as its timings vary: pin its keys, their order,
+    # their types and the layout of its text instead
+    code, text = _run(capsys, [
+        "bench", "--p", "7", "--q", "1,2,3", "--h-max", "5", "--oracle-budget", "50",
+        "--format", "json",
+    ])
+    assert code == 0
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert list(obj) == ["p", "q", "h_max", "oracle_budget", "rows"]
+    assert (obj["p"], obj["q"], obj["h_max"], obj["oracle_budget"]) == (7, [1, 2, 3], 5, 50)
+    # 1-norm-h sphere in Z^3 has 4h^2 + 2 points: over a budget of 50 from h = 4
+    assert [row["skipped"] for row in obj["rows"]] == [False] * 4 + [True] * 2
+    for h, row in enumerate(obj["rows"]):
+        assert list(row) == ["h", "formula_seconds", "oracle_seconds", "skipped"]
+        assert row["h"] == h and type(row["formula_seconds"]) is float
+        assert type(row["oracle_seconds"]) is (type(None) if row["skipped"] else float)
+
+
 # ------------------------------------------------------------ golden output
 
 # Exact stdout and exit code of every deterministic command in both
@@ -1170,6 +1284,24 @@ def test_census_stdout_is_pinned(p, digest, capsys):
 def test_verify_stdout_is_pinned(argv, digest, capsys):
     # every row, in the oracle's enumeration order: the walk and the fold may
     # get faster, but not reorder, drop or add a check
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# the largest tables the CLI writes, pinned byte for byte: the golden cases stop at
+# i_max = 8, and these digests were taken before the row templates replaced csv and json
+LARGE_TABLE_DIGESTS = [
+    ("spectrum --p 13 --q 1,2,3,4 --i-max 99999",
+     "615817cbc0336847a9dbb3e3d0861be0fe04a5682d6a84dad8806989a88a7b1d"),
+    ("spectrum --p 13 --q 1,2,3,4 --i-max 99999 --format json",
+     "ffab6c9d00773a65cf00b1b67c27ece08a17e652371e99af5f886299ac0aee5a"),
+    ("parity --p 12 --q 1,1,1 --i-max 5000 --format json",
+     "c1fca889b4956040c178af7c0b91666071f6734bfd5c8c4c80a8ef05d50673bc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LARGE_TABLE_DIGESTS, ids=[c[0] for c in LARGE_TABLE_DIGESTS])
+def test_large_tables_are_pinned(argv, digest, capsys):
     assert main(argv.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
