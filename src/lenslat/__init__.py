@@ -2,10 +2,10 @@
 
 The library side: validated lens-space parameters and their symmetry
 classes, box-bounded counts, the 1-norm generating function's numerator
-by dynamic programming, and N(h) and multiplicity tables read off it,
-all in exact integers.  lenslat.oracle holds the enumeration twin and
-the plan, checks and timing loop of `lenslat verify` and `lenslat bench`
-(test instrument, not a stable surface); the command line is lenslat.cli.
+by dynamic programming, and N(h), multiplicity tables and the census of
+isospectral classes read off it, all in exact integers.  lenslat.oracle
+holds the enumeration twin and the plan, checks and timing loop of `lenslat verify`
+and `lenslat bench` (test instrument, not a stable surface); the command line is lenslat.cli.
 """
 
 from .lattice import (
@@ -25,6 +25,7 @@ from .spectra import (
     SpectrumEntry,
     compare_spectra,
     first_positive_eigenvalue,
+    isospectral_census,
     multiplicity,
     n_lattice_formula,
     parity_report,
@@ -46,6 +47,7 @@ __all__ = [
     "decompose",
     "first_positive_eigenvalue",
     "gamma",
+    "isospectral_census",
     "make_lens_space",
     "multiplicity",
     "n_lattice_formula",

@@ -351,6 +351,22 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def write_output(text: str, path: str | None = None) -> int:
+    """Write text to path, or to stdout; 0, or 2 after one error line if it cannot be written."""
+    stdout = contextlib.nullcontext(sys.stdout) if path is None else None
+    try:
+        with stdout or open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+    except OSError as err:
+        sys.stderr.write(f"error: cannot write {'stdout' if stdout else path}: {err.strerror}\n")
+        if stdout and sys.stdout is sys.__stdout__:
+            # bytes stay in stdout's buffer: the exit flush goes to devnull, not fail (exit 120)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return 0
+
+
 def main(argv=None) -> int:
     # inputs and output exact at any size: lift the int-to-str digit limit (0: none, or
     # Python < 3.10.7) before parsing, and restore it however the call ends
@@ -370,21 +386,7 @@ def main(argv=None) -> int:
         except (ValueError, oracle.Disagreement) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1 if isinstance(err, oracle.Disagreement) else 2
-        try:
-            with (
-                contextlib.nullcontext(sys.stdout) if args.output is None
-                else open(args.output, "w", encoding="utf-8")
-            ) as handle:
-                handle.write(text)
-                handle.flush()
-        except OSError as err:
-            target = "stdout" if args.output is None else args.output
-            print(f"error: cannot write {target}: {err.strerror}", file=sys.stderr)
-            if args.output is None and sys.stdout is sys.__stdout__:
-                # bytes stay in stdout's buffer: the exit flush goes to devnull, not fail (exit 120)
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return 2
-        return code
+        return write_output(text, args.output) or code
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

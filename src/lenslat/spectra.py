@@ -18,9 +18,10 @@ with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
-from .lattice import LensSpace, Numerator, _lattice_series, binom, decompose
+from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
+from .lattice import binom, canonical_q_tuples, decompose, make_lens_space, numerator
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
 
@@ -157,3 +158,28 @@ def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
         law = binom(i // 2 + space.m - 2, space.m - 2) % 2 if i % 2 == 0 else 0
         rows.append(ParityRow(i, mult, mult % 2 == law))
     return tuple(rows)
+
+
+def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tuple, list]]]:
+    """Symmetry classes at (p, m) by spectrum: (class count, [(prefix, [q, ...])]), filing order.
+
+    Each class (permutation, negation mod p, scaling by a unit) is built once
+    and filed under its multiplicities up to i_max, from a numerator capped at
+    that degree: a cheap filter, as L(54;1,1,17) and L(54;1,1,19) agree to 17
+    and part at 18.  Classes sharing a prefix are split by full numerator; equal
+    (p, m) share the denominator, so each group is one spectrum in every degree.
+    The class, degree and DP rules are checked from (p, m, i_max) before any class is built.
+    """
+    _canonical_candidates(p, m)
+    _check_i_max(i_max)
+    _pass_plan(p, m, i_max, True)
+    tuples = canonical_q_tuples(p, m)
+    prefixes = defaultdict(list)  # prefix -> [(q, space)], q ascending like the classes
+    for q in tuples:
+        space = make_lens_space(p, q)
+        prefixes[tuple(_multiplicities(space, i_max))].append((q, space))
+    families = defaultdict(list)  # (prefix, numerator if shared) -> [q]: equal spectra
+    for seq, members in prefixes.items():
+        for q, space in members:
+            families[(seq, numerator(space).coeffs) if len(members) > 1 else (seq,)].append(q)
+    return len(tuples), [(key[0], qs) for key, qs in families.items()]

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lenslat.spectra
 from lenslat import (
     canonical_q_tuples,
     make_lens_space,
@@ -32,6 +33,8 @@ from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _nu
 from lenslat.oracle import DEFAULT_BUDGET, enumerate_omega
 from records import check_record
 from strategies import lens_spaces
+
+CENSUS_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "isospectral_search.py"
 
 
 def _run(capsys, argv):
@@ -631,7 +634,8 @@ def test_unwritable_stdout_exits_2(capsys):
     "nl --p 2 --q 1,1 --h 2",
     "verify --p 2 --q 1,1 --h 2",
     "spectrum --p 2 --q 1,1 --i-max 99999",  # 100,000 lines, past any stdout buffer
-], ids=["nl", "verify", "spectrum"])
+    "census --p 11 --m 3",  # the census script writes through the CLI's write path
+], ids=["nl", "verify", "spectrum", "census"])
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_stdout_on_a_full_device_exits_2(argv, unbuffered):
     # buffered, a small output fails only at the flush and stays in stdout's buffer,
@@ -639,9 +643,11 @@ def test_stdout_on_a_full_device_exits_2(argv, unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    command, *rest = argv.split()
+    entry = [str(CENSUS_SCRIPT)] if command == "census" else ["-m", "lenslat", command]
     with open("/dev/full", "w") as full:
         result = subprocess.run(
-            [sys.executable, "-m", "lenslat", *argv.split()], stdout=full, stderr=subprocess.PIPE,
+            [sys.executable, *entry, *rest], stdout=full, stderr=subprocess.PIPE,
             text=True, env=env,
         )
     assert result.returncode == 2
@@ -1129,8 +1135,7 @@ def test_golden_output(argv, code, expected, capsys):
 
 
 def _census_module():
-    path = Path(__file__).resolve().parent.parent / "scripts" / "isospectral_search.py"
-    spec = importlib.util.spec_from_file_location("isospectral_search", path)
+    spec = importlib.util.spec_from_file_location("isospectral_search", CENSUS_SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -1220,13 +1225,14 @@ def test_census_families_are_the_numerator_classes(capsys):
             assert sorted(found) == expected, (p, m)
 
 
-def test_census_builds_one_space_per_class(capsys):
+def test_census_builds_one_space_per_class(monkeypatch, capsys):
     # each class's space serves its prefix and, if the prefix is shared, its
     # numerator; building it again for the numerator made 25 at 13/4/30
-    census = _census_module()
     built = []
-    census.make_lens_space = lambda p, q: built.append(q) or make_lens_space(p, q)
-    assert census.main(["--p", "13", "--m", "4", "--i-max", "30"]) == 0
+    monkeypatch.setattr(
+        lenslat.spectra, "make_lens_space", lambda p, q: built.append(q) or make_lens_space(p, q)
+    )
+    assert _census_main()(["--p", "13", "--m", "4", "--i-max", "30"]) == 0
     assert capsys.readouterr().out.startswith("p = 13, m = 4: 22 symmetry classes")
     assert len(built) == 22
     assert built == canonical_q_tuples(13, 4)

@@ -13,6 +13,7 @@ from lenslat import (
     decompose,
     first_positive_eigenvalue,
     gamma,
+    isospectral_census,
     make_lens_space,
     multiplicity,
     n_lattice_formula,
@@ -425,3 +426,27 @@ def test_parity_even_p(data):
     num = numerator(space)
     for i in range(1, 16, 2):
         assert multiplicity(space, num, i) % 2 == 0
+
+
+def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
+    # the prefix is only a filter: each group is exactly one class of equal full
+    # numerators, and the census reads multiplicities, never the spectral lines
+    def refuse(*args):
+        raise AssertionError("the census built spectral lines")
+
+    monkeypatch.setattr(spectra, "spectrum", refuse)
+    for p_max, m in ((40, 3), (20, 4)):
+        for p in range(1, p_max + 1):
+            tuples = canonical_q_tuples(p, m)
+            by_numerator = {}
+            for q in tuples:
+                by_numerator.setdefault(numerator(make_lens_space(p, q)).coeffs, []).append(q)
+            classes, groups = isospectral_census(p, m, 16)
+            assert classes == len(tuples), (p, m)
+            assert sorted(qs for _, qs in groups) == sorted(by_numerator.values()), (p, m)
+            for prefix, qs in groups:
+                space = make_lens_space(p, qs[0])
+                num = numerator(space)
+                assert prefix == tuple(multiplicity(space, num, i) for i in range(17)), (p, qs)
+    families = [qs for p in range(1, 61) for _, qs in isospectral_census(p, 3, 16)[1] if len(qs) > 1]
+    assert len(families) == 23
