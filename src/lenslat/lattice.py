@@ -90,7 +90,7 @@ class LensSpace(namedtuple("LensSpace", "p q")):
         """Whether x satisfies sum q_i*x_i = 0 (mod p); a non-integer x_i raises TypeError."""
         if len(x) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(x)}")
-        return sum(qi * operator.index(xi) for qi, xi in zip(self.q, x)) % self.p == 0
+        return sum(map(operator.mul, self.q, map(operator.index, x))) % self.p == 0
 
     def label(self) -> str:
         return f"L({self.p};{','.join(str(v) for v in self.q)})"

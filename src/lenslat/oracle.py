@@ -18,7 +18,8 @@ of shell_counts and, summed over the cases, a whole `verify` run; a
 direct call of enumerate_c is priced at its whole box.  The ball price
 bounds shell_counts' work from above: each signed prefix it lists
 extends to a distinct candidate, and each value it adds completes one.
-It bounds the box-shell walks of fold_law_checks() too.  The plan and
+It bounds the box-shell walks of fold_law_checks() too, whose laws read
+gamma from subset_table(), one box DP per subset per case.  The plan and
 checks of `lenslat verify` (verify_cases, verify_grid) and the loop of
 `lenslat bench` (bench_timings) live here as well.
 
@@ -39,8 +40,9 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
-from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _numerator_bits
-from .lattice import binom, canonical_q_tuples, decompose, gamma, make_lens_space, numerator
+from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _lattice_series
+from .lattice import _numerator_bits, binom, canonical_q_tuples, decompose, make_lens_space
+from .lattice import numerator
 from .spectra import n_lattice_formula
 
 DEFAULT_BUDGET = 10**8
@@ -280,21 +282,37 @@ def gamma_bruteforce(
     return len(enumerate_c(space, U, s, budget))
 
 
+def subset_table(space: LensSpace, h_max: int) -> list[tuple[SubsetMask, tuple, list[int]]]:
+    """(N, q over N^c, [gamma(N^c, s) for s in 0..h_max - |N|*p]) for each mask bits of N.
+
+    Each series is one run of lattice.gamma's box DP, cut at the largest s a
+    norm h <= h_max reads for N; the DP is causal, so the cut changes no value.
+    Where the cut is negative no norm up to h_max has a point in N: no DP runs.
+    """
+    p, m, table = space.p, space.m, []
+    for bits in range(1 << m):
+        mask = SubsetMask(bits, m)
+        qs, cut = mask.complement().pick(space.q), h_max - mask.u * p
+        table.append((mask, qs, _lattice_series(p, qs, cut, with_zp=False) if cut >= 0 else []))
+    return table
+
+
 def fold_law_checks(
-    space: LensSpace, h: int, points: Sequence[tuple[int, ...]]
+    space: LensSpace, h: int, points: Sequence[tuple[int, ...]], table: list[tuple]
 ) -> Iterator[tuple[str, str, str]]:
     """The partition and fiber laws at 1-norm h, as (kind, got, expected).
 
     points is enumerate_omega(space, h), which the caller has already
-    enumerated.  Yields one 'partition' check, one 'fiber_size' check
-    per occupied fold key (its size is the predicted binomial), then one
+    enumerated, and table is subset_table(space, h_max), h_max >= h.
+    Yields one 'partition' check, one 'fiber_size' check per occupied
+    fold key (its size is the predicted binomial), then one
     'fiber_cover' check (every admissible (N, t, y) key is occupied).
     Values are decimal strings; a check passes iff got == expected.
 
     Each point is folded once, by fiber_census; class N's size is the
     sum of its fiber sizes, added up in one pass, and its law is
     sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
-    with lattice.gamma.  The partition check expects the sum of the laws
+    with gamma from the table.  The partition check expects the sum of the laws
     over every N; got is len(points) with a note for each class whose
     size breaks its law.  One sweep over (N, t) adds up the laws and walks
     the admissible keys, the norm k + t*p shell of the box over N^c.  The
@@ -312,12 +330,11 @@ def fold_law_checks(
         sizes[mask.bits] += c
     got, expected, covered, keys = str(len(points)), 0, 0, 0
     for bits, size in enumerate(sizes):
-        mask = SubsetMask(bits, m)
-        rest = mask.complement()
+        mask, qs, series = table[bits]
         law = 0
         for t in range(n - mask.u + 1):
-            law += binom(n - t + m - mask.u - 1, m - 1) * gamma(space, rest, k + t * p)
-            for y in _congruent_shell(p, rest.pick(space.q), k + t * p, p - 1):
+            law += binom(n - t + m - mask.u - 1, m - 1) * series[k + t * p]
+            for y in _congruent_shell(p, qs, k + t * p, p - 1):
                 keys += 1
                 covered += (mask, t, y) in census
         expected += law
@@ -366,12 +383,13 @@ def verify_grid(
     For each (space, norms) case and each norm h, one 'count' check of
     N(h), norms 0..h_max from one shell_counts walk and a lone norm from
     n_lattice_bruteforce; with deep, also the fold-law checks, which fold
-    the points that enumerate_omega lists.
+    the points that enumerate_omega lists, with one subset_table per case.
     """
     checks = []
     for space, hs in cases:
         num = numerator(space)
         label = space.label()
+        table = subset_table(space, hs[-1]) if deep else None
         if hs[0] == 0:
             counts = shell_counts(space, hs[-1], budget)
         else:
@@ -380,7 +398,7 @@ def verify_grid(
             formula = n_lattice_formula(space, num, h)
             checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
             if deep:
-                for check in fold_law_checks(space, h, enumerate_omega(space, h, budget)):
+                for check in fold_law_checks(space, h, enumerate_omega(space, h, budget), table):
                     checks.append(CheckRecord(label, h, *check))
     return checks
 

@@ -18,7 +18,7 @@ with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import Counter, defaultdict, namedtuple
 
 from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
 from .lattice import binom, canonical_q_tuples, decompose, make_lens_space, numerator
@@ -125,12 +125,31 @@ def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
 
 
 def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
-    """The smallest positive eigenvalue with its multiplicity.
+    """The smallest positive eigenvalue with its multiplicity, in closed form: no DP.
 
-    On the sphere (p = 1) it is lambda_1, of dimension 2m.  For p >= 2,
-    N(1) = 0 empties lambda_1, and dim(lambda_2) = N(2) + m - 1 > 0.
+    On the sphere (p = 1) it is lambda_1 = d = 2m - 1, of dimension 2m.  For p >= 2
+    no unit q_j is 0 mod p, so no lattice point has 1-norm 1: N(1) = 0 and
+    lambda_1 is empty.  The smallest positive eigenvalue is then
+    lambda_2 = 2(2m), with dim(lambda_2) = N(2) + (m - 1)*N(0) = N(2) + m - 1.
+    The norm-2 points are +-2e_j, congruent iff p | 2q_j, and +-(e_j - e_k)
+    and +-(e_j + e_k) for j < k, congruent iff q_j = q_k and q_j = -q_k
+    (mod p), each sign pair counted on its own (at p = 2 all fire).  So
+
+        dim(lambda_2) = m - 1 + 2*#{j : p | 2q_j} + 2*#{j < k : q_j = q_k}
+                        + 2*#{j < k : q_j = -q_k}  (mod p),
+
+    2m^2 + m - 1 at p = 2, the degree-2 harmonics of RP^(2m-1).  Summed
+    over j with the residue counts c, each j adds c[q_j] - 1 (the k != j
+    with q_k = q_j), c[-q_j] (the k with q_k = -q_j, j itself when
+    p | 2q_j) and [p | 2q_j]: each pair is met from both ends, each j with
+    p | 2q_j twice.
     """
-    return spectrum(space, 1 if space.p == 1 else 2)[-1]
+    p, m = space.p, space.m
+    if p == 1:
+        return SpectrumEntry(1, space.d, 2 * m)
+    c = Counter(space.q)
+    dim = m - 1 + sum(c[v] - 1 + c[-v % p] + (2 * v % p == 0) for v in space.q)
+    return SpectrumEntry(2, 4 * m, dim)
 
 
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:

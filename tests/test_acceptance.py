@@ -54,7 +54,7 @@ def test_criterion_2_partition_law():
             # each class N's size from the fiber census against its gamma law;
             # the sizes sum to the sphere
             points = oracle.enumerate_omega(space, h)
-            row = next(oracle.fold_law_checks(space, h, points))
+            row = next(oracle.fold_law_checks(space, h, points, oracle.subset_table(space, h)))
             ok = ok and row == ("partition", str(len(points)), str(len(points)))
             checked += 1
             if not ok:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, make_lens_space
-from lenslat import oracle
+from lenslat import lattice, oracle
 from lenslat.oracle import (
     OracleBudgetError,
     enumerate_c,
@@ -25,6 +25,7 @@ from lenslat.oracle import (
     n_lattice_bruteforce,
     negative_multiple_mask,
     shell_counts,
+    subset_table,
 )
 from strategies import lens_spaces
 
@@ -255,7 +256,9 @@ def test_partition_check_holds_on_grid():
     # every row of fold_law_checks holds: the partition row first, one
     # fiber_size row per census key in census order, the fiber_cover row last;
     # the two m = 4 spaces have whole boxes over the default budget, while
-    # their shell walks stay inside the sphere count enumerate_omega checks
+    # their shell walks stay inside the sphere count enumerate_omega checks;
+    # a case's norms read through one shared table give the rows of a fresh
+    # table per norm, as verify_grid shares one table over a case
     cases = [
         (make_lens_space(p, q), range(3 * p + 4))
         for p in range(1, 8)
@@ -265,9 +268,11 @@ def test_partition_check_holds_on_grid():
     cases += [(make_lens_space(57, (1, 2, 4, 5)), range(7)),
               (make_lens_space(61, (1, 2, 3, 5)), range(7))]
     for space, hs in cases:
+        shared = subset_table(space, max(hs))
         for h in hs:
             points = enumerate_omega(space, h)
-            rows = list(fold_law_checks(space, h, points))
+            rows = list(fold_law_checks(space, h, points, subset_table(space, h)))
+            assert list(fold_law_checks(space, h, points, shared)) == rows, (space, h)
             assert all(got == expected for _, got, expected in rows), (space, h)
             assert rows[0] == ("partition", str(len(points)), str(len(points))), (space, h)
             census = fiber_census(space, h, points)
@@ -284,7 +289,7 @@ def test_partition_check_flags_misclassified_points(monkeypatch):
 
     monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
     points = enumerate_omega(L211, 2)
-    kind, got, expected = next(fold_law_checks(L211, 2, points))
+    kind, got, expected = next(fold_law_checks(L211, 2, points, subset_table(L211, 2)))
     assert kind == "partition"
     assert expected == "8"
     assert got == "8 (class 0b0: 8, law 6) (class 0b1: 0, law 1) (class 0b10: 0, law 1)"
@@ -293,7 +298,7 @@ def test_partition_check_flags_misclassified_points(monkeypatch):
 def test_fiber_cover_flags_a_missing_point():
     # (1, 1) alone folds onto the key (N = {}, t = 1, y = (1, 1))
     points = [x for x in enumerate_omega(L211, 2) if x != (1, 1)]
-    rows = list(fold_law_checks(L211, 2, points))
+    rows = list(fold_law_checks(L211, 2, points, subset_table(L211, 2)))
     assert rows[0] == ("partition", "7 (class 0b0: 5, law 6)", "8")
     assert rows[-1] == ("fiber_cover", "6", "7")
 
@@ -311,9 +316,52 @@ def test_fold_law_checks_reads_class_sizes_from_the_census(monkeypatch):
     for h in range(11):
         points = enumerate_omega(space, h)
         folded.clear()
-        rows = list(fold_law_checks(space, h, points))
+        rows = list(fold_law_checks(space, h, points, subset_table(space, h)))
         assert all(got == expected for _, got, expected in rows), h
         assert sorted(folded) == sorted(points), h
+
+
+def _box_dps(monkeypatch):
+    """(number of box coordinates, cut) of each box DP run, the kernel wrapped where it is read."""
+    series, runs = lattice._lattice_series, []
+
+    def counted(p, qs, s_max, with_zp):
+        if not with_zp:
+            runs.append((len(qs), s_max))
+        return series(p, qs, s_max, with_zp)
+
+    for module in (lattice, oracle):
+        monkeypatch.setattr(module, "_lattice_series", counted)
+    return runs
+
+
+def test_deep_verify_runs_one_box_dp_per_subset(monkeypatch):
+    # one table per case: subset N's series is cut at h_max - |N|*p, the
+    # largest s any norm up to h_max reads, and no DP runs where that is
+    # negative, not one DP per norm, subset and offset
+    runs = _box_dps(monkeypatch)
+    space = make_lens_space(7, (1, 2, 3))
+    cases = oracle.verify_cases(list(range(11)), oracle.DEFAULT_BUDGET, "run", space)
+    checks = oracle.verify_grid(cases, oracle.DEFAULT_BUDGET, deep=True)
+    assert checks and all(check.ok for check in checks)
+    assert len(runs) <= 1 << space.m
+    assert sorted(runs) == [(2, 3), (2, 3), (2, 3), (3, 10)]
+
+
+def test_deep_verify_grid_runs_at_most_one_box_dp_per_subset_and_case(monkeypatch):
+    # the CI's --deep grid, 1228 checks: at most 2^m box DPs per case
+    runs = _box_dps(monkeypatch)
+    hs = list(range(9))
+    cases = oracle.verify_cases(hs, oracle.DEFAULT_BUDGET, "grid", p_max=5, ms=(2, 3))
+    checks = oracle.verify_grid(cases, oracle.DEFAULT_BUDGET, deep=True)
+    assert len(checks) == 1228 and all(check.ok for check in checks)
+    assert len(runs) <= sum(1 << space.m for space, _ in cases)
+    assert sorted(runs) == sorted(
+        (space.m - u, 8 - u * space.p)
+        for space, _ in cases
+        for u in (bits.bit_count() for bits in range(1 << space.m))
+        if 8 - u * space.p >= 0
+    )
 
 
 def test_fiber_census_builds_each_mask_once_per_call(monkeypatch):

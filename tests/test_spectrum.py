@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,39 @@ def test_first_positive_eigenvalue_matches_oracle():
                 h = 1 if p == 1 else 2
                 assert entry.i == h
                 assert entry.mult == n_lattice_bruteforce(space, h) + (h - 1) * (m - 1)
+
+
+def test_first_positive_eigenvalue_closed_form_matches_the_spectrum(monkeypatch):
+    # every unit tuple with p < 12 and m <= 3, and every canonical class with
+    # p < 40 and m = 4, against the last line of a spectrum; the closed form runs no DP
+    spaces = [
+        make_lens_space(p, q)
+        for p in range(1, 12)
+        for m in (2, 3)
+        for q in product(units_mod(p), repeat=m)
+    ]
+    spaces += [make_lens_space(p, q) for p in range(1, 40) for q in canonical_q_tuples(p, 4)]
+    expected = [spectrum(space, 1 if space.p == 1 else 2)[-1] for space in spaces]
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("first_positive_eigenvalue ran a DP")
+
+    monkeypatch.setattr(spectra, "_lattice_series", no_dp)
+    assert [first_positive_eigenvalue(space) for space in spaces] == expected
+    assert len(spaces) == 3584
+
+
+@pytest.mark.parametrize("p", [10**7 + 19, 2**61 - 1])
+def test_first_positive_eigenvalue_at_huge_p(p):
+    # far past the DP's reach: a DP to degree 2 at p = 10^7 + 19 is over MAX_DP_BITS
+    space = make_lens_space(p, (1, 2, 3, -3))
+    seconds = []
+    for _ in range(5):
+        start = time.perf_counter()
+        entry = first_positive_eigenvalue(space)
+        seconds.append(time.perf_counter() - start)
+    assert entry == (2, 16, 5)  # m - 1 = 3, and the pair 3 = -(-3) gives +-(e_3 + e_4)
+    assert min(seconds) < 1e-3
 
 
 # ---------------------------------------------------------------- compare
