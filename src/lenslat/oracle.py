@@ -7,8 +7,10 @@ yields the points of one norm: enumerate_omega and enumerate_c list them,
 n_lattice_bruteforce (so `lenslat verify --h`) counts them and keeps none,
 and the fold laws of `lenslat verify --deep` fold them.  The count walk,
 shell_counts, counts norms 0..h_max in one pass that lists no point, and
-`lenslat verify` takes a case's count rows from one call.  It keeps no
-tally over coordinates, so it stays independent of the kernel's DP.
+`lenslat verify` takes a case's count rows from one call.  It pairs each
+point with its negative and counts a last coordinate's congruence class
+in closed form, but keeps no tally over coordinates and uses no
+numerator, DP or binomial, so it stays independent of the kernel.
 
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
@@ -16,12 +18,14 @@ candidates of the 1-norm shells h_lo..h_hi of Z^m, prices the sphere
 (h..h) of enumerate_omega and n_lattice_bruteforce, the ball (0..h_max)
 of shell_counts and, summed over the cases, a whole `verify` run; a
 direct call of enumerate_c is priced at its whole box.  The ball price
-bounds shell_counts' work from above: each signed prefix it lists
-extends to a distinct candidate, and each value it adds completes one.
-It bounds the box-shell walks of fold_law_checks() too, whose laws read
-gamma from subset_table(), one box DP per subset per case.  The plan and
-checks of `lenslat verify` (verify_cases, verify_grid) and the loop of
-`lenslat bench` (bench_timings) live here as well.
+bounds shell_counts' work from above: each (prefix, y >= 0) pair it
+visits extends to distinct candidates (one with y, one with -y when
+y > 0), each prefix it lists has its y = 0 pair, and its running sum
+takes at most h_max steps.  It bounds the box-shell walks of
+fold_law_checks() too, whose laws read gamma from subset_table(), one box
+DP per subset per case.  The plan and checks of `lenslat verify`
+(verify_cases, verify_grid) and the loop of `lenslat bench`
+(bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -176,21 +180,32 @@ def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET)
 def shell_counts(space: LensSpace, h_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """[|Omega(M, h)| for h in 0..h_max], counted by one walk that lists no point.
 
-    Each signed prefix of the first m - 1 coordinates with 1-norm n <= h_max
-    adds one to N(n + |x|) for each last value x with q_m*x = -r (mod p),
-    r the prefix's residue, and |x| <= h_max - n.  The values x come from
-    one table per call that groups 0, +-1, ..., +-h_max by -q_m*x mod p,
-    ascending in |x|, each value tested once.
+    A point is a signed prefix of the first m - 2 coordinates, with 1-norm n
+    and residue r, then its next-to-last value y, then a last value x with
+    q_m*x = -(r + q_{m-1}*y) (mod p).  The walk visits each pair (prefix,
+    y >= 0) with n + y <= h_max once, at O(1) cost, by two facts.  It keeps
+    no (norm, residue) tally over coordinates.
+
+    The map v -> -v on points takes the lattice onto itself and keeps the
+    norm: sum q_j*v_j = 0 (mod p) implies sum q_j*(-v_j) = 0, and |-v_j| =
+    |v_j|.  It maps the points with y < 0 one to one onto those with y > 0,
+    so N(h) is twice the count of norm-h points with y > 0 plus the count
+    with y = 0: a pair adds 2 for y > 0 and 1 for y = 0.
+
+    q_m is a unit mod p (every q_j of a lens space is coprime to p), so
+    q_m*x = -(r + q_{m-1}*y) (mod p) holds exactly when x = u (mod p), with
+    u = -(r + q_{m-1}*y)/q_m mod p in 0..p-1.  The x >= 0 of that class have
+    |x| = u, u + p, u + 2p, ...; the x < 0 have |x| = p - u, 2p - u, ...
+    (p, 2p, ... when u = 0).  So a pair adds to N(n + y + |x|) along two
+    progressions of step p, which start at n + y + u and n + y + p - u.  The
+    walk marks each start <= h_max, and one running sum with step p over
+    the marks fills every progression in up to h_max.
     """
     what = f"counting 1-norm 0..{h_max} vectors in Z^{space.m}"
     check_budget(shell_price(space.m, 0, h_max), budget, what)
-    p, (*head, q_y, q_x) = space.p, space.q
-    ends: dict[int, list[int]] = {}
-    for a in range(h_max + 1):
-        for x in (a, -a) if a else (0,):
-            ends.setdefault(-q_x * x % p, []).append(a)
-    # (norm, residue) of each signed prefix before the last two coordinates;
-    # the next-to-last runs as a flat loop over its signed value y
+    # every q_j scaled by -1/q_m, so a residue is the u of its last values
+    p, scale = space.p, -pow(space.q[-1], -1, space.p)
+    *head, q_y = (q * scale % p for q in space.q[:-1])
     prefixes = [(0, 0)]
     for q in head:
         prefixes = [
@@ -198,12 +213,15 @@ def shell_counts(space: LensSpace, h_max: int, budget: int = DEFAULT_BUDGET) -> 
         ]
     counts = [0] * (h_max + 1)
     for n, r in prefixes:
-        for y in range(n - h_max, h_max - n + 1):
-            ny = n + abs(y)
-            for a in ends.get((r + q_y * y) % p, ()):
-                if a > h_max - ny:
-                    break
-                counts[ny + a] += 1
+        u, w = r % p, 1
+        for ny in range(n, h_max + 1):  # ny = n + y
+            if ny + u <= h_max:
+                counts[ny + u] += w
+            if ny + p - u <= h_max:
+                counts[ny + p - u] += w
+            u, w = (u + q_y) % p, 2
+    for h in range(p, h_max + 1):
+        counts[h] += counts[h - p]
     return counts
 
 

@@ -97,16 +97,45 @@ def test_enumerate_omega_matches_naive_in_order():
 
 
 def test_shell_counts_match_the_listing():
-    # the count walk and the listing walk's single-norm count against
-    # enumerate_omega's lists; p = 1 passes every candidate
-    for p in range(1, 12):
-        for m, h_max in ((2, 12), (3, 12), (4, 8)):
+    # the count walk at every h_max, and the listing walk's single-norm count,
+    # against enumerate_omega's lists; p = 1 passes every candidate.  Each
+    # h_max in p - 1..p + 1 is where the step-p running sum starts to act
+    for p in range(1, 14):
+        sizes = ((2, 24), (3, 24), (4, 10)) + (((5, 6),) if p <= 7 else ())
+        for m, h_top in sizes:
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
-                listed = [len(enumerate_omega(space, h)) for h in range(h_max + 1)]
-                assert shell_counts(space, h_max) == listed, space
-                for h in range(h_max + 1):
+                listed = [len(enumerate_omega(space, h)) for h in range(h_top + 1)]
+                for h_max in range(h_top + 1):
+                    assert shell_counts(space, h_max) == listed[: h_max + 1], (space, h_max)
+                for h in range(h_top + 1):
                     assert n_lattice_bruteforce(space, h) == listed[h], (space, h)
+    # at p = 2^61 - 1 no progression of step p is longer than one value
+    space = make_lens_space(2**61 - 1, (1, 2, 3))
+    assert shell_counts(space, 40) == [n_lattice_bruteforce(space, h) for h in range(41)]
+
+
+def test_shell_counts_stand_apart_from_the_kernel(monkeypatch):
+    # the count walk reads no numerator, kernel DP or series formula, and it
+    # allocates nothing sized by p
+    spaces = [make_lens_space(7, (1, 2, 3)), make_lens_space(2, (1, 1, 1, 1))]
+    listed = [[len(enumerate_omega(space, h)) for h in range(11)] for space in spaces]
+
+    def _refuse(*args, **kwargs):
+        raise AssertionError("the count walk called the kernel")
+
+    for name in ("lenslat.oracle.numerator", "lenslat.oracle._lattice_series",
+                 "lenslat.oracle.n_lattice_formula", "lenslat.lattice._lattice_series"):
+        monkeypatch.setattr(name, _refuse)
+    assert [shell_counts(space, 10) for space in spaces] == listed
+    huge = make_lens_space(2**61 - 1, (1, 2, 3))
+    tracemalloc.start()
+    try:
+        shell_counts(huge, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
 
 
 def test_shell_counts_refuse_a_negative_norm():
