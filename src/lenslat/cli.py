@@ -217,18 +217,18 @@ def run_verify(args: argparse.Namespace):
     if args.p is not None:
         space = make_lens_space(args.p, args.q)
         grid = f"single case {space}, h in {hs[0]}..{hs[-1]}"
-        cases = oracle.verify_cases(hs, budget, f"verify run ({grid})", space)
+        cases = oracle.verify_cases(hs, budget, f"verify run ({grid})", space, deep=args.deep)
     else:
         p_max = VERIFY_DEFAULT_P_MAX if args.p_max is None else args.p_max
         ms = VERIFY_DEFAULT_M if args.m is None else args.m
         for n, m in enumerate(ms):
             if m in ms[:n]:
                 raise ValueError(f"--m value {m} given more than once")
-            if m < 2:
-                raise ValueError(f"need at least two rotation parameters, got {m}")
         grid = f"p in 1..{p_max}, m in {sorted(ms)}, canonical q tuples, h in 0..{h_max}"
         grid += ", deep" if args.deep else ""
-        cases = oracle.verify_cases(hs, budget, f"verify grid ({grid})", p_max=p_max, ms=ms)
+        cases = oracle.verify_cases(
+            hs, budget, f"verify grid ({grid})", p_max=p_max, ms=ms, deep=args.deep
+        )
     checks = oracle.verify_grid(cases, budget, args.deep)
     mismatches = [c for c in checks if not c.ok]
     code = 1 if mismatches else 0

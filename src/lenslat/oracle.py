@@ -15,17 +15,17 @@ numerator, DP or binomial, so it stays independent of the kernel.
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
 candidates of the 1-norm shells h_lo..h_hi of Z^m, prices the sphere
-(h..h) of enumerate_omega and n_lattice_bruteforce, the ball (0..h_max)
-of shell_counts and, summed over the cases, a whole `verify` run; a
-direct call of enumerate_c is priced at its whole box.  The ball price
-bounds shell_counts' work from above: each (prefix, y >= 0) pair it
-visits extends to distinct candidates (one with y, one with -y when
-y > 0), each prefix it lists has its y = 0 pair, and its running sum
-takes at most h_max steps.  It bounds the box-shell walks of
-fold_law_checks() too, whose laws read gamma from subset_table(), one box
-DP per subset per case.  The plan and checks of `lenslat verify`
-(verify_cases, verify_grid) and the loop of `lenslat bench`
-(bench_timings) live here as well.
+(h..h) of enumerate_omega and n_lattice_bruteforce and the ball (0..h_max)
+of shell_counts; a direct enumerate_c is priced at its whole box.  The
+ball bounds shell_counts' work: each (prefix, y >= 0) pair it visits
+extends to distinct candidates (y, and -y when y > 0), each prefix has its
+y = 0 pair, and its running sum takes at most h_max steps.  It bounds the
+box-shell walks of fold_law_checks() too, whose laws read gamma from
+subset_table(), one box DP per subset per case.  verify_cases, the one
+admission rule of `lenslat verify`, refuses an m < 2, then prices the
+whole run before its first case: per tuple, its walk candidates, its
+numerator's DP bits and, with --deep, its 2^m subset DPs.  verify_grid
+and the loop of `lenslat bench` (bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -46,7 +46,7 @@ from collections.abc import Iterator, Sequence
 
 from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _lattice_series
 from .lattice import _numerator_bits, binom, canonical_q_tuples, decompose, make_lens_space
-from .lattice import numerator
+from .lattice import _pass_plan, numerator
 from .spectra import n_lattice_formula
 
 DEFAULT_BUDGET = 10**8
@@ -366,24 +366,28 @@ def fold_law_checks(
 
 def verify_cases(
     hs: list[int], budget: int, what: str,
-    space: LensSpace | None = None, p_max: int = 0, ms: Sequence[int] = (),
+    space: LensSpace | None = None, p_max: int = 0, ms: Sequence[int] = (), deep: bool = False,
 ) -> list[tuple[LensSpace, list[int]]]:
     """(space, hs) cases of verify run what: one space, or each canonical q of p <= p_max, m in ms.
 
-    Each walked tuple costs a full numerator's DP bits and the shell_price of hs; a run over
-    VERIFY_MAX_DP_BITS or the budget, or with no case, is refused before any case is built.
+    Refused before any case is built: an m < 2, before pricing; then, summed per tuple tried,
+    hs's shell_price candidates over the budget or, over VERIFY_MAX_DP_BITS, a numerator's DP
+    bits plus with deep 2^m subset DPs of at most _pass_plan(p, m, hs[-1], False) bits; no case.
     """
     if space is not None:
         priced, spaces = [(space.p, space.m, 1)], [space]
     else:
-        ps = range(1, p_max + 1)
-        priced = ((p, m, _canonical_candidates(p, m)) for p in ps for m in ms)
+        for m in ms:
+            if m < 2:
+                raise ValueError(f"need at least two rotation parameters, got {m}")
+        ps = range(1, p_max + 1) if ms else ()
+        priced = ((p, m, _canonical_candidates(p, m)) for m in ms for p in ps)
         spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
     # refused as a sum passes: a huge p_max stops at once, and shell_price refuses h < 0 first
     bits = cost = 0
-    for p, m, walked in priced:
-        cost += walked * shell_price(m, hs[0], hs[-1])
-        bits += walked * _numerator_bits(p, m)
+    for p, m, tried in priced:
+        cost += tried * shell_price(m, hs[0], hs[-1])
+        bits += tried * (_numerator_bits(p, m) + (deep and _pass_plan(p, m, hs[-1], False)[2] << m))
         if bits > VERIFY_MAX_DP_BITS:
             raise ValueError(f"{what} builds numerators over {VERIFY_MAX_DP_BITS} DP bits")
     check_budget(cost, budget, what)

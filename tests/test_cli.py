@@ -7,7 +7,9 @@ import io
 import json
 import math
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -149,6 +151,13 @@ def test_compare_bad_spec(capsys):
         main(["compare", "--a", "nonsense", "--b", "2:1,1", "--i-max", "2"])
     assert err.value.code == 2
     assert "expected p:q1,q2" in capsys.readouterr().err
+
+
+def test_compare_non_integer_p_reports_its_message(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["compare", "--a", "x:1,2", "--b", "2:1,1", "--i-max", "2"])
+    assert err.value.code == 2
+    assert "error: argument --a: expected p:q1,q2,... , got 'x:1,2'" in capsys.readouterr().err
 
 
 def test_bad_int_list_reports_its_message(capsys):
@@ -357,6 +366,7 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["verify", "--p-max", "0"],
     ["verify", "--m", ""],
+    ["verify", "--p-max", str(10**30), "--m", ""],  # no p is walked for no m
 ])
 def test_verify_empty_grid_exits_2(argv, no_work, capsys):
     assert main(argv) == 2
@@ -405,6 +415,15 @@ def test_verify_h_with_h_max_exits_2(h_max, no_work, capsys):
 def test_verify_grid_flags_with_p_exit_2(grid_flags, no_work, capsys):
     assert main(["verify", "--p", "3", "--q", "1,2", "--h-max", "2"] + grid_flags) == 2
     assert "error: --p-max/--m only apply to the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "7"], "--p needs --q for a single-space verify"),
+    (["--q", "1,2"], "--q/--h only apply together with --p"),
+], ids=["p_without_q", "q_without_p"])
+def test_verify_single_space_flags_exit_2(argv, message, no_work, capsys):
+    assert main(["verify"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1352,3 +1371,93 @@ def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):
     assert time.perf_counter() - start < 1
     assert err.value.code == 2
     assert "3585446225075 candidate tuples at p = 199, m = 10 are over 1000000" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ exit-code fuzz
+
+# edge values, as the digit strings a shell passes: zero, the units, a small and a
+# larger prime, then the huge ones, a prime past every DP (10^7 + 19), the prime
+# 2^61 - 1 and +-10^30
+FUZZ_SMALL = ("0", "1", "-1", "97", "1009")
+FUZZ_HUGE = (str(10**7 + 19), str(2**61 - 1), str(10**30), str(-10**30))
+# always given and never over bench's default: a raised --oracle-budget admits long
+# runs by design, and so does verify's default of 10^8 candidates (with --deep at
+# p = 1 every candidate is a point, listed and folded)
+FUZZ_BUDGETS = ("-1", "0", "1", "97", "1009", str(BENCH_DEFAULT_BUDGET))
+FUZZ_SECONDS = 5
+# two inputs that ran for a time sized by the input, however the draw falls: an
+# empty --m walked every p up to --p-max before it found the grid empty, and
+# --deep ran 2^m subset DPs that no price covered (one candidate at h = 0)
+FUZZ_PINNED = [
+    ["verify", "--p-max", str(10**30), "--m", ""],
+    ["verify", "--p", "2", "--q", ",".join(["1"] * 40), "--h", "0", "--deep"],
+]
+
+
+def _fuzz_argv(rng):
+    """One argv of a random subcommand: its options from the edge values (a huge one once
+    in four), each dropped once in ten; lists of 0 to 8 values, or once in eight one value
+    30 to 40 times."""
+    def num():
+        return rng.choice(FUZZ_HUGE if rng.random() < 0.25 else FUZZ_SMALL)
+
+    def ints(values=num):
+        if rng.random() < 0.125:
+            return ",".join([values()] * rng.randint(30, 40))
+        return ",".join(values() for _ in range(rng.randint(0, 8)))
+
+    command = rng.choice(("spectrum", "nl", "gamma", "verify", "compare", "parity", "bench"))
+    space = [("--p", num()), ("--q", ints())]
+    options = {
+        "spectrum": space + [("--i-max", num())],
+        "nl": space + [("--h", num())],
+        "gamma": space + [("--s", num()), ("--subset", ints(lambda: rng.choice("01238")))],
+        "compare": [("--a", f"{num()}:{ints()}"), ("--b", f"{num()}:{ints()}"),
+                    ("--i-max", num())],
+        "parity": space + [("--i-max", num())],
+        "bench": space + [("--h-max", num())],
+    }.get(command)
+    if command == "verify":
+        grid = [("--p-max", num()), ("--m", ints(lambda: str(rng.randint(0, 8))))]
+        norms = [rng.choice((("--h", num()), ("--h-max", num())))]
+        options = rng.choice((grid, space, space + norms, grid + norms, space + grid))
+        options += [("--deep", None)]
+    argv = [command]
+    for flag, value in options + [("--format", rng.choice(("csv", "json")))]:
+        if rng.random() < 0.9:
+            argv += [flag] if value is None else [flag, value]
+    if command in ("verify", "bench"):
+        argv += ["--oracle-budget", rng.choice(FUZZ_BUDGETS)]
+    return argv
+
+
+class _Overtime(BaseException):
+    """Raised by the alarm: a BaseException, so no handler in main can catch it."""
+
+
+def _alarm(signum, frame):
+    raise _Overtime
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+def test_exit_code_contract_holds_on_fuzzed_argv(capsys):
+    # every call returns 0, 1 or 2 (argparse's SystemExit too), raises nothing
+    # else and ends within FUZZ_SECONDS; the draw is seeded, so a failure replays
+    rng = random.Random(23)
+    draws = FUZZ_PINNED + [_fuzz_argv(rng) for _ in range(300)]
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for argv in draws:
+            signal.alarm(FUZZ_SECONDS)
+            try:
+                code = main(argv)
+            except SystemExit as err:
+                code = err.code
+            except _Overtime:
+                code = f"still running after {FUZZ_SECONDS} s"
+            finally:
+                signal.alarm(0)
+            capsys.readouterr()
+            assert code in (0, 1, 2), (code, argv)
+    finally:
+        signal.signal(signal.SIGALRM, previous)

@@ -232,6 +232,16 @@ def test_decompose_rejects_negative():
         decompose(-1, 3)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: SubsetMask(0, -1), "m must be non-negative, got -1"),
+    (lambda: decompose(3, 0), "p must be a positive integer, got 0"),
+], ids=["subset_mask_m", "decompose_p"])
+def test_bad_sizes_are_refused_with_their_value(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------- gamma
 
 

@@ -143,6 +143,12 @@ def test_shell_counts_refuse_a_negative_norm():
         shell_counts(L211, -1)
 
 
+def test_enumerate_c_refuses_a_negative_norm():
+    with pytest.raises(ValueError) as err:
+        enumerate_c(L211, SubsetMask.full(2), -1)
+    assert str(err.value) == "s must be non-negative, got -1"
+
+
 def test_single_norm_count_keeps_no_point():
     # the norm-300 sphere of L(2;1,1,1) holds 360,002 points, 37 MB as
     # enumerate_omega's list; the count keeps only the walk's prefixes
@@ -552,3 +558,46 @@ def test_verify_cases_refuse_a_huge_grid_before_any_class(monkeypatch):
                             p_max=10**12, ms=(2,))
     assert time.perf_counter() - start < 1
     assert str(err.value) == "verify grid builds numerators over 100000000000 DP bits"
+
+
+@pytest.mark.parametrize("p_max", [0, 10**30])
+def test_verify_cases_check_every_m_before_pricing(p_max, monkeypatch):
+    # an m < 2 is refused for itself, whether or not any p would be priced
+    for name in ("_canonical_candidates", "canonical_q_tuples", "make_lens_space"):
+        monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
+    with pytest.raises(ValueError) as err:
+        oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "grid", p_max=p_max, ms=(3, 1))
+    assert str(err.value) == "need at least two rotation parameters, got 1"
+
+
+def test_deep_verify_cases_price_each_subset_dp(monkeypatch):
+    # L(7;1,2,3) to h = 10: one numerator, and with deep 2^3 subset DPs priced
+    # at the full q's box DP to degree 10 each
+    space, hs = make_lens_space(7, (1, 2, 3)), list(range(11))
+    price = lattice._numerator_bits(7, 3) + 8 * lattice._pass_plan(7, 3, 10, False)[2]
+    monkeypatch.setattr(oracle, "VERIFY_MAX_DP_BITS", price)
+    assert oracle.verify_cases(hs, oracle.DEFAULT_BUDGET, "run", space, deep=True) == [(space, hs)]
+    monkeypatch.setattr(oracle, "VERIFY_MAX_DP_BITS", price - 1)
+    assert oracle.verify_cases(hs, oracle.DEFAULT_BUDGET, "run", space) == [(space, hs)]
+    with pytest.raises(ValueError, match=f"run builds numerators over {price - 1} DP bits"):
+        oracle.verify_cases(hs, oracle.DEFAULT_BUDGET, "run", space, deep=True)
+
+
+def test_deep_price_bounds_every_subset_dp_it_stands_for():
+    # subset N's DP covers the m - |N| coordinates of N^c to h_max - |N|*p,
+    # never more bits than the full q's box DP to h_max
+    for p, m, h_max in product(range(1, 14), range(2, 7), range(0, 40, 3)):
+        bound = lattice._pass_plan(p, m, h_max, False)[2]
+        for u in range(m + 1):
+            if h_max - u * p >= 0:
+                assert lattice._pass_plan(p, m - u, h_max - u * p, False)[2] <= bound
+
+
+def test_deep_verify_of_forty_coordinates_is_refused_before_its_table(monkeypatch):
+    # 2^40 subset DPs at h = 0, where the oracle sees one candidate; without
+    # deep the same run is one case
+    monkeypatch.setattr(oracle, "_lattice_series", _refuse)
+    space = make_lens_space(2, (1,) * 40)
+    assert oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "run", space) == [(space, [0])]
+    with pytest.raises(ValueError, match="run builds numerators over 100000000000 DP bits"):
+        oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "run", space, deep=True)

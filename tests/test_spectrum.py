@@ -76,6 +76,12 @@ def test_formula_rejects_foreign_table():
         multiplicity(make_lens_space(3, (1, 1)), N211, 2)
 
 
+def test_multiplicity_refuses_a_negative_degree():
+    with pytest.raises(ValueError) as err:
+        multiplicity(L211, N211, -1)
+    assert str(err.value) == "degree must be non-negative, got -1"
+
+
 def test_formula_matches_oracle_small_grid():
     for p in range(1, 7):
         for m in (2, 3):
