@@ -4,13 +4,17 @@ Everything here enumerates lattice points directly to certify the
 closed-form counting path on desk-scale instances; none of it is a
 production path.  Two walks serve it.  The listing walk, _congruent_shell,
 yields the points of one norm: enumerate_omega and enumerate_c list them,
-n_lattice_bruteforce (so `lenslat verify --h`) counts them and keeps none,
+n_lattice_bruteforce (so a one-norm `lenslat verify`) counts them, keeping none,
 and the fold laws of `lenslat verify --deep` fold them.  The count walk,
 shell_counts, counts norms 0..h_max in one pass that lists no point, and
-`lenslat verify` takes a case's count rows from one call.  It pairs each
+`lenslat verify` takes a range's count rows from one call.  It pairs each
 point with its negative and counts a last coordinate's congruence class
 in closed form, but keeps no tally over coordinates and uses no
 numerator, DP or binomial, so it stays independent of the kernel.
+verify_grid sets it against spectra's ranged series N(0..h_max), which
+`spectrum`, `compare`, `parity` and the census divide further, and the
+listing walk's count of a lone norm against the closed form
+n_lattice_formula that `nl` reads.
 
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
@@ -24,8 +28,9 @@ box-shell walks of fold_law_checks() too, whose laws read gamma from
 subset_table(), one box DP per subset per case.  verify_cases, the one
 admission rule of `lenslat verify`, refuses an m < 2, then prices the
 whole run before its first case: per tuple, its walk candidates, its
-numerator's DP bits and, with --deep, its 2^m subset DPs.  verify_grid
-and the loop of `lenslat bench` (bench_timings) live here as well.
+full numerator's DP bits (an upper bound on a range's capped series) and,
+with --deep, its 2^m subset DPs.  verify_grid and the loop of `lenslat
+bench` (bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -47,11 +52,12 @@ from collections.abc import Iterator, Sequence
 from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _lattice_series
 from .lattice import _numerator_bits, binom, canonical_q_tuples, decompose, make_lens_space
 from .lattice import _pass_plan, numerator
-from .spectra import n_lattice_formula
+from .spectra import _ranged_series, n_lattice_formula
 
 DEFAULT_BUDGET = 10**8
-# per verify run: each class it walks builds a full numerator, priced by _numerator_bits; the
-# grid p <= 454, m = 2 fits and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)
+# per verify run: each class it walks is priced at a full numerator's _numerator_bits, which a
+# lone norm builds and which bounds a range's capped series from above; the grid p <= 454,
+# m = 2, h = 0 fits and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)
 VERIFY_MAX_DP_BITS = 10**11
 
 
@@ -403,21 +409,22 @@ def verify_grid(
     """Every check of the formula against the enumeration oracle, in order.
 
     For each (space, norms) case and each norm h, one 'count' check of
-    N(h), norms 0..h_max from one shell_counts walk and a lone norm from
-    n_lattice_bruteforce; with deep, also the fold-law checks, which fold
+    N(h).  Norms 0..h_max read spectra's ranged series, P capped at h_max
+    over (1 - z^p)^m, against one shell_counts walk, and build no full
+    numerator; a lone norm reads the closed form n_lattice_formula against
+    n_lattice_bruteforce.  With deep, also the fold-law checks, which fold
     the points that enumerate_omega lists, with one subset_table per case.
     """
     checks = []
     for space, hs in cases:
-        num = numerator(space)
         label = space.label()
         table = subset_table(space, hs[-1]) if deep else None
-        if hs[0] == 0:
-            counts = shell_counts(space, hs[-1], budget)
+        if len(hs) > 1:
+            formulas, counts = _ranged_series(space, hs[-1], 0), shell_counts(space, hs[-1], budget)
         else:
-            counts = [n_lattice_bruteforce(space, h, budget) for h in hs]
-        for h, count in zip(hs, counts):
-            formula = n_lattice_formula(space, num, h)
+            formulas = [n_lattice_formula(space, numerator(space), hs[0])]
+            counts = [n_lattice_bruteforce(space, hs[0], budget)]
+        for h, formula, count in zip(hs, formulas, counts):
             checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
             if deep:
                 for check in fold_law_checks(space, h, enumerate_omega(space, h, budget), table):

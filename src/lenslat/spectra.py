@@ -14,6 +14,12 @@ the same form at stride p and power 2m - 1 over the polynomial
 Q = P * ((1 - z^p) / (1 - z^2))^(m - 1).  A range of degrees divides in
 place: m running sums with stride p turn P into N(0..H), and m - 1 more
 with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
+
+So each input shape reads one series.  A range reads _ranged_series, P
+built only up to degree H and divided in place: `spectrum`, `compare`,
+`parity` and the census through _multiplicities, and `verify` over norms
+0..H with the stride-p sums alone, against the count walk.  A single
+degree (`nl`, `multiplicity`, `bench`, `verify --h`) reads the stride sum.
 """
 
 from __future__ import annotations
@@ -104,15 +110,24 @@ def _check_i_max(i_max: int) -> None:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
 
 
-def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
-    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
-    _check_i_max(i_max)
-    series = _lattice_series(space.p, space.q, i_max, with_zp=True)
-    for stride, times in ((space.p, space.m), (2, space.m - 1)):
+def _ranged_series(space: LensSpace, s_max: int, twos: int) -> list[int]:
+    """[z^0..z^s_max] of P(z) / ((1 - z^p)^m * (1 - z^2)^twos): P capped at s_max, divided in place.
+
+    twos = 0 gives N(0..s_max), what `verify` checks over a range of norms;
+    twos = m - 1 gives dim(lambda_0..lambda_s_max), what every range command reads.
+    """
+    series = _lattice_series(space.p, space.q, s_max, with_zp=True)
+    for stride, times in ((space.p, space.m), (2, twos)):
         for _ in range(times):
             for h in range(stride, len(series)):
                 series[h] += series[h - stride]
     return series
+
+
+def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
+    _check_i_max(i_max)
+    return _ranged_series(space, i_max, space.m - 1)
 
 
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:

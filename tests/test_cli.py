@@ -223,21 +223,22 @@ def _corrupted_binom(pool, choose):
 
 
 def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch, capsys):
-    # negative control: break the out-of-range convention and the formula
-    # must diverge from the enumeration at the smallest affected norm
+    # negative control of the closed form, which verify reads for a lone norm:
+    # break the out-of-range convention and the formula must diverge from the
+    # enumeration at the smallest affected norm
     monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
-    cases = [(make_lens_space(2, (1, 1)), list(range(5)))]
+    cases = [(make_lens_space(2, (1, 1)), [h]) for h in range(5)]
     checks = verify_grid(cases, DEFAULT_BUDGET, deep=False)
     mismatches = [c for c in checks if not c.ok]
     assert mismatches
     assert mismatches[0].h == 0
-    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h-max", "4"])
+    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "0"])
     assert code == 1
 
 
 def test_verify_json_mismatches_keep_their_keys(monkeypatch, capsys):
     monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
-    argv = ["verify", "--p", "2", "--q", "1,1", "--h-max", "4", "--format", "json"]
+    argv = ["verify", "--p", "2", "--q", "1,1", "--h", "0", "--format", "json"]
     code, text = _run(capsys, argv)
     assert code == 1
     first = json.loads(text)["mismatches"][0]
@@ -245,6 +246,46 @@ def test_verify_json_mismatches_keep_their_keys(monkeypatch, capsys):
     record = CheckRecord(**first)
     check_record(record, "CheckRecord(space='L(2;1,1)', h=0, kind='count', got='8', expected='1')")
     assert not record.ok
+
+
+def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
+    # negative control of the ranged series, which verify reads over norms
+    # 0..h_max: one point too many at degree 2 of P shows first at h = 2
+    series = lenslat.spectra._lattice_series
+
+    def corrupted(p, qs, s_max, with_zp):
+        coeffs = series(p, qs, s_max, with_zp)
+        coeffs[2] += 1
+        return coeffs
+
+    monkeypatch.setattr("lenslat.spectra._lattice_series", corrupted)
+    cases = [(make_lens_space(2, (1, 1)), list(range(5)))]
+    mismatches = [c for c in verify_grid(cases, DEFAULT_BUDGET, deep=False) if not c.ok]
+    assert mismatches
+    assert mismatches[0].h == 2
+    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h-max", "4"])
+    assert code == 1
+
+
+def _other_path(*args, **kwargs):
+    raise AssertionError("verify read the formula path of the other input shape")
+
+
+def test_verify_reads_one_formula_path_per_input_shape(monkeypatch, capsys):
+    # norms 0..h_max read the ranged series and build no numerator; a lone
+    # norm reads the closed form and no ranged series
+    with monkeypatch.context() as patch:
+        patch.setattr("lenslat.oracle.numerator", _other_path)
+        patch.setattr("lenslat.oracle.n_lattice_formula", _other_path)
+        argv = ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24", "--format", "json"]
+        code, text = _run(capsys, argv)
+    assert code == 0
+    report = json.loads(text)
+    assert (report["checks"], report["mismatch_count"]) == (850, 0)
+    monkeypatch.setattr("lenslat.oracle._ranged_series", _other_path)
+    code, text = _run(capsys, ["verify", "--p", "7", "--q", "1,2,3", "--h", "30"])
+    assert code == 0
+    assert text.splitlines()[1:] == ['"L(7;1,2,3)",30,count,512,512,true']
 
 
 def test_verify_budget_exceeded_exits_2(capsys):

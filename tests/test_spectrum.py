@@ -327,6 +327,19 @@ def test_first_positive_eigenvalue_explicit_count():
     assert spaces == 2838  # 2,842 canonical spaces with p <= 30, less the 4 spheres
 
 
+def test_closed_form_matches_the_ranged_series():
+    # nl's closed form stays tied to the series verify certifies over ranges:
+    # every norm of the criterion-1 grid, and the CI's p = 1009 and 2003 to h = 300
+    grid = [make_lens_space(p, q) for p in range(1, 11) for m in (2, 3)
+            for q in canonical_q_tuples(p, m)]
+    assert len(grid) == 34
+    large = [make_lens_space(p, (1, 2, 3)) for p in (1009, 2003)]
+    for space, h_max in [(space, 24) for space in grid] + [(space, 300) for space in large]:
+        num = numerator(space)
+        closed = [n_lattice_formula(space, num, h) for h in range(h_max + 1)]
+        assert spectra._ranged_series(space, h_max, 0) == closed, space
+
+
 def test_first_positive_eigenvalue_matches_oracle():
     # criterion-1 grid: dim(lambda_1) = N(1) on the sphere, else N(2) + m - 1
     for p in range(1, 11):
