@@ -25,12 +25,15 @@ ball bounds shell_counts' work: each (prefix, y >= 0) pair it visits
 extends to distinct candidates (y, and -y when y > 0), each prefix has its
 y = 0 pair, and its running sum takes at most h_max steps.  It bounds the
 box-shell walks of fold_law_checks() too, whose laws read gamma from
-subset_table(), one box DP per subset per case.  verify_cases, the one
-admission rule of `lenslat verify`, refuses an m < 2, then prices the
-whole run before its first case: per tuple, its walk candidates, its
-full numerator's DP bits (an upper bound on a range's capped series) and,
-with --deep, its 2^m subset DPs.  verify_grid and the loop of `lenslat
-bench` (bench_timings) live here as well.
+subset_table(), one box DP per class per case.  A point of norm h has
+|N|*p <= h for its class N, so the table, the fiber census and the law
+sweep hold only the classes with |N|*p <= h_max, never all 2^m.
+verify_cases, the one admission rule of `lenslat verify`, refuses an
+m < 2, then prices the whole run before its first case: per tuple, its
+walk candidates, its full numerator's DP bits (an upper bound on a
+range's capped series) and, with --deep, 2^m subset DPs (an upper bound
+on its table).  verify_grid and the loop of `lenslat bench`
+(bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
 it runs as one flat loop over the next-to-last absolute value a, the last
@@ -48,6 +51,7 @@ import operator
 import time
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from itertools import combinations
 
 from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _lattice_series
 from .lattice import _numerator_bits, binom, canonical_q_tuples, decompose, make_lens_space
@@ -267,19 +271,21 @@ def fiber_census(
     Keys are (N, t, y): the partition mask, the folded norm offset t
     (||y||_1 = k + t*p where h = k + n*p), and the folded vector.  For
     every occupied key the size equals binom(n - t + (m - |N|) - 1, m - 1).
-    A point whose 1-norm is not h raises ValueError.  The 2^m masks are
-    built once per call; each point's fold gives only the bits of its N.
+    A point whose 1-norm is not h raises ValueError.  Each point's fold
+    gives only the bits of its N; a class's mask is built once per call,
+    when its first point folds into it, so no more masks than classes occur.
     """
     k, _ = decompose(h, space.p)
-    masks = [SubsetMask(bits, space.m) for bits in range(1 << space.m)]
+    masks: dict[int, SubsetMask] = {}
     census: dict[tuple[SubsetMask, int, tuple[int, ...]], int] = {}
     for x in points:
         bits, y = fold_point(space, x)
         norm = sum(map(abs, x))
         if norm != h:  # an explicit check, which python -O keeps
             raise ValueError(f"{x} has 1-norm {norm}, not {h}")
+        mask = masks.get(bits) or masks.setdefault(bits, SubsetMask(bits, space.m))
         # the fold drops whole multiples of p from the norm h = k + n*p
-        key = (masks[bits], (sum(map(abs, y)) - k) // space.p, y)
+        key = (mask, (sum(map(abs, y)) - k) // space.p, y)
         census[key] = census.get(key, 0) + 1
     return census
 
@@ -306,23 +312,25 @@ def gamma_bruteforce(
     return len(enumerate_c(space, U, s, budget))
 
 
-def subset_table(space: LensSpace, h_max: int) -> list[tuple[SubsetMask, tuple, list[int]]]:
-    """(N, q over N^c, [gamma(N^c, s) for s in 0..h_max - |N|*p]) for each mask bits of N.
+def subset_table(space: LensSpace, h_max: int) -> dict[SubsetMask, tuple[tuple, list[int]]]:
+    """{N: (q over N^c, [gamma(N^c, s) for s in 0..h_max - |N|*p])} for each N with |N|*p <= h_max.
 
+    A point of norm h has |N|*p <= h, so these are the only classes a norm up
+    to h_max can hold: sum_{u <= h_max // p} binom(m, u) of them, built by size u.
     Each series is one run of lattice.gamma's box DP, cut at the largest s a
     norm h <= h_max reads for N; the DP is causal, so the cut changes no value.
-    Where the cut is negative no norm up to h_max has a point in N: no DP runs.
     """
-    p, m, table = space.p, space.m, []
-    for bits in range(1 << m):
-        mask = SubsetMask(bits, m)
-        qs, cut = mask.complement().pick(space.q), h_max - mask.u * p
-        table.append((mask, qs, _lattice_series(p, qs, cut, with_zp=False) if cut >= 0 else []))
+    p, m, table = space.p, space.m, {}
+    for u in range(min(m, h_max // p) + 1):
+        for members in combinations(range(m), u):
+            mask = SubsetMask.from_indices(members, m)
+            qs = mask.complement().pick(space.q)
+            table[mask] = qs, _lattice_series(p, qs, h_max - u * p, with_zp=False)
     return table
 
 
 def fold_law_checks(
-    space: LensSpace, h: int, points: Sequence[tuple[int, ...]], table: list[tuple]
+    space: LensSpace, h: int, points: Sequence[tuple[int, ...]], table: dict[SubsetMask, tuple]
 ) -> Iterator[tuple[str, str, str]]:
     """The partition and fiber laws at 1-norm h, as (kind, got, expected).
 
@@ -336,26 +344,29 @@ def fold_law_checks(
     Each point is folded once, by fiber_census; class N's size is the
     sum of its fiber sizes, added up in one pass, and its law is
     sum_{t <= n - |N|} binom(n - t + m - |N| - 1, m - 1) * gamma(N^c, k + t*p)
-    with gamma from the table.  The partition check expects the sum of the laws
-    over every N; got is len(points) with a note for each class whose
-    size breaks its law.  One sweep over (N, t) adds up the laws and walks
-    the admissible keys, the norm k + t*p shell of the box over N^c.  The
-    walks need no budget: each shell candidate y of (N, t) lifts to a
-    distinct norm-h candidate of Z^m (y on N^c, the missing (n - t)*p on
-    N as negative multiples of p, or on the first coordinate away from 0
-    when N is empty) that folds back to (N, t, y), so they visit at most
-    l1_sphere_count(m, h) candidates, which enumerate_omega has checked.
+    with gamma from the table.  One sweep over (N, t) adds up the laws and
+    walks the admissible keys, the norm k + t*p shell of the box over N^c.
+    It visits, in mask order, the table's classes and the occupied ones: any
+    other class is empty with law 0, and an occupied class outside the table,
+    which only a faulty fold can fill, has law 0 and no keys.  The partition
+    check expects the sum of the laws; got is len(points) with a note for
+    each class whose size breaks its law.  The walks need no budget: each
+    shell candidate y of (N, t) lifts to a distinct norm-h candidate of Z^m
+    (y on N^c, the missing (n - t)*p on N as negative multiples of p, or on
+    the first coordinate away from 0 when N is empty) that folds back to
+    (N, t, y), so they visit at most l1_sphere_count(m, h) candidates, which
+    enumerate_omega has checked.
     """
     p, m = space.p, space.m
     k, n = decompose(h, p)
     census = fiber_census(space, h, points)
-    sizes = [0] * (1 << m)
+    sizes: dict[SubsetMask, int] = {}
     for (mask, _t, _y), c in census.items():
-        sizes[mask.bits] += c
+        sizes[mask] = sizes.get(mask, 0) + c
     got, expected, covered, keys = str(len(points)), 0, 0, 0
-    for bits, size in enumerate(sizes):
-        mask, qs, series = table[bits]
-        law = 0
+    for mask in sorted(table.keys() | sizes.keys()):
+        qs, series = table.get(mask, ((), []))
+        size, law = sizes.get(mask, 0), 0
         for t in range(n - mask.u + 1):
             law += binom(n - t + m - mask.u - 1, m - 1) * series[k + t * p]
             for y in _congruent_shell(p, qs, k + t * p, p - 1):
@@ -363,7 +374,7 @@ def fold_law_checks(
                 covered += (mask, t, y) in census
         expected += law
         if size != law:
-            got += f" (class {bits:#b}: {size}, law {law})"
+            got += f" (class {mask.bits:#b}: {size}, law {law})"
     yield "partition", got, str(expected)
     for (mask, t, _y), size in census.items():
         yield "fiber_size", str(size), str(binom(n - t + m - mask.u - 1, m - 1))
@@ -378,7 +389,8 @@ def verify_cases(
 
     Refused before any case is built: an m < 2, before pricing; then, summed per tuple tried,
     hs's shell_price candidates over the budget or, over VERIFY_MAX_DP_BITS, a numerator's DP
-    bits plus with deep 2^m subset DPs of at most _pass_plan(p, m, hs[-1], False) bits; no case.
+    bits plus with deep 2^m subset DPs (an upper bound on subset_table's) of at most
+    _pass_plan(p, m, hs[-1], False) bits; no case.
     """
     if space is not None:
         priced, spaces = [(space.p, space.m, 1)], [space]

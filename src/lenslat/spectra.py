@@ -185,11 +185,14 @@ def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
     x -> -x pairs off the nonzero lattice points, so N(h) is even for
     every h >= 1: mod 2, N(z) = 1 and the multiplicities are those of
     1/(1 - z^2)^(m - 1), dim(lambda_i) = [i even]*binom(i/2 + m - 2, m - 2).
-    Rows that break this law carry ok=False.
+    By Kummer's theorem, binom(j + m - 2, m - 2) is odd iff adding j and
+    m - 2 in binary carries nothing, that is iff j & (m - 2) == 0.  So
+    dim(lambda_i) is odd iff i is even and i/2 shares no binary digit with
+    m - 2; no binomial is built.  Rows that break this law carry ok=False.
     """
     rows = []
     for i, mult in enumerate(_multiplicities(space, i_max)):
-        law = binom(i // 2 + space.m - 2, space.m - 2) % 2 if i % 2 == 0 else 0
+        law = i % 2 == 0 and (i // 2) & (space.m - 2) == 0
         rows.append(ParityRow(i, mult, mult % 2 == law))
     return tuple(rows)
 

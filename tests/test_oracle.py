@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, make_lens_space
+from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, gamma, make_lens_space
 from lenslat import lattice, oracle
 from lenslat.oracle import (
     OracleBudgetError,
@@ -330,6 +330,23 @@ def test_partition_check_flags_misclassified_points(monkeypatch):
     assert got == "8 (class 0b0: 8, law 6) (class 0b1: 0, law 1) (class 0b10: 0, law 1)"
 
 
+def test_partition_check_notes_a_class_no_norm_can_hold(monkeypatch):
+    # every point filed under N = {0, 1}, which holds no norm-2 point at p = 2:
+    # the class is outside the table, and the sweep still notes it last
+    def misclassify(space, x):
+        return 0b11
+
+    monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
+    table = subset_table(L211, 2)
+    assert SubsetMask(0b11, 2) not in table
+    kind, got, expected = next(fold_law_checks(L211, 2, enumerate_omega(L211, 2), table))
+    assert (kind, expected) == ("partition", "8")
+    assert got == (
+        "8 (class 0b0: 0, law 6) (class 0b1: 0, law 1) (class 0b10: 0, law 1)"
+        " (class 0b11: 8, law 0)"
+    )
+
+
 def test_fiber_cover_flags_a_missing_point():
     # (1, 1) alone folds onto the key (N = {}, t = 1, y = (1, 1))
     points = [x for x in enumerate_omega(L211, 2) if x != (1, 1)]
@@ -417,6 +434,39 @@ def test_fiber_census_builds_each_mask_once_per_call(monkeypatch):
         assert sum(census.values()) == len(points), h
         assert len(built) <= 1 << space.m, (h, len(built), len(points))
     assert len(points) > 1 << space.m
+
+
+def test_subset_table_holds_the_classes_a_norm_up_to_h_max_can_hold():
+    # N is a key iff |N|*p <= h_max, and carries gamma's series on N^c up to
+    # h_max - |N|*p; no other class of the 2^m is built
+    for p, m in product(range(1, 8), range(2, 6)):
+        space = make_lens_space(p, canonical_q_tuples(p, m)[-1])
+        for h_max in range(3 * p + 1):
+            table = subset_table(space, h_max)
+            masks = [SubsetMask(bits, m) for bits in range(1 << m)]
+            assert set(table) == {mask for mask in masks if mask.u * p <= h_max}, (space, h_max)
+            for mask, (qs, series) in table.items():
+                rest = mask.complement()
+                assert qs == rest.pick(space.q), (space, h_max, mask)
+                cut = h_max - mask.u * p
+                assert series == [gamma(space, rest, s) for s in range(cut + 1)], (space, mask)
+
+
+def test_deep_verify_of_sixteen_coordinates_builds_only_the_classes_it_reads(monkeypatch):
+    # L(2; 1 x 16) at h = 0: the table holds the empty class alone and the
+    # one point folds into it, so a handful of masks, not 2^16 per table and norm
+    space = make_lens_space(2, (1,) * 16)
+    new, built = SubsetMask.__new__, []
+
+    def counted(cls, bits, m):
+        built.append(bits)
+        return new(cls, bits, m)
+
+    monkeypatch.setattr(SubsetMask, "__new__", staticmethod(counted))
+    cases = oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "run", space, deep=True)
+    checks = oracle.verify_grid(cases, oracle.DEFAULT_BUDGET, deep=True)
+    assert len(checks) == 4 and all(check.ok for check in checks)
+    assert len(built) <= 4, len(built)
 
 
 # ------------------------------------------------------------------- fold

@@ -469,6 +469,24 @@ def test_parity_flags_a_broken_even_degree(monkeypatch):
     assert [row.i for row in rows if not row.ok] == [4]
 
 
+def test_parity_law_is_the_binomial_mod_2(monkeypatch):
+    # the bit rule i even and (i/2) & (m - 2) == 0 is binom(i/2 + m - 2, m - 2)
+    # mod 2 (Kummer): rows fed the binomial's parity pass, rows fed the other
+    # parity fail, at every even i < 6000 and m <= 23; odd i read 0
+    def law(space, i_max):
+        m = space.m
+        return [binom(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0 for i in range(i_max + 1)]
+
+    def flipped(space, i_max):
+        return [v ^ 1 for v in law(space, i_max)]
+
+    for m in range(2, 24):
+        space = make_lens_space(1, (1,) * m)
+        for series, ok in ((law, True), (flipped, False)):
+            monkeypatch.setattr(spectra, "_multiplicities", series)
+            assert all(row.ok == ok for row in parity_report(space, 5999)), (m, ok)
+
+
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_parity_even_p(data):
