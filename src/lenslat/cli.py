@@ -35,7 +35,7 @@ import sys
 from . import oracle
 from .lattice import LensSpace, SubsetMask, gamma, make_lens_space, numerator
 from .lattice import _canonical_form, canonical_q_tuples  # noqa: F401  probed by perfbench
-from .oracle import VERIFY_MAX_DP_BITS, CheckRecord, verify_grid  # noqa: F401  re-exported
+from .oracle import verify_grid  # noqa: F401  re-exported
 from .spectra import MAX_SPECTRUM_LINES, compare_spectra, n_lattice_formula, parity_report, spectrum
 
 # bench keeps the oracle at desk scale (a few thousand candidates per

@@ -235,31 +235,26 @@ def shell_counts(space: LensSpace, h_max: int, budget: int = DEFAULT_BUDGET) -> 
     return counts
 
 
-def negative_multiple_mask(space: LensSpace, x: Sequence[int]) -> int:
-    """Indices whose coordinate is a negative multiple of p, as mask bits."""
-    p, bits = space.p, 0
-    for j, v in enumerate(x):
-        if v < 0 and v % p == 0:
-            bits |= 1 << j
-    return bits
-
-
 def fold_point(space: LensSpace, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Partition mask bits of x and its folded, box-bounded representative.
 
-    Coordinates that are negative multiples of p are dropped; each
-    remaining coordinate x_j is replaced by its congruence
-    representative: x_j mod p in {0,...,p-1} when x_j >= 0, and
-    (x_j mod p) - p when x_j < 0.  The folded vector keeps the
-    congruence over the complement and satisfies |y_j| <= p-1.  A
-    non-integer x_j (one without __index__) raises TypeError.
+    After the congruence check, one loop decides each coordinate once: a
+    negative multiple of p sets its bit of N and is dropped, and any other
+    x_j is replaced by its congruence representative: x_j mod p in
+    {0,...,p-1} when x_j >= 0, and (x_j mod p) - p when x_j < 0.  The
+    folded vector keeps the congruence over the complement and satisfies
+    |y_j| <= p-1.  A non-integer x_j (one without __index__) raises
+    TypeError, and a point off the lattice ValueError.
     """
     x = tuple(map(operator.index, x))
     if not space.admits(x):
         raise ValueError(f"{x} violates the congruence of {space}")
-    p = space.p
-    bits = negative_multiple_mask(space, x)
-    y = [v % p if v >= 0 else v % p - p for j, v in enumerate(x) if not bits >> j & 1]
+    p, bits, y = space.p, 0, []
+    for j, v in enumerate(x):
+        if v < 0 and v % p == 0:
+            bits |= 1 << j
+        else:
+            y.append(v % p if v >= 0 else v % p - p)
     return bits, tuple(y)
 
 

@@ -26,10 +26,14 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 
-from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
-from .lattice import binom, canonical_q_tuples, decompose, make_lens_space, numerator
+from .lattice import MAX_CANONICAL_CANDIDATES, LensSpace, Numerator, _canonical_candidates
+from .lattice import _lattice_series, _pass_plan, binom, canonical_q_tuples, decompose
+from .lattice import make_lens_space, numerator
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
+# multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
+# (a tuple slot and its int; 7.2e6 of them at (31, 3, 60000) took 148 MiB over the import)
+MAX_CENSUS_VALUES = 10**7
 
 
 class SpectrumEntry(namedtuple("SpectrumEntry", "i eigenvalue mult")):
@@ -205,11 +209,16 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
     that degree: a cheap filter, as L(54;1,1,17) and L(54;1,1,19) agree to 17
     and part at 18.  Classes sharing a prefix are split by full numerator; equal
     (p, m) share the denominator, so each group is one spectrum in every degree.
-    The class, degree and DP rules are checked from (p, m, i_max) before any class is built.
+    The class, degree, DP and held-value rules are checked from (p, m, i_max) before any
+    class is built; the last prices each candidate tuple at i_max + 1 held multiplicities,
+    and leaves a walk over MAX_CANONICAL_CANDIDATES to canonical_q_tuples' own refusal.
     """
-    _canonical_candidates(p, m)
+    tried = _canonical_candidates(p, m)
     _check_i_max(i_max)
     _pass_plan(p, m, i_max, True)
+    if tried * (i_max + 1) > MAX_CENSUS_VALUES and tried <= MAX_CANONICAL_CANDIDATES:
+        raise ValueError(f"{tried} candidate tuples x {i_max + 1} degrees are over "
+                         f"{MAX_CENSUS_VALUES} held multiplicities")
     tuples = canonical_q_tuples(p, m)
     prefixes = defaultdict(list)  # prefix -> [(q, space)], q ascending like the classes
     for q in tuples:

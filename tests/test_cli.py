@@ -30,9 +30,9 @@ from lenslat import (
     parity_report,
     spectrum,
 )
-from lenslat.cli import BENCH_DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, main, verify_grid
+from lenslat.cli import BENCH_DEFAULT_BUDGET, main, verify_grid
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
-from lenslat.oracle import DEFAULT_BUDGET, enumerate_omega
+from lenslat.oracle import DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, enumerate_omega
 from records import check_record
 from strategies import lens_spaces
 
@@ -1329,6 +1329,22 @@ def test_census_at_a_huge_prime_is_refused_at_once(m, capsys):
     assert f"over 1000000 candidate tuples at p = {2**61 - 1}, m = {m}" in capsys.readouterr().err
 
 
+def test_census_over_its_held_multiplicities_is_refused_before_any_class(monkeypatch, capsys):
+    # 1,275 candidate tuples x 10^5 degrees passed the class, degree and DP rules, then
+    # ran out of memory filing its classes: a MemoryError traceback and exit 1
+    def walk(p, m):
+        raise AssertionError("the class walk ran")
+
+    monkeypatch.setattr(lenslat.spectra, "canonical_q_tuples", walk)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", "101", "--m", "3", "--i-max", "99999"])
+    assert time.perf_counter() - start < 1
+    assert err.value.code == 2
+    assert ("1275 candidate tuples x 100000 degrees are over 10000000 held multiplicities"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("p, digest", [
     (11, "98d2bc1b642aa777c7e46b76c4292691ef42c91670606feb94336c127433c8f4"),
     (101, "6d14ffe91fa7ce9317e5920a64cce5185aa05bd36dd7dc25335051101f72ef04"),
@@ -1346,6 +1362,14 @@ def test_census_stdout_is_pinned(p, digest, capsys):
     # the --deep listing order over two and three prefix coordinates (m = 4, 5)
     ("verify --p-max 5 --m 4,5 --h-max 6 --deep",
      "14bac320d10f4d34aad130d72a37a1a670ce080b9186de9f4cae58fd77d771a2"),
+    # the fold at residues near p, at p = 1 (every negative coordinate is in N)
+    # and on the benchmark's single-space --deep shape
+    ("verify --p 61 --q 1,2,3,5 --h-max 6 --deep",
+     "5a7bdce05b02a5714c3d898119cc09b19aa1b61e0f5f557e199879c1f22fba3d"),
+    ("verify --p 1 --q 1,1,1 --h-max 6 --deep",
+     "7650282d9934e965320dfa7017abca8595ca8a5cf75d548c7f6b9311803d0927"),
+    ("verify --p 7 --q 1,2,3 --h-max 10 --deep",
+     "841fee7609617e5436360cff1b0da2dc473210fae431579d2f6f0947e60bc35e"),
 ])
 def test_verify_stdout_is_pinned(argv, digest, capsys):
     # every row, in the oracle's enumeration order: the walk and the fold may

@@ -23,7 +23,6 @@ from lenslat.oracle import (
     l1_ball_count,
     l1_sphere_count,
     n_lattice_bruteforce,
-    negative_multiple_mask,
     shell_counts,
     subset_table,
 )
@@ -264,6 +263,11 @@ def test_box_budget_refusal():
 # ---------------------------------------------------------------- partition
 
 
+def _negative_multiples(p, x):
+    """Bits of the indices whose coordinate is a negative multiple of p: N by its definition."""
+    return sum(1 << j for j, v in enumerate(x) if v < 0 and v % p == 0)
+
+
 def _class_sizes(space, h, points):
     """Size of each class N, read from the fiber census keys."""
     sizes = Counter()
@@ -281,7 +285,7 @@ def test_classify_l211_h2():
 @settings(max_examples=60, deadline=None)
 def test_partition_law(space, h):
     points = enumerate_omega(space, h)
-    members = Counter(negative_multiple_mask(space, x) for x in points)
+    members = Counter(_negative_multiples(space.p, x) for x in points)
     sizes = _class_sizes(space, h, points)
     assert sizes == members  # each point counted once, in the class of its N
     assert sum(sizes.values()) == len(points)  # exhaustive
@@ -319,10 +323,12 @@ def test_partition_check_holds_on_grid():
 
 def test_partition_check_flags_misclassified_points(monkeypatch):
     # every point put in the class N = {} breaks the law of every class it left
-    def misclassify(space, x):
-        return 0
+    fold = oracle.fold_point
 
-    monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
+    def misclassify(space, x):
+        return 0, fold(space, x)[1]
+
+    monkeypatch.setattr(oracle, "fold_point", misclassify)
     points = enumerate_omega(L211, 2)
     kind, got, expected = next(fold_law_checks(L211, 2, points, subset_table(L211, 2)))
     assert kind == "partition"
@@ -334,9 +340,9 @@ def test_partition_check_notes_a_class_no_norm_can_hold(monkeypatch):
     # every point filed under N = {0, 1}, which holds no norm-2 point at p = 2:
     # the class is outside the table, and the sweep still notes it last
     def misclassify(space, x):
-        return 0b11
+        return 0b11, ()
 
-    monkeypatch.setattr(oracle, "negative_multiple_mask", misclassify)
+    monkeypatch.setattr(oracle, "fold_point", misclassify)
     table = subset_table(L211, 2)
     assert SubsetMask(0b11, 2) not in table
     kind, got, expected = next(fold_law_checks(L211, 2, enumerate_omega(L211, 2), table))
@@ -489,7 +495,7 @@ def test_fold_norm_drop_and_box(space, h):
     p = space.p
     for x in enumerate_omega(space, h):
         bits, y = fold_point(space, x)
-        assert bits == negative_multiple_mask(space, x)
+        assert bits == _negative_multiples(p, x)
         mask = SubsetMask(bits, space.m)
         assert len(y) == space.m - mask.u
         drop = h - sum(abs(v) for v in y)

@@ -499,6 +499,25 @@ def test_parity_even_p(data):
         assert multiplicity(space, num, i) % 2 == 0
 
 
+@pytest.mark.parametrize("p, m, i_max, admitted", [
+    (101, 3, 16, True),  # the largest census the tests and the CI run: 1,275 x 17
+    (401, 3, 16, True),
+    (31, 3, 83332, True),  # 120 candidate tuples x 83,333 degrees, just under 10^7
+    (31, 3, 83333, False),  # 120 x 83,334, just over
+])
+def test_isospectral_census_prices_its_held_multiplicities(monkeypatch, p, m, i_max, admitted):
+    # one multiplicity tuple of i_max + 1 values is held per class; the rule reads
+    # (p, m, i_max) alone, before the class walk, which is stubbed out here
+    monkeypatch.setattr(spectra, "canonical_q_tuples", lambda p, m: [])
+    held = spectra._canonical_candidates(p, m) * (i_max + 1)
+    assert (held <= spectra.MAX_CENSUS_VALUES) == admitted
+    if admitted:
+        assert isospectral_census(p, m, i_max) == (0, [])
+    else:
+        with pytest.raises(ValueError, match="held multiplicities"):
+            isospectral_census(p, m, i_max)
+
+
 def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
     # the prefix is only a filter: each group is exactly one class of equal full
     # numerators, and the census reads multiplicities, never the spectral lines
