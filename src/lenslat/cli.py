@@ -85,13 +85,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(header: list[str] | None, rows: list[list] | tuple[tuple, ...]) -> str:
-    """CSV lines; with no header, the rows alone (a bare value for nl/gamma)."""
+def _csv_text(header: list[str], rows: list[list] | tuple[tuple, ...]) -> str:
+    """CSV lines: the header, then the rows."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()
 
 
@@ -141,7 +138,7 @@ def run_nl(args: argparse.Namespace):
     value = n_lattice_formula(space, numerator(space), args.h)
     if args.fmt == "json":
         return _json_text(_space_json(space) | {"h": args.h, "count": str(value)}), 0
-    return _csv_text(None, [[value]]), 0
+    return f"{value}\n", 0
 
 
 def run_gamma(args: argparse.Namespace):
@@ -164,7 +161,7 @@ def run_gamma(args: argparse.Namespace):
             "s": args.s,
             "count": str(value),
         }), 0
-    return _csv_text(None, [[value]]), 0
+    return f"{value}\n", 0
 
 
 def run_compare(args: argparse.Namespace):

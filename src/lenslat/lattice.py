@@ -37,8 +37,8 @@ from itertools import combinations_with_replacement
 # per generating-function DP, priced by _pass_plan at the columns its passes
 # build; p = 1009, m = 3 needs 1.04e8
 MAX_DP_BITS = 10**9
-# per canonical_q_tuples call; p = 1009, m = 3 walks 1.3e5 at
-# 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
+# per class walk, refused by _canonical_candidates; p = 1009, m = 3 walks 1.3e5
+# at 6 us each, m = 10 takes 33 us each (AMD EPYC, Python 3.11)
 MAX_CANONICAL_CANDIDATES = 10**6
 
 
@@ -305,14 +305,10 @@ def canonical_q_tuples(p: int, m: int) -> list[tuple[int, ...]]:
     entry by a unit mod p.  Each class is listed by its least member
     (entries in 1..p-1; all 1 for p <= 2), in ascending order.  That
     member is sorted, folded (v <= p - v) and starts with 1, so only
-    such tuples are built; more than MAX_CANONICAL_CANDIDATES of them
-    are refused before the first.
+    such tuples are built; _canonical_candidates refuses more than
+    MAX_CANONICAL_CANDIDATES of them before the first.
     """
-    walked = _canonical_candidates(p, m)
-    if walked > MAX_CANONICAL_CANDIDATES:
-        raise ValueError(
-            f"{walked} candidate tuples at p = {p}, m = {m} are over {MAX_CANONICAL_CANDIDATES}"
-        )
+    _canonical_candidates(p, m)
     if p <= 2 or m == 0:
         return [(1,) * m]
     half = [v for v in range(1, p // 2 + 1) if math.gcd(v, p) == 1]
@@ -324,8 +320,8 @@ def _canonical_candidates(p: int, m: int) -> int:
     """Tuples canonical_q_tuples(p, m) walks: (1,) then m - 1 of the phi(p)/2 units in 1..p/2.
 
     phi(p) comes from trial division, so a huge p is priced without listing its units.
-    Refuses p < 1 and m < 0, as canonical_q_tuples does, and before trial division a walk
-    that phi(p) >= sqrt(p/2) alone puts over MAX_CANONICAL_CANDIDATES.
+    Refuses p < 1 and m < 0, and every walk over MAX_CANONICAL_CANDIDATES: before trial
+    division one that phi(p) >= sqrt(p/2) alone puts over it, after it the rest.
     """
     if p < 1:
         raise ValueError(f"p must be a positive integer, got {p}")
@@ -344,7 +340,11 @@ def _canonical_candidates(p: int, m: int) -> int:
         f += 1
     if rest > 1:
         phi -= phi // rest
-    return binom(phi // 2 + m - 2, m - 1)
+    walked = binom(phi // 2 + m - 2, m - 1)
+    if walked > MAX_CANONICAL_CANDIDATES:
+        raise ValueError(f"{walked} candidate tuples at p = {p}, m = {m} are over "
+                         f"{MAX_CANONICAL_CANDIDATES}")
+    return walked
 
 
 def _canonical_form(q: tuple[int, ...], p: int) -> tuple[int, ...]:

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 
-from .lattice import MAX_CANONICAL_CANDIDATES, LensSpace, Numerator, _canonical_candidates
-from .lattice import _lattice_series, _pass_plan, binom, canonical_q_tuples, decompose
-from .lattice import make_lens_space, numerator
+from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
+from .lattice import binom, canonical_q_tuples, decompose, make_lens_space, numerator
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
@@ -210,20 +209,24 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
     and part at 18.  Classes sharing a prefix are split by full numerator; equal
     (p, m) share the denominator, so each group is one spectrum in every degree.
     The class, degree, DP and held-value rules are checked from (p, m, i_max) before any
-    class is built; the last prices each candidate tuple at i_max + 1 held multiplicities,
-    and leaves a walk over MAX_CANONICAL_CANDIDATES to canonical_q_tuples' own refusal.
+    class is built; the last prices each candidate tuple at i_max + 1 held multiplicities.
+    The full numerator's DP rule is checked when a prefix is first shared, before any
+    numerator is built.
     """
     tried = _canonical_candidates(p, m)
     _check_i_max(i_max)
     _pass_plan(p, m, i_max, True)
-    if tried * (i_max + 1) > MAX_CENSUS_VALUES and tried <= MAX_CANONICAL_CANDIDATES:
+    if tried * (i_max + 1) > MAX_CENSUS_VALUES:
         raise ValueError(f"{tried} candidate tuples x {i_max + 1} degrees are over "
                          f"{MAX_CENSUS_VALUES} held multiplicities")
     tuples = canonical_q_tuples(p, m)
     prefixes = defaultdict(list)  # prefix -> [(q, space)], q ascending like the classes
     for q in tuples:
         space = make_lens_space(p, q)
-        prefixes[tuple(_multiplicities(space, i_max))].append((q, space))
+        members = prefixes[tuple(_multiplicities(space, i_max))]
+        members.append((q, space))
+        if len(members) == 2:  # this prefix is split by full numerators
+            _pass_plan(p, m, m * p, True)
     families = defaultdict(list)  # (prefix, numerator if shared) -> [q]: equal spectra
     for seq, members in prefixes.items():
         for q, space in members:

@@ -1345,6 +1345,24 @@ def test_census_over_its_held_multiplicities_is_refused_before_any_class(monkeyp
             in capsys.readouterr().err)
 
 
+def test_census_prices_the_full_numerator_when_a_prefix_is_first_shared(monkeypatch, capsys):
+    # no full numerator at p = 5040 fits the DP rule, and a prefix is first shared at
+    # the fifth of 296 classes: the census stops there, not after filing them all
+    filed = []
+    multiplicities = lenslat.spectra._multiplicities
+
+    def counted(space, i_max):
+        filed.append(space)
+        return multiplicities(space, i_max)
+
+    monkeypatch.setattr(lenslat.spectra, "_multiplicities", counted)
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", "5040", "--m", "2", "--i-max", "16"])
+    assert err.value.code == 2
+    assert "degree 10080 at p = 5040 is over 1000000000 DP bits" in capsys.readouterr().err
+    assert len(filed) <= 5
+
+
 @pytest.mark.parametrize("p, digest", [
     (11, "98d2bc1b642aa777c7e46b76c4292691ef42c91670606feb94336c127433c8f4"),
     (101, "6d14ffe91fa7ce9317e5920a64cce5185aa05bd36dd7dc25335051101f72ef04"),

@@ -633,19 +633,33 @@ def test_canonical_candidates_count_the_walk():
 
 
 def test_canonical_candidates_refuse_early_only_over_the_ceiling(monkeypatch):
-    # phi(p) >= sqrt(p/2) bounds the walk from below: every p refused before
-    # trial division walks over the ceiling, and every other p is counted exactly
-    exact = {(p, m): _canonical_candidates(p, m) for p in range(3, 3000) for m in (2, 3, 4)}
+    # a walk is refused iff it walks over the ceiling; phi(p) >= sqrt(p/2) bounds it
+    # from below, so the early message comes only where that bound alone is over it,
+    # and every other walk is counted exactly; the units in 1..p/2 are counted here
+    half = {p: sum(math.gcd(v, p) == 1 for v in range(1, p // 2 + 1)) for p in range(3, 3000)}
+    exact = {(p, m): binom(half[p] + m - 2, m - 1) for p in half for m in (2, 3, 4)}
     monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 50)
-    refused = 0
+    early = late = 0
     for (p, m), walked in exact.items():
-        try:
+        if walked <= 50:
             assert _canonical_candidates(p, m) == walked
-        except ValueError as err:
-            assert str(err) == f"over 50 candidate tuples at p = {p}, m = {m}"
-            assert walked > 50, (p, m)
-            refused += 1
-    assert refused > 1000
+            continue
+        with pytest.raises(ValueError) as err:
+            _canonical_candidates(p, m)
+        if binom(math.isqrt(p // 2) // 2 + m - 2, m - 1) > 50:
+            assert str(err.value) == f"over 50 candidate tuples at p = {p}, m = {m}"
+            early += 1
+        else:
+            assert str(err.value) == f"{walked} candidate tuples at p = {p}, m = {m} are over 50"
+            late += 1
+    assert early > 1000 and late > 1000
+
+
+def test_canonical_candidates_refuse_a_walk_over_the_ceiling():
+    # p = 199, m = 10 walks C(107, 9) tuples: priced, and refused, before any is built
+    with pytest.raises(ValueError) as err:
+        _canonical_candidates(199, 10)
+    assert str(err.value) == "3585446225075 candidate tuples at p = 199, m = 10 are over 1000000"
 
 
 def test_canonical_q_tuples_refuses_over_the_ceiling(monkeypatch):

@@ -616,6 +616,18 @@ def test_verify_cases_refuse_a_huge_grid_before_any_class(monkeypatch):
     assert str(err.value) == "verify grid builds numerators over 100000000000 DP bits"
 
 
+def test_verify_cases_refuse_a_class_walk_over_the_ceiling_before_any_class(monkeypatch):
+    # the price loop meets the class rule through _canonical_candidates: with the
+    # DP-bits ceiling out of the way, p = 7, m = 3 walks C(4, 2) = 6 tuples, over 5
+    monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 5)
+    monkeypatch.setattr(oracle, "VERIFY_MAX_DP_BITS", 10**30)
+    for name in ("canonical_q_tuples", "make_lens_space", "numerator"):
+        monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
+    with pytest.raises(ValueError) as err:
+        oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "verify grid", p_max=7, ms=(3,))
+    assert str(err.value) == "6 candidate tuples at p = 7, m = 3 are over 5"
+
+
 @pytest.mark.parametrize("p_max", [0, 10**30])
 def test_verify_cases_check_every_m_before_pricing(p_max, monkeypatch):
     # an m < 2 is refused for itself, whether or not any p would be priced
