@@ -16,10 +16,11 @@ place: m running sums with stride p turn P into N(0..H), and m - 1 more
 with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 
 So each input shape reads one series.  A range reads _ranged_series, P
-built only up to degree H and divided in place: `spectrum`, `compare`,
-`parity` and the census through _multiplicities, and `verify` over norms
-0..H with the stride-p sums alone, against the count walk.  A single
-degree (`nl`, `multiplicity`, `bench`, `verify --h`) reads the stride sum.
+built only up to degree H and divided in place: `spectrum`, `compare` and
+`parity` through _multiplicities, the census the same at growing depth
+until its classes part, and `verify` over norms 0..H with the stride-p
+sums alone, against the count walk.  A single degree (`nl`,
+`multiplicity`, `bench`, `verify --h`) reads the stride sum.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict, namedtuple
 
 from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
-from .lattice import binom, canonical_q_tuples, decompose, make_lens_space, numerator
+from .lattice import binom, canonical_q_tuples, decompose, make_lens_space
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
@@ -200,18 +201,42 @@ def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
     return tuple(rows)
 
 
-def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tuple, list]]]:
-    """Symmetry classes at (p, m) by spectrum: (class count, [(prefix, [q, ...])]), filing order.
+def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:
+    """Classes filed by dim(lambda_0..lambda_h), shared groups refiled deeper: [(prefix, [q, ...])].
 
-    Each class (permutation, negation mod p, scaling by a unit) is built once
-    and filed under its multiplicities up to i_max, from a numerator capped at
-    that degree: a cheap filter, as L(54;1,1,17) and L(54;1,1,19) agree to 17
-    and part at 18.  Classes sharing a prefix are split by full numerator; equal
-    (p, m) share the denominator, so each group is one spectrum in every degree.
+    A group that gets its second class prices the deepest refiling first, at a full
+    numerator's DP bits, so the census is refused before its next class is built.  A
+    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it, and the
+    groups come back with their i_max prefixes, sorted by their first class.
+    """
+    groups = defaultdict(list)  # dim(lambda_0..lambda_h) -> [q], in class order
+    for q in tuples:
+        members = groups[tuple(_multiplicities(make_lens_space(p, q), h))]
+        members.append(q)
+        if len(members) == 2:
+            _pass_plan(p, m, m * p, True)
+    deeper = m * p // 2 if 4 * h + 2 > m * p // 2 else 2 * h + 1  # <= h once h >= floor(m*p/2)
+    filed = []
+    for key, qs in groups.items():
+        shared = len(qs) > 1 and deeper > h
+        filed += _file_classes(p, m, qs, deeper, i_max) if shared else [(key[: i_max + 1], qs)]
+    return sorted(filed, key=lambda group: group[1][0])
+
+
+def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tuple, list]]]:
+    """Symmetry classes at (p, m) by spectrum: (class count, [(prefix, [q, ...])]), class order.
+
+    Each class (permutation, negation mod p, scaling by a unit) is filed under its
+    multiplicities up to i_max, from a series capped at that degree, and every group
+    of two or more classes is refiled by a deeper capped series (_file_classes) until it
+    parts or reaches floor(m*p/2): L(54;1,1,17) and L(54;1,1,19) agree to 17 and part
+    at 18.  The division by (1 - z^p)^m (1 - z^2)^(m - 1) is causal with constant term
+    1, so equal multiplicities up to h mean equal P[0..h]; P is palindromic of degree
+    m*p (lattice docstring), so the groups still shared at floor(m*p/2) are exactly the
+    classes of equal P.  Equal (p, m) share the denominator, so each group is one
+    spectrum in every degree.  Groups come back in class order, by their first class.
     The class, degree, DP and held-value rules are checked from (p, m, i_max) before any
     class is built; the last prices each candidate tuple at i_max + 1 held multiplicities.
-    The full numerator's DP rule is checked when a prefix is first shared, before any
-    numerator is built.
     """
     tried = _canonical_candidates(p, m)
     _check_i_max(i_max)
@@ -220,15 +245,4 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
         raise ValueError(f"{tried} candidate tuples x {i_max + 1} degrees are over "
                          f"{MAX_CENSUS_VALUES} held multiplicities")
     tuples = canonical_q_tuples(p, m)
-    prefixes = defaultdict(list)  # prefix -> [(q, space)], q ascending like the classes
-    for q in tuples:
-        space = make_lens_space(p, q)
-        members = prefixes[tuple(_multiplicities(space, i_max))]
-        members.append((q, space))
-        if len(members) == 2:  # this prefix is split by full numerators
-            _pass_plan(p, m, m * p, True)
-    families = defaultdict(list)  # (prefix, numerator if shared) -> [q]: equal spectra
-    for seq, members in prefixes.items():
-        for q, space in members:
-            families[(seq, numerator(space).coeffs) if len(members) > 1 else (seq,)].append(q)
-    return len(tuples), [(key[0], qs) for key, qs in families.items()]
+    return len(tuples), _file_classes(p, m, tuples, i_max, i_max)

@@ -1286,8 +1286,8 @@ def test_census_families_are_the_numerator_classes(capsys):
 
 
 def test_census_builds_one_space_per_class(monkeypatch, capsys):
-    # each class's space serves its prefix and, if the prefix is shared, its
-    # numerator; building it again for the numerator made 25 at 13/4/30
+    # the first round builds one space per class, 22 at 13/4/30, where no class is
+    # refiled (i_max >= floor(m*p/2) = 26); a refiled class is built again
     built = []
     monkeypatch.setattr(
         lenslat.spectra, "make_lens_space", lambda p, q: built.append(q) or make_lens_space(p, q)
@@ -1346,8 +1346,9 @@ def test_census_over_its_held_multiplicities_is_refused_before_any_class(monkeyp
 
 
 def test_census_prices_the_full_numerator_when_a_prefix_is_first_shared(monkeypatch, capsys):
-    # no full numerator at p = 5040 fits the DP rule, and a prefix is first shared at
-    # the fifth of 296 classes: the census stops there, not after filing them all
+    # a shared prefix would be refiled up to floor(m*p/2), at a full numerator's DP bits,
+    # which no class at p = 5040 fits; a prefix is first shared at the fifth of 296
+    # classes: the census stops there, not after filing them all
     filed = []
     multiplicities = lenslat.spectra._multiplicities
 

@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -22,7 +23,7 @@ from lenslat import (
     parity_report,
     spectrum,
 )
-from lenslat import spectra
+from lenslat import lattice, spectra
 from lenslat.oracle import n_lattice_bruteforce
 from records import check_record
 from strategies import lens_spaces, units_mod
@@ -520,23 +521,47 @@ def test_isospectral_census_prices_its_held_multiplicities(monkeypatch, p, m, i_
 
 def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
     # the prefix is only a filter: each group is exactly one class of equal full
-    # numerators, and the census reads multiplicities, never the spectral lines
+    # numerators, the groups come back in class order (by their first class), and
+    # the census reads multiplicities, never the spectral lines
     def refuse(*args):
         raise AssertionError("the census built spectral lines")
 
     monkeypatch.setattr(spectra, "spectrum", refuse)
-    for p_max, m in ((40, 3), (20, 4)):
+    families = 0
+    for p_max, m in ((100, 3), (30, 4)):
         for p in range(1, p_max + 1):
             tuples = canonical_q_tuples(p, m)
-            by_numerator = {}
+            by_numerator = {}  # in class order: by first class, each list ascending
             for q in tuples:
                 by_numerator.setdefault(numerator(make_lens_space(p, q)).coeffs, []).append(q)
             classes, groups = isospectral_census(p, m, 16)
             assert classes == len(tuples), (p, m)
-            assert sorted(qs for _, qs in groups) == sorted(by_numerator.values()), (p, m)
+            assert [qs for _, qs in groups] == list(by_numerator.values()), (p, m)
             for prefix, qs in groups:
                 space = make_lens_space(p, qs[0])
                 num = numerator(space)
                 assert prefix == tuple(multiplicity(space, num, i) for i in range(17)), (p, qs)
+            families += sum(len(qs) > 1 for _, qs in groups)
+    assert families == 51
     families = [qs for p in range(1, 61) for _, qs in isospectral_census(p, 3, 16)[1] if len(qs) > 1]
     assert len(families) == 23
+
+
+@pytest.mark.parametrize("p, m, i_max, refiled", [
+    (13, 4, 30, {}),  # i_max >= floor(m*p/2) = 26: no class is refiled
+    (54, 3, 16, {33: 4}),  # L(54;1,1,17) and L(54;1,1,19) part at 18
+    (26, 3, 16, {39: 4}),  # 4*16 + 2 > floor(m*p/2) = 39: one step there
+    (56, 3, 16, {33: 6, 84: 4}),  # the two families are still shared at 33
+])
+def test_isospectral_census_refiles_shared_groups_deeper(monkeypatch, p, m, i_max, refiled):
+    # every class is filed by a series capped at i_max; only a shared group is
+    # refiled deeper, and no full numerator (degree m*p) is built
+    degrees = []
+    for module in (spectra, lattice):
+        def recorded(p, qs, s_max, with_zp, series=module._lattice_series):
+            degrees.append(s_max)
+            return series(p, qs, s_max, with_zp)
+
+        monkeypatch.setattr(module, "_lattice_series", recorded)
+    classes, _ = isospectral_census(p, m, i_max)
+    assert Counter(degrees) == Counter({i_max: classes, **refiled})
