@@ -228,7 +228,9 @@ def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, in
     return passes, width, cols * p * width
 
 
-def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
+def _lattice_series(
+    p: int, qs: Sequence[int], s_max: int, with_zp: bool, reuse: list | None = None
+) -> list[int]:
     """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max.
 
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
@@ -252,12 +254,24 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
     product, at most its total mass (2p)^m < 2^(B-1).  base = col - back
     may have negative slots, but it is only ever added to a window sum,
     whose exact value has non-negative slots.
+    reuse, a list the caller owns, lets calls share passes.  Pass k reads only
+    G_(k-1) and q_k, over extents and slots fixed by (p, m, s_max, with_zp),
+    so the columns after pass k are exact for every tuple under that key that
+    starts with q_1..q_k.  reuse holds them after passes 1..m-1, tagged with
+    the key and that prefix; a call starts after the longest tagged prefix it
+    shares and drops the rest, all of it under another key.  A held state is
+    only read: the next pass pads a copy.
     """
     passes, B, _ = _pass_plan(p, len(qs), s_max, with_zp)
     full = (1 << B * p) - 1
-    cols = [1]
-    for q, (built, mirror) in zip(qs, passes):
-        cols += [0] * (built + 1 - len(cols))
+    tag, done, cols = (p, len(qs), s_max, with_zp, *qs), 0, [1]
+    if reuse is not None:
+        while done < len(reuse) and reuse[done][0] == tag[: 5 + done]:
+            done += 1
+        del reuse[done:]
+        cols = reuse[done - 1][1] if done else cols
+    for q, (built, mirror) in zip(qs[done:], passes[done:]):
+        cols = cols + [0] * (built + 1 - len(cols))  # a copy: held states stay as built
         ahead, behind = B * q, B * (p - q)
         up = down = 0
         new = []
@@ -270,6 +284,8 @@ def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> lis
             out = up + from_down
             new.append(out if with_zp else out - back)
         cols = new + new[mirror][::-1]  # column v = column deg - v
+        if reuse is not None and len(reuse) < len(qs) - 1:
+            reuse.append((tag[: 5 + len(reuse)], cols))
     low = (1 << B) - 1
     return [col & low for col in cols] + [0] * (s_max + 1 - len(cols))
 

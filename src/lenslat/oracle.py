@@ -418,16 +418,19 @@ def verify_grid(
     For each (space, norms) case and each norm h, one 'count' check of
     N(h).  Norms 0..h_max read spectra's ranged series, P capped at h_max
     over (1 - z^p)^m, against one shell_counts walk, and build no full
-    numerator; a lone norm reads the closed form n_lattice_formula against
-    n_lattice_bruteforce.  With deep, also the fold-law checks, which fold
-    the points that enumerate_omega lists, with one subset_table per case.
+    numerator; consecutive cases share kernel passes over their common q
+    prefix, as the census's classes do.  A lone norm reads the closed form
+    n_lattice_formula against n_lattice_bruteforce.  With deep, also the
+    fold-law checks, which fold the points that enumerate_omega lists, with
+    one subset_table per case.
     """
-    checks = []
+    checks, reuse = [], []
     for space, hs in cases:
         label = space.label()
         table = subset_table(space, hs[-1]) if deep else None
         if len(hs) > 1:
-            formulas, counts = _ranged_series(space, hs[-1], 0), shell_counts(space, hs[-1], budget)
+            formulas = _ranged_series(space, hs[-1], 0, reuse)
+            counts = shell_counts(space, hs[-1], budget)
         else:
             formulas = [n_lattice_formula(space, numerator(space), hs[0])]
             counts = [n_lattice_bruteforce(space, hs[0], budget)]

@@ -114,13 +114,14 @@ def _check_i_max(i_max: int) -> None:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
 
 
-def _ranged_series(space: LensSpace, s_max: int, twos: int) -> list[int]:
+def _ranged_series(space: LensSpace, s_max: int, twos: int, reuse: list | None = None) -> list[int]:
     """[z^0..z^s_max] of P(z) / ((1 - z^p)^m * (1 - z^2)^twos): P capped at s_max, divided in place.
 
     twos = 0 gives N(0..s_max), what `verify` checks over a range of norms;
     twos = m - 1 gives dim(lambda_0..lambda_s_max), what every range command reads.
+    reuse is the kernel's, passed through (lattice._lattice_series).
     """
-    series = _lattice_series(space.p, space.q, s_max, with_zp=True)
+    series = _lattice_series(space.p, space.q, s_max, True, reuse)
     for stride, times in ((space.p, space.m), (2, twos)):
         for _ in range(times):
             for h in range(stride, len(series)):
@@ -128,10 +129,10 @@ def _ranged_series(space: LensSpace, s_max: int, twos: int) -> list[int]:
     return series
 
 
-def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+def _multiplicities(space: LensSpace, i_max: int, reuse: list | None = None) -> list[int]:
     """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
     _check_i_max(i_max)
-    return _ranged_series(space, i_max, space.m - 1)
+    return _ranged_series(space, i_max, space.m - 1, reuse)
 
 
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
@@ -210,8 +211,9 @@ def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tupl
     groups come back with their i_max prefixes, sorted by their first class.
     """
     groups = defaultdict(list)  # dim(lambda_0..lambda_h) -> [q], in class order
+    reuse = []  # this round's kernel passes, shared over the common q prefix of the next class
     for q in tuples:
-        members = groups[tuple(_multiplicities(make_lens_space(p, q), h))]
+        members = groups[tuple(_multiplicities(make_lens_space(p, q), h, reuse))]
         members.append(q)
         if len(members) == 2:
             _pass_plan(p, m, m * p, True)

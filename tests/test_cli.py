@@ -253,8 +253,8 @@ def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
     # 0..h_max: one point too many at degree 2 of P shows first at h = 2
     series = lenslat.spectra._lattice_series
 
-    def corrupted(p, qs, s_max, with_zp):
-        coeffs = series(p, qs, s_max, with_zp)
+    def corrupted(p, qs, s_max, with_zp, reuse=None):
+        coeffs = series(p, qs, s_max, with_zp, reuse)
         coeffs[2] += 1
         return coeffs
 
@@ -265,6 +265,21 @@ def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
     assert mismatches[0].h == 2
     code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h-max", "4"])
     assert code == 1
+
+
+def test_verify_reads_the_kernel_passes_its_cases_share(monkeypatch, capsys):
+    # negative control of the passes verify's range cases share, as the census's
+    # classes do: a fault in every held pass state shows only where a case reads
+    # one: the criterion-1 grid does, a lone case does not
+    series = lenslat.spectra._lattice_series
+
+    def faulty(p, qs, s_max, with_zp, reuse=None):
+        reuse[:] = [(tag, [cols[0] + 1, *cols[1:]]) for tag, cols in reuse]
+        return series(p, qs, s_max, with_zp, reuse)
+
+    monkeypatch.setattr("lenslat.spectra._lattice_series", faulty)
+    assert _run(capsys, ["verify", "--p", "7", "--q", "1,2,3", "--h-max", "24"])[0] == 0
+    assert _run(capsys, ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24"])[0] == 1
 
 
 def _other_path(*args, **kwargs):
@@ -1352,9 +1367,9 @@ def test_census_prices_the_full_numerator_when_a_prefix_is_first_shared(monkeypa
     filed = []
     multiplicities = lenslat.spectra._multiplicities
 
-    def counted(space, i_max):
+    def counted(space, i_max, reuse=None):
         filed.append(space)
-        return multiplicities(space, i_max)
+        return multiplicities(space, i_max, reuse)
 
     monkeypatch.setattr(lenslat.spectra, "_multiplicities", counted)
     with pytest.raises(SystemExit) as err:

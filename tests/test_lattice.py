@@ -420,6 +420,46 @@ def test_packed_kernel_matches_list_reference():
                 assert packed == list_series(p, qs, s_max, with_zp), (p, qs, s_max, with_zp)
 
 
+def test_shared_passes_equal_fresh_passes_in_any_call_order():
+    # with one reuse list, a call starts after the longest q prefix it shares
+    # with the call before under the same (p, m, s_max, with_zp); every class
+    # list, sorted, reversed or shuffled, gives what fresh calls give
+    rng = random.Random(37)
+    keys = [(p, m, s_max) for m in (2, 3, 4) for p in range(1, 41)
+            for s_max in sorted({0, 1, 16, m * p // 2, m * p})]
+    fresh = {key: [_lattice_series(key[0], q, key[2], True) for q in canonical_q_tuples(*key[:2])]
+             for key in keys}
+    for order in ("sorted", "reversed", "shuffled"):
+        reuse = []
+        for (p, m, s_max), series in fresh.items():
+            calls = list(zip(canonical_q_tuples(p, m), series))
+            if order == "reversed":
+                calls.reverse()
+            elif order == "shuffled":
+                rng.shuffle(calls)
+            for q, expected in calls:
+                assert _lattice_series(p, q, s_max, True, reuse) == expected, (order, p, q, s_max)
+
+
+def test_shared_passes_read_no_state_of_another_key():
+    # the same q prefixes under another p, m, s_max or with_zp, mid-sequence: a held
+    # state is exact only under its own key, so a call under another key reads none,
+    # and the list then holds the passes 1..m-1 of the last call alone
+    rng = random.Random(37)
+    calls = [(p, qs, s_max, with_zp) for p in (7, 11, 13)
+             for qs in ((1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 3, 5), (2, 3, 1))
+             for s_max in (0, 5, p, 2 * p + 1) for with_zp in (True, False)]
+    rng.shuffle(calls)
+    # shuffled, then sorted by q: neighbours share a prefix under another key
+    for sequence in (calls, sorted(calls, key=lambda call: call[1])):
+        reuse = []
+        for p, qs, s_max, with_zp in sequence:
+            expected = _lattice_series(p, qs, s_max, with_zp)
+            assert _lattice_series(p, qs, s_max, with_zp, reuse) == expected, (p, qs, s_max)
+            tags = [(p, len(qs), s_max, with_zp, *qs[:k]) for k in range(1, len(qs))]
+            assert [tag for tag, _ in reuse] == tags
+
+
 def test_numerator_is_palindromic_with_mass_2_to_the_m_p_to_the_m_minus_1():
     # each factor z^p + sum_{|x|<p} w^(qx) z^|x| is palindromic of degree p,
     # and at z = 1 it is 2*sum_r w^r, so P[s] = P[m*p - s] and

@@ -547,6 +547,25 @@ def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
     assert len(families) == 23
 
 
+def test_census_classes_share_kernel_passes_over_their_common_q_prefix(monkeypatch):
+    # a filing round hands the kernel its classes in class order with one reuse
+    # list, so a class runs only the passes past the q prefix it shares with the
+    # class before (all share q_1 = 1): at (31, 3, 16) the 46 classes run 54
+    # passes, not 3 * 46 = 138
+    passes = []
+    series = spectra._lattice_series
+
+    def counted(p, qs, s_max, with_zp, reuse=None):
+        held = list(reuse)
+        coeffs = series(p, qs, s_max, with_zp, reuse)
+        passes.append(len(qs) - sum(kept is state for kept, state in zip(held, reuse)))
+        return coeffs
+
+    monkeypatch.setattr(spectra, "_lattice_series", counted)
+    assert isospectral_census(31, 3, 16)[0] == len(passes) == 46
+    assert sum(passes) == 54
+
+
 @pytest.mark.parametrize("p, m, i_max, refiled", [
     (13, 4, 30, {}),  # i_max >= floor(m*p/2) = 26: no class is refiled
     (54, 3, 16, {33: 4}),  # L(54;1,1,17) and L(54;1,1,19) part at 18
@@ -558,9 +577,9 @@ def test_isospectral_census_refiles_shared_groups_deeper(monkeypatch, p, m, i_ma
     # refiled deeper, and no full numerator (degree m*p) is built
     degrees = []
     for module in (spectra, lattice):
-        def recorded(p, qs, s_max, with_zp, series=module._lattice_series):
+        def recorded(p, qs, s_max, with_zp, reuse=None, series=module._lattice_series):
             degrees.append(s_max)
-            return series(p, qs, s_max, with_zp)
+            return series(p, qs, s_max, with_zp, reuse)
 
         monkeypatch.setattr(module, "_lattice_series", recorded)
     classes, _ = isospectral_census(p, m, i_max)
