@@ -59,10 +59,7 @@ class LensSpace(namedtuple("LensSpace", "p q")):
         p, q = operator.index(p), tuple(map(operator.index, q))
         if p <= 0:
             raise ValueError(f"p must be a positive integer, got {p}")
-        if len(q) < 2:
-            raise ValueError(
-                f"need at least two rotation parameters, got {len(q)}"
-            )
+        _check_m(len(q))
         for j, v in enumerate(q):
             g = math.gcd(v, p)
             if g != 1:
@@ -97,6 +94,12 @@ class LensSpace(namedtuple("LensSpace", "p q")):
 
     def __str__(self) -> str:
         return self.label()
+
+
+def _check_m(m: int) -> None:
+    """Refuse m < 2: the one rule on m of LensSpace, verify's grid and the census."""
+    if m < 2:
+        raise ValueError(f"need at least two rotation parameters, got {m}")
 
 
 def make_lens_space(p: int, q: Sequence[int]) -> LensSpace:
@@ -254,7 +257,8 @@ def _lattice_series(
     product, at most its total mass (2p)^m < 2^(B-1).  base = col - back
     may have negative slots, but it is only ever added to a window sum,
     whose exact value has non-negative slots.
-    reuse, a list the caller owns, lets calls share passes.  Pass k reads only
+    reuse, a list the caller owns, lets calls share passes; its one caller is a
+    filing round of the census (spectra._file_classes).  Pass k reads only
     G_(k-1) and q_k, over extents and slots fixed by (p, m, s_max, with_zp),
     so the columns after pass k are exact for every tuple under that key that
     starts with q_1..q_k.  reuse holds them after passes 1..m-1, tagged with

@@ -11,10 +11,10 @@ shell_counts, counts norms 0..h_max in one pass that lists no point, and
 point with its negative and counts a last coordinate's congruence class
 in closed form, but keeps no tally over coordinates and uses no
 numerator, DP or binomial, so it stays independent of the kernel.
-verify_grid sets it against spectra's ranged series N(0..h_max), which
-`spectrum`, `compare`, `parity` and the census divide further, and the
-listing walk's count of a lone norm against the closed form
-n_lattice_formula that `nl` reads.
+verify_grid sets it against the ranged series N(0..h_max), P capped at
+h_max and divided by spectra's _divided, which `spectrum`, `compare`,
+`parity` and the census divide further, and the listing walk's count of
+a lone norm against the closed form n_lattice_formula that `nl` reads.
 
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
@@ -53,10 +53,10 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from itertools import combinations
 
-from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_subset, _lattice_series
-from .lattice import _numerator_bits, binom, canonical_q_tuples, decompose, make_lens_space
-from .lattice import _pass_plan, numerator
-from .spectra import _ranged_series, n_lattice_formula
+from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_m, _check_subset
+from .lattice import _lattice_series, _numerator_bits, _pass_plan, binom, canonical_q_tuples
+from .lattice import decompose, make_lens_space, numerator
+from .spectra import _divided, n_lattice_formula
 
 DEFAULT_BUDGET = 10**8
 # per verify run: each class it walks is priced at a full numerator's _numerator_bits, which a
@@ -391,8 +391,7 @@ def verify_cases(
         priced, spaces = [(space.p, space.m, 1)], [space]
     else:
         for m in ms:
-            if m < 2:
-                raise ValueError(f"need at least two rotation parameters, got {m}")
+            _check_m(m)
         ps = range(1, p_max + 1) if ms else ()
         priced = ((p, m, _canonical_candidates(p, m)) for m in ms for p in ps)
         spaces = (make_lens_space(p, q) for p in ps for m in ms for q in canonical_q_tuples(p, m))
@@ -416,20 +415,18 @@ def verify_grid(
     """Every check of the formula against the enumeration oracle, in order.
 
     For each (space, norms) case and each norm h, one 'count' check of
-    N(h).  Norms 0..h_max read spectra's ranged series, P capped at h_max
-    over (1 - z^p)^m, against one shell_counts walk, and build no full
-    numerator; consecutive cases share kernel passes over their common q
-    prefix, as the census's classes do.  A lone norm reads the closed form
-    n_lattice_formula against n_lattice_bruteforce.  With deep, also the
-    fold-law checks, which fold the points that enumerate_omega lists, with
-    one subset_table per case.
+    N(h).  Norms 0..h_max read the ranged series, P capped at h_max over
+    (1 - z^p)^m, against one shell_counts walk, and build no full
+    numerator.  A lone norm reads the closed form n_lattice_formula against
+    n_lattice_bruteforce.  With deep, also the fold-law checks, which fold
+    the points that enumerate_omega lists, with one subset_table per case.
     """
-    checks, reuse = [], []
+    checks = []
     for space, hs in cases:
         label = space.label()
         table = subset_table(space, hs[-1]) if deep else None
         if len(hs) > 1:
-            formulas = _ranged_series(space, hs[-1], 0, reuse)
+            formulas = _divided(_lattice_series(*space, hs[-1], True), space.p, space.m, 0)
             counts = shell_counts(space, hs[-1], budget)
         else:
             formulas = [n_lattice_formula(space, numerator(space), hs[0])]

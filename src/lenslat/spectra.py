@@ -15,20 +15,21 @@ Q = P * ((1 - z^p) / (1 - z^2))^(m - 1).  A range of degrees divides in
 place: m running sums with stride p turn P into N(0..H), and m - 1 more
 with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
 
-So each input shape reads one series.  A range reads _ranged_series, P
-built only up to degree H and divided in place: `spectrum`, `compare` and
-`parity` through _multiplicities, the census the same at growing depth
-until its classes part, and `verify` over norms 0..H with the stride-p
-sums alone, against the count walk.  A single degree (`nl`,
-`multiplicity`, `bench`, `verify --h`) reads the stride sum.
+So each input shape reads one series.  A range reads P built only up to
+degree H and divided in place by _divided: `spectrum`, `compare` and
+`parity` through _multiplicities, and `verify` over norms 0..H with the
+stride-p sums alone, against the count walk.  The census files its
+classes by that capped P itself, at growing depth until they part, and
+divides each group's P once.  A single degree (`nl`, `multiplicity`,
+`bench`, `verify --h`) reads the stride sum.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 
-from .lattice import LensSpace, Numerator, _canonical_candidates, _lattice_series, _pass_plan
-from .lattice import binom, canonical_q_tuples, decompose, make_lens_space
+from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_series
+from .lattice import _numerator_bits, _pass_plan, binom, canonical_q_tuples, decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
@@ -114,25 +115,24 @@ def _check_i_max(i_max: int) -> None:
         raise ValueError(f"degrees 0..{i_max} are over {MAX_SPECTRUM_LINES} spectral lines")
 
 
-def _ranged_series(space: LensSpace, s_max: int, twos: int, reuse: list | None = None) -> list[int]:
-    """[z^0..z^s_max] of P(z) / ((1 - z^p)^m * (1 - z^2)^twos): P capped at s_max, divided in place.
+def _divided(series: list[int], p: int, m: int, twos: int) -> list[int]:
+    """series(z) / ((1 - z^p)^m * (1 - z^2)^twos) up to the list's last degree, in place.
 
-    twos = 0 gives N(0..s_max), what `verify` checks over a range of norms;
-    twos = m - 1 gives dim(lambda_0..lambda_s_max), what every range command reads.
-    reuse is the kernel's, passed through (lattice._lattice_series).
+    On P capped at H, twos = 0 gives N(0..H), what `verify` checks over a range of
+    norms, and twos = m - 1 gives dim(lambda_0..lambda_H), what every range command
+    and the census read.
     """
-    series = _lattice_series(space.p, space.q, s_max, True, reuse)
-    for stride, times in ((space.p, space.m), (2, twos)):
+    for stride, times in ((p, m), (2, twos)):
         for _ in range(times):
             for h in range(stride, len(series)):
                 series[h] += series[h - stride]
     return series
 
 
-def _multiplicities(space: LensSpace, i_max: int, reuse: list | None = None) -> list[int]:
-    """dim(lambda_0..lambda_i_max): P(z) divided by both denominators in place."""
+def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+    """dim(lambda_0..lambda_i_max): P capped at i_max, divided by both denominators in place."""
     _check_i_max(i_max)
-    return _ranged_series(space, i_max, space.m - 1, reuse)
+    return _divided(_lattice_series(*space, i_max, True), space.p, space.m, space.m - 1)
 
 
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
@@ -203,42 +203,49 @@ def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
 
 
 def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:
-    """Classes filed by dim(lambda_0..lambda_h), shared groups refiled deeper: [(prefix, [q, ...])].
+    """Classes filed by the kernel's P[0..h], shared groups refiled deeper: [(prefix, [q, ...])].
 
     A group that gets its second class prices the deepest refiling first, at a full
     numerator's DP bits, so the census is refused before its next class is built.  A
-    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it, and the
-    groups come back with their i_max prefixes, sorted by their first class.
+    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it.  Every
+    other group is filed with its P[0..i_max] divided into dim(lambda_0..lambda_i_max),
+    and its P key is dropped as it is filed, so the P keys and the finished prefixes
+    are not all held at once.  The groups come back sorted by their first class.
     """
-    groups = defaultdict(list)  # dim(lambda_0..lambda_h) -> [q], in class order
+    groups = defaultdict(list)  # P[0..h] -> [q], in class order
     reuse = []  # this round's kernel passes, shared over the common q prefix of the next class
     for q in tuples:
-        members = groups[tuple(_multiplicities(make_lens_space(p, q), h, reuse))]
+        members = groups[tuple(_lattice_series(p, q, h, True, reuse))]
         members.append(q)
         if len(members) == 2:
-            _pass_plan(p, m, m * p, True)
+            _numerator_bits(p, m)
     deeper = m * p // 2 if 4 * h + 2 > m * p // 2 else 2 * h + 1  # <= h once h >= floor(m*p/2)
     filed = []
-    for key, qs in groups.items():
-        shared = len(qs) > 1 and deeper > h
-        filed += _file_classes(p, m, qs, deeper, i_max) if shared else [(key[: i_max + 1], qs)]
+    while groups:
+        key, qs = groups.popitem()
+        if len(qs) > 1 and deeper > h:
+            filed += _file_classes(p, m, qs, deeper, i_max)
+        else:
+            filed.append((tuple(_divided(list(key[: i_max + 1]), p, m, m - 1)), qs))
     return sorted(filed, key=lambda group: group[1][0])
 
 
 def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tuple, list]]]:
     """Symmetry classes at (p, m) by spectrum: (class count, [(prefix, [q, ...])]), class order.
 
-    Each class (permutation, negation mod p, scaling by a unit) is filed under its
-    multiplicities up to i_max, from a series capped at that degree, and every group
-    of two or more classes is refiled by a deeper capped series (_file_classes) until it
-    parts or reaches floor(m*p/2): L(54;1,1,17) and L(54;1,1,19) agree to 17 and part
-    at 18.  The division by (1 - z^p)^m (1 - z^2)^(m - 1) is causal with constant term
-    1, so equal multiplicities up to h mean equal P[0..h]; P is palindromic of degree
-    m*p (lattice docstring), so the groups still shared at floor(m*p/2) are exactly the
-    classes of equal P.  Equal (p, m) share the denominator, so each group is one
-    spectrum in every degree.  Groups come back in class order, by their first class.
-    The class, degree, DP and held-value rules are checked from (p, m, i_max) before any
-    class is built; the last prices each candidate tuple at i_max + 1 held multiplicities.
+    Each class (permutation, negation mod p, scaling by a unit) is filed under the
+    kernel's P capped at i_max, and every group of two or more classes is refiled by a
+    deeper capped P (_file_classes) until it parts or reaches floor(m*p/2):
+    L(54;1,1,17) and L(54;1,1,19) agree to 17 and part at 18.  The division by
+    (1 - z^p)^m (1 - z^2)^(m - 1) is causal with constant term 1, so equal
+    multiplicities up to h mean equal P[0..h] and the other way round; P is palindromic
+    of degree m*p (lattice docstring), so the groups still shared at floor(m*p/2) are
+    exactly the classes of equal P.  Equal (p, m) share the denominator, so each group
+    is one spectrum in every degree, divided once into its multiplicities up to i_max.
+    Groups come back in class order, by their first class.  The class, degree, DP,
+    held-value and m >= 2 rules are checked in that order from (p, m, i_max) before any
+    class is built; the held-value rule prices each candidate tuple at i_max + 1 held
+    multiplicities.
     """
     tried = _canonical_candidates(p, m)
     _check_i_max(i_max)
@@ -246,5 +253,6 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
     if tried * (i_max + 1) > MAX_CENSUS_VALUES:
         raise ValueError(f"{tried} candidate tuples x {i_max + 1} degrees are over "
                          f"{MAX_CENSUS_VALUES} held multiplicities")
+    _check_m(m)
     tuples = canonical_q_tuples(p, m)
     return len(tuples), _file_classes(p, m, tuples, i_max, i_max)

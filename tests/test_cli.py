@@ -20,8 +20,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lenslat.oracle
 import lenslat.spectra
 from lenslat import (
+    LensSpace,
     canonical_q_tuples,
     make_lens_space,
     multiplicity,
@@ -251,14 +253,14 @@ def test_verify_json_mismatches_keep_their_keys(monkeypatch, capsys):
 def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
     # negative control of the ranged series, which verify reads over norms
     # 0..h_max: one point too many at degree 2 of P shows first at h = 2
-    series = lenslat.spectra._lattice_series
+    series = lenslat.oracle._lattice_series
 
-    def corrupted(p, qs, s_max, with_zp, reuse=None):
-        coeffs = series(p, qs, s_max, with_zp, reuse)
+    def corrupted(p, qs, s_max, with_zp):
+        coeffs = series(p, qs, s_max, with_zp)
         coeffs[2] += 1
         return coeffs
 
-    monkeypatch.setattr("lenslat.spectra._lattice_series", corrupted)
+    monkeypatch.setattr("lenslat.oracle._lattice_series", corrupted)
     cases = [(make_lens_space(2, (1, 1)), list(range(5)))]
     mismatches = [c for c in verify_grid(cases, DEFAULT_BUDGET, deep=False) if not c.ok]
     assert mismatches
@@ -267,19 +269,25 @@ def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
     assert code == 1
 
 
-def test_verify_reads_the_kernel_passes_its_cases_share(monkeypatch, capsys):
-    # negative control of the passes verify's range cases share, as the census's
-    # classes do: a fault in every held pass state shows only where a case reads
-    # one: the criterion-1 grid does, a lone case does not
-    series = lenslat.spectra._lattice_series
+def test_verify_hands_the_kernel_no_pass_list(monkeypatch, capsys):
+    # inverse control of the census's pass sharing: verify's cases share no kernel
+    # passes, so a kernel that corrupts every held pass state it is handed changes
+    # no check of the criterion-1 grid, and no call is handed a list
+    handed = []
 
-    def faulty(p, qs, s_max, with_zp, reuse=None):
-        reuse[:] = [(tag, [cols[0] + 1, *cols[1:]]) for tag, cols in reuse]
+    def faulty(p, qs, s_max, with_zp, reuse=None, series=lenslat.oracle._lattice_series):
+        handed.append(reuse is not None)
+        if reuse is not None:
+            reuse[:] = [(tag, [cols[0] + 1, *cols[1:]]) for tag, cols in reuse]
         return series(p, qs, s_max, with_zp, reuse)
 
-    monkeypatch.setattr("lenslat.spectra._lattice_series", faulty)
-    assert _run(capsys, ["verify", "--p", "7", "--q", "1,2,3", "--h-max", "24"])[0] == 0
-    assert _run(capsys, ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24"])[0] == 1
+    for module in ("lenslat.oracle", "lenslat.spectra"):
+        monkeypatch.setattr(f"{module}._lattice_series", faulty)
+    argv = ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24", "--format", "json"]
+    code, text = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(text)["checks"] == 850
+    assert handed and not any(handed)
 
 
 def _other_path(*args, **kwargs):
@@ -297,7 +305,8 @@ def test_verify_reads_one_formula_path_per_input_shape(monkeypatch, capsys):
     assert code == 0
     report = json.loads(text)
     assert (report["checks"], report["mismatch_count"]) == (850, 0)
-    monkeypatch.setattr("lenslat.oracle._ranged_series", _other_path)
+    monkeypatch.setattr("lenslat.oracle._lattice_series", _other_path)
+    monkeypatch.setattr("lenslat.oracle._divided", _other_path)
     code, text = _run(capsys, ["verify", "--p", "7", "--q", "1,2,3", "--h", "30"])
     assert code == 0
     assert text.splitlines()[1:] == ['"L(7;1,2,3)",30,count,512,512,true']
@@ -1300,17 +1309,32 @@ def test_census_families_are_the_numerator_classes(capsys):
             assert sorted(found) == expected, (p, m)
 
 
-def test_census_builds_one_space_per_class(monkeypatch, capsys):
-    # the first round builds one space per class, 22 at 13/4/30, where no class is
-    # refiled (i_max >= floor(m*p/2) = 26); a refiled class is built again
+def test_census_builds_no_lens_space(monkeypatch, capsys):
+    # classes are filed by the kernel's capped P, read from (p, q) alone: no space is
+    # built at 13/4/30, where no class is refiled (i_max >= floor(m*p/2) = 26), nor at
+    # 54/3/16, where shared classes are refiled deeper
     built = []
-    monkeypatch.setattr(
-        lenslat.spectra, "make_lens_space", lambda p, q: built.append(q) or make_lens_space(p, q)
-    )
+    new = LensSpace.__new__
+    monkeypatch.setattr(LensSpace, "__new__", lambda cls, p, q: built.append(q) or new(cls, p, q))
     assert _census_main()(["--p", "13", "--m", "4", "--i-max", "30"]) == 0
     assert capsys.readouterr().out.startswith("p = 13, m = 4: 22 symmetry classes")
-    assert len(built) == 22
-    assert built == canonical_q_tuples(13, 4)
+    assert _census_main()(["--p", "54", "--m", "3", "--i-max", "16"]) == 0
+    assert "no spectral coincidences" in capsys.readouterr().out
+    assert built == []
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_census_refuses_m_below_two_before_the_class_walk(monkeypatch, m, capsys):
+    # the m >= 2 rule is the census's own, checked after the size rules and before the
+    # class walk, which is stubbed out here
+    def walk(p, m):
+        raise AssertionError("the class walk ran")
+
+    monkeypatch.setattr(lenslat.spectra, "canonical_q_tuples", walk)
+    with pytest.raises(SystemExit) as err:
+        _census_main()(["--p", "7", "--m", str(m)])
+    assert err.value.code == 2
+    assert f"need at least two rotation parameters, got {m}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [2, 3, 6])
@@ -1365,13 +1389,13 @@ def test_census_prices_the_full_numerator_when_a_prefix_is_first_shared(monkeypa
     # which no class at p = 5040 fits; a prefix is first shared at the fifth of 296
     # classes: the census stops there, not after filing them all
     filed = []
-    multiplicities = lenslat.spectra._multiplicities
+    series = lenslat.spectra._lattice_series
 
-    def counted(space, i_max, reuse=None):
-        filed.append(space)
-        return multiplicities(space, i_max, reuse)
+    def counted(p, qs, s_max, with_zp, reuse=None):
+        filed.append(qs)
+        return series(p, qs, s_max, with_zp, reuse)
 
-    monkeypatch.setattr(lenslat.spectra, "_multiplicities", counted)
+    monkeypatch.setattr(lenslat.spectra, "_lattice_series", counted)
     with pytest.raises(SystemExit) as err:
         _census_main()(["--p", "5040", "--m", "2", "--i-max", "16"])
     assert err.value.code == 2

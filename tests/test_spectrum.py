@@ -338,7 +338,8 @@ def test_closed_form_matches_the_ranged_series():
     for space, h_max in [(space, 24) for space in grid] + [(space, 300) for space in large]:
         num = numerator(space)
         closed = [n_lattice_formula(space, num, h) for h in range(h_max + 1)]
-        assert spectra._ranged_series(space, h_max, 0) == closed, space
+        series = spectra._lattice_series(space.p, space.q, h_max, True)
+        assert spectra._divided(series, space.p, space.m, 0) == closed, space
 
 
 def test_first_positive_eigenvalue_matches_oracle():
