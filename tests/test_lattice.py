@@ -538,15 +538,48 @@ def test_canonical_form_scales_by_each_distinct_entry_once():
     start = time.perf_counter()
     assert canonical_q_tuples(3, 3000) == [(1,) * 3000]
     assert time.perf_counter() - start < 1
-    # the minimum is over the same scalings, so every tuple keeps its form:
-    # all of m <= 2 and the sorted ones of m = 3 at p < 40, and of m = 4 at p < 20
+    # the scalings skipped are the identity and repeats, so the least member of
+    # every tuple's class is kept: all of m <= 2 and the sorted ones of m = 3 at
+    # p < 40, and of m = 4 at p < 20
     for p in range(3, 40):
         units = [v for v in range(1, p) if math.gcd(v, p) == 1]
         tuples = [q for m in (1, 2) for q in product(units, repeat=m)]
         tuples += combinations_with_replacement(units, 3)
         tuples += combinations_with_replacement(units, 4) if p < 20 else []
         for q in tuples:
-            assert _canonical_form(q, p) == _canonical_form_over_all_entries(q, p), (p, q)
+            least = _canonical_form_over_all_entries(q, p)
+            assert _canonical_form(least, p) == least, (p, q)
+
+
+def test_the_form_asks_only_whether_a_candidate_is_least():
+    # every candidate the walk builds: q itself comes back exactly when q is its
+    # class's least member; any other answer is a member of q's class below q
+    for m, p_max in ((2, 60), (3, 60), (4, 30)):
+        for p in range(3, p_max + 1):
+            half = [v for v in range(1, p // 2 + 1) if math.gcd(v, p) == 1]
+            for rest in combinations_with_replacement(half, m - 1):
+                q = (1,) + rest
+                least, answer = _canonical_form_over_all_entries(q, p), _canonical_form(q, p)
+                assert (answer == q) == (least == q), (p, q)
+                if answer != q:
+                    assert answer < q, (p, q)
+                    assert _canonical_form_over_all_entries(answer, p) == least, (p, q)
+
+
+def test_the_walk_asks_the_form_once_per_candidate(monkeypatch):
+    # perfbench counts the walk's calls to the form through this module global
+    calls = []
+
+    def counted(q, p):
+        calls.append(q)
+        return form(q, p)
+
+    form = lattice._canonical_form
+    monkeypatch.setattr(lattice, "_canonical_form", counted)
+    for p, m in ((7, 3), (31, 3), (13, 4)):
+        calls.clear()
+        canonical_q_tuples(p, m)
+        assert len(calls) == _canonical_candidates(p, m), (p, m)
 
 
 # ------------------------------------------------------------- properties
@@ -643,7 +676,7 @@ def _classes_bruteforce(p, m):
     return out
 
 
-@pytest.mark.parametrize("m, p_max", [(0, 13), (1, 13), (2, 31), (3, 31), (4, 13)])
+@pytest.mark.parametrize("m, p_max", [(0, 13), (1, 13), (2, 31), (3, 31), (4, 13), (4, 20), (5, 11)])
 def test_canonical_q_tuples_match_bruteforce(m, p_max):
     for p in range(1, p_max + 1):
         assert canonical_q_tuples(p, m) == _classes_bruteforce(p, m), p
