@@ -26,6 +26,7 @@ from .spectra import (
     compare_spectra,
     first_positive_eigenvalue,
     isospectral_census,
+    multiplicities,
     multiplicity,
     n_lattice_formula,
     parity_report,
@@ -49,6 +50,7 @@ __all__ = [
     "gamma",
     "isospectral_census",
     "make_lens_space",
+    "multiplicities",
     "multiplicity",
     "n_lattice_formula",
     "numerator",

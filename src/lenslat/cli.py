@@ -36,7 +36,8 @@ from . import oracle
 from .lattice import LensSpace, SubsetMask, gamma, make_lens_space, numerator
 from .lattice import _canonical_form, canonical_q_tuples  # noqa: F401  probed by perfbench
 from .oracle import verify_grid  # noqa: F401  re-exported
-from .spectra import MAX_SPECTRUM_LINES, compare_spectra, n_lattice_formula, parity_report, spectrum
+from .spectra import MAX_SPECTRUM_LINES, compare_spectra, eigenvalues, multiplicities
+from .spectra import n_lattice_formula, parity_verdicts
 
 # bench keeps the oracle at desk scale (a few thousand candidates per
 # norm) so the gap report itself stays fast
@@ -116,18 +117,20 @@ def _json_head(space: LensSpace, key: str, value: int, name: str) -> str:
 # Each run_* takes the parsed arguments and returns its output text, in the form
 # args.fmt asks for and only that one, and its exit code; main writes it.  spectrum
 # and parity rows hold only integers and true/false, so one f-string per row writes
-# them as csv.writer and json.dumps(indent=2) would, with nothing to quote or escape.
+# them as csv.writer and json.dumps(indent=2) would, with nothing to quote or escape;
+# they are rendered from the columns spectra gives, with no record per row.
 
 
 def run_spectrum(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
-    entries = spectrum(space, args.i_max)
+    mults = multiplicities(space, args.i_max)
+    columns = zip(range(args.i_max + 1), eigenvalues(space, args.i_max), mults)
     if args.fmt == "json":
         return _rows_text([
             f'    {{\n      "i": {i},\n      "lambda": {ev},\n      "mult": "{mult}"\n    }}'
-            for i, ev, mult in entries
+            for i, ev, mult in columns
         ], _json_head(space, "d", space.d, "entries"), ",\n", "\n  ]\n}\n"), 0
-    rows = [f"{i},{ev},{mult}\n" for i, ev, mult in entries]
+    rows = [f"{i},{ev},{mult}\n" for i, ev, mult in columns]
     return _rows_text(rows, "i,eigenvalue,multiplicity\n"), 0
 
 
@@ -188,13 +191,14 @@ def run_compare(args: argparse.Namespace):
 
 def run_parity(args: argparse.Namespace):
     space = make_lens_space(args.p, args.q)
-    report = parity_report(space, args.i_max)
+    mults = multiplicities(space, args.i_max)
+    columns = zip(range(args.i_max + 1), mults, parity_verdicts(space, mults))
     if args.fmt == "json":
         return _rows_text([
             f'    {{\n      "i": {i},\n      "mult": "{mult}",\n      "ok": {_bool(ok)}\n    }}'
-            for i, mult, ok in report
+            for i, mult, ok in columns
         ], _json_head(space, "i_max", args.i_max, "rows"), ",\n", "\n  ]\n}\n"), 0
-    rows = [f"{i},{mult},{_bool(ok)}\n" for i, mult, ok in report]
+    rows = [f"{i},{mult},{_bool(ok)}\n" for i, mult, ok in columns]
     return _rows_text(rows, "i,multiplicity,parity_ok\n"), 0
 
 

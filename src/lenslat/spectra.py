@@ -13,11 +13,13 @@ O(m) work for any h (binomials are zero out of range).  dim(lambda_i) has
 the same form at stride p and power 2m - 1 over the polynomial
 Q = P * ((1 - z^p) / (1 - z^2))^(m - 1).  A range of degrees divides in
 place: m running sums with stride p turn P into N(0..H), and m - 1 more
-with stride 2 give dim(lambda_0..lambda_H), all in exact integers.
+with stride 2, chained over each parity class of degrees, give
+dim(lambda_0..lambda_H), all in exact integers.
 
 So each input shape reads one series.  A range reads P built only up to
 degree H and divided in place by _divided: `spectrum`, `compare` and
-`parity` through _multiplicities, and `verify` over norms 0..H with the
+`parity` through multiplicities, whose one list the CLI renders with
+eigenvalues and parity_verdicts, and `verify` over norms 0..H with the
 stride-p sums alone, against the count walk.  The census files its
 classes by that capped P itself, at growing depth until they part, and
 divides each group's P once.  A single degree (`nl`, `multiplicity`,
@@ -27,11 +29,12 @@ divides each group's P once.  A single degree (`nl`, `multiplicity`,
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
+from itertools import accumulate
 
 from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_series
 from .lattice import _numerator_bits, _pass_plan, binom, canonical_q_tuples, decompose
 
-MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 42 MiB in CSV, 53 MiB in JSON
+MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 32 MiB in CSV, 43 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
 # (a tuple slot and its int; 7.2e6 of them at (31, 3, 60000) took 148 MiB over the import)
 MAX_CENSUS_VALUES = 10**7
@@ -120,28 +123,40 @@ def _divided(series: list[int], p: int, m: int, twos: int) -> list[int]:
 
     On P capped at H, twos = 0 gives N(0..H), what `verify` checks over a range of
     norms, and twos = m - 1 gives dim(lambda_0..lambda_H), what every range command
-    and the census read.
+    and the census read.  A stride-2 sum is a running sum over each parity class of
+    degrees, so the twos of them run as one chain of accumulate per class, and
+    twos = 0 takes no slice.  The stride-p sums stay element by element: sliced per
+    residue class mod p they ran slower at census sizes, p classes of few degrees.
     """
-    for stride, times in ((p, m), (2, twos)):
-        for _ in range(times):
-            for h in range(stride, len(series)):
-                series[h] += series[h - stride]
+    for _ in range(m):
+        for h in range(p, len(series)):
+            series[h] += series[h - p]
+    if twos:
+        for r in (0, 1):
+            part = series[r::2]
+            for _ in range(twos):
+                part = accumulate(part)
+            series[r::2] = part
     return series
 
 
-def _multiplicities(space: LensSpace, i_max: int) -> list[int]:
+def multiplicities(space: LensSpace, i_max: int) -> list[int]:
     """dim(lambda_0..lambda_i_max): P capped at i_max, divided by both denominators in place."""
     _check_i_max(i_max)
     return _divided(_lattice_series(*space, i_max, True), space.p, space.m, space.m - 1)
 
 
+def eigenvalues(space: LensSpace, i_max: int) -> list[int]:
+    """lambda_0..lambda_i_max, lambda_i = i*(i + d - 1)."""
+    _check_i_max(i_max)
+    d = space.d
+    return [i * (i + d - 1) for i in range(i_max + 1)]
+
+
 def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
     """Spectral lines for degrees 0..i_max, gap-free, from one capped numerator."""
-    d = space.d
-    return tuple(
-        SpectrumEntry(i, i * (i + d - 1), mult)
-        for i, mult in enumerate(_multiplicities(space, i_max))
-    )
+    mults = multiplicities(space, i_max)
+    return tuple(map(SpectrumEntry, range(i_max + 1), eigenvalues(space, i_max), mults))
 
 
 def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
@@ -177,15 +192,15 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
     _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
-    pairs = zip(_multiplicities(a, i_max), _multiplicities(b, i_max))
+    pairs = zip(multiplicities(a, i_max), multiplicities(b, i_max))
     for i, (mult_a, mult_b) in enumerate(pairs):
         if mult_a != mult_b:
             return IsospectralReport(False, (i, mult_a, mult_b))
     return IsospectralReport(True, None)
 
 
-def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
-    """Per-degree multiplicities with the parity verdict, for every p.
+def parity_verdicts(space: LensSpace, mults: list[int]) -> list[bool]:
+    """Whether each dim(lambda_i) in mults has the parity its degree i calls for.
 
     x -> -x pairs off the nonzero lattice points, so N(h) is even for
     every h >= 1: mod 2, N(z) = 1 and the multiplicities are those of
@@ -193,13 +208,19 @@ def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
     By Kummer's theorem, binom(j + m - 2, m - 2) is odd iff adding j and
     m - 2 in binary carries nothing, that is iff j & (m - 2) == 0.  So
     dim(lambda_i) is odd iff i is even and i/2 shares no binary digit with
-    m - 2; no binomial is built.  Rows that break this law carry ok=False.
+    m - 2; no binomial is built.
     """
-    rows = []
-    for i, mult in enumerate(_multiplicities(space, i_max)):
-        law = i % 2 == 0 and (i // 2) & (space.m - 2) == 0
-        rows.append(ParityRow(i, mult, mult % 2 == law))
-    return tuple(rows)
+    m2 = space.m - 2
+    return [mult % 2 == (i % 2 == 0 and (i // 2) & m2 == 0) for i, mult in enumerate(mults)]
+
+
+def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
+    """Per-degree multiplicities with the parity verdict, for every p.
+
+    Rows whose multiplicity breaks parity_verdicts' law carry ok=False.
+    """
+    mults = multiplicities(space, i_max)
+    return tuple(map(ParityRow, range(i_max + 1), mults, parity_verdicts(space, mults)))
 
 
 def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:

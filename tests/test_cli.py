@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -24,6 +25,8 @@ import lenslat.oracle
 import lenslat.spectra
 from lenslat import (
     LensSpace,
+    ParityRow,
+    SpectrumEntry,
     canonical_q_tuples,
     make_lens_space,
     multiplicity,
@@ -900,6 +903,44 @@ def test_row_templates_render_multiplicities_past_64_bits():
     space = make_lens_space(1, (1,) * 5)
     assert spectrum(space, 1000)[-1].mult > 2**64
     _check_row_templates(space, 1000)
+
+
+def test_spectrum_and_parity_render_without_a_record_per_line(monkeypatch):
+    # the CLI renders its rows from the one multiplicity list: with the record types
+    # made to raise, spectrum and parity still print the reference bytes in both
+    # forms, while spectrum() and parity_report() do build records
+    space = make_lens_space(13, (1, 2, 3, 4))
+    references = list(_table_references(space, 60))
+
+    def refuse(*args):
+        raise AssertionError("a record was built")
+
+    monkeypatch.setattr(SpectrumEntry, "__new__", refuse)
+    monkeypatch.setattr(ParityRow, "__new__", refuse)
+    for build in (spectrum, parity_report):
+        with pytest.raises(AssertionError):
+            build(space, 3)
+    for command, fmt, expected in references:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([command, "--p", "13", "--q", "1,2,3,4", "--i-max", "60", "--format", fmt])
+        assert (code, out.getvalue()) == (0, expected), (command, fmt)
+
+
+def test_cli_imports_no_private_name_from_spectra():
+    # cli parses, calls spectra's public names and renders: no `_`-prefixed
+    # name of lenslat.spectra is imported or read as an attribute there
+    tree = ast.parse(Path(lenslat.cli.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
+            (1, "spectra"), (0, "lenslat.spectra")
+        ):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "spectra":
+            names.append(node.attr)
+    assert "multiplicities" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def _raise(*args, **kwargs):

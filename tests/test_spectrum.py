@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from collections import Counter
 from itertools import combinations, product
@@ -206,6 +207,44 @@ def test_multiplicity_matches_convolution_over_n():
                 num = numerator(space)
                 expected = convolution_multiplicities(space, num, i_max)
                 assert [multiplicity(space, num, i) for i in range(i_max + 1)] == expected, space
+
+
+def _divided_by_each_element(series, p, m, twos):
+    """The reference division: every running sum taken one element at a time."""
+    series = list(series)
+    for stride, times in ((p, m), (2, twos)):
+        for _ in range(times):
+            for h in range(stride, len(series)):
+                series[h] += series[h - stride]
+    return series
+
+
+class _NoSlices(list):
+    """A list that fails on any slice read or write."""
+
+    def __getitem__(self, key):
+        assert not isinstance(key, slice), "sliced"
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        assert not isinstance(key, slice), "sliced"
+        super().__setitem__(key, value)
+
+
+def test_divided_matches_the_per_element_sums():
+    # the stride-2 sums run as chained accumulates over each parity class of degrees:
+    # the same integers as the per-element loop, past 2^64, at lengths that end each
+    # class early or late; with no stride-2 sum (verify's ranges) no slice is taken
+    rng = random.Random(0)
+    for p in range(1, 60):
+        for m in range(2, 7):
+            for n in sorted({0, 1, 2, p - 1, p + 1, 2 * p + 3, 61}):
+                series = [rng.randrange(2**70) for _ in range(n)]
+                for twos in (0, m - 1):
+                    expected = _divided_by_each_element(series, p, m, twos)
+                    assert spectra._divided(list(series), p, m, twos) == expected, (p, m, n, twos)
+                    if twos == 0:
+                        assert spectra._divided(_NoSlices(series), p, m, 0) == expected
 
 
 def test_multiplicity_at_huge_degree_parity_and_n():
@@ -459,14 +498,14 @@ def test_parity_law_on_canonical_spaces():
 
 
 def test_parity_flags_a_broken_even_degree(monkeypatch):
-    real = spectra._multiplicities
+    real = spectra.multiplicities
 
     def flipped(space, i_max):
         mults = real(space, i_max)
         mults[4] += 1
         return mults
 
-    monkeypatch.setattr(spectra, "_multiplicities", flipped)
+    monkeypatch.setattr(spectra, "multiplicities", flipped)
     rows = parity_report(make_lens_space(5, (1, 2)), 9)
     assert [row.i for row in rows if not row.ok] == [4]
 
@@ -485,7 +524,7 @@ def test_parity_law_is_the_binomial_mod_2(monkeypatch):
     for m in range(2, 24):
         space = make_lens_space(1, (1,) * m)
         for series, ok in ((law, True), (flipped, False)):
-            monkeypatch.setattr(spectra, "_multiplicities", series)
+            monkeypatch.setattr(spectra, "multiplicities", series)
             assert all(row.ok == ok for row in parity_report(space, 5999)), (m, ok)
 
 
