@@ -21,7 +21,6 @@ from .lattice import (
 )
 from .spectra import (
     IsospectralReport,
-    ParityRow,
     SpectrumEntry,
     compare_spectra,
     first_positive_eigenvalue,
@@ -29,8 +28,7 @@ from .spectra import (
     multiplicities,
     multiplicity,
     n_lattice_formula,
-    parity_report,
-    spectrum,
+    parity_verdicts,
 )
 
 __version__ = "0.1.0"
@@ -39,7 +37,6 @@ __all__ = [
     "IsospectralReport",
     "LensSpace",
     "Numerator",
-    "ParityRow",
     "SpectrumEntry",
     "SubsetMask",
     "binom",
@@ -54,6 +51,5 @@ __all__ = [
     "multiplicity",
     "n_lattice_formula",
     "numerator",
-    "parity_report",
-    "spectrum",
+    "parity_verdicts",
 ]

@@ -90,11 +90,8 @@ class LensSpace(namedtuple("LensSpace", "p q")):
             raise ValueError(f"expected {self.m} coordinates, got {len(x)}")
         return sum(map(operator.mul, self.q, map(operator.index, x))) % self.p == 0
 
-    def label(self) -> str:
-        return f"L({self.p};{','.join(str(v) for v in self.q)})"
-
     def __str__(self) -> str:
-        return self.label()
+        return f"L({self.p};{','.join(str(v) for v in self.q)})"
 
 
 def _check_m(m: int) -> None:
@@ -304,12 +301,6 @@ class Numerator(namedtuple("Numerator", "space coeffs")):
     """Coefficients P[0..m*p] of the numerator P(z) of one lens space."""
 
     __slots__ = ()
-
-    def value(self, s: int) -> int:
-        """P[s]; zero above the degree m*p."""
-        if s < 0:
-            raise ValueError(f"s must be non-negative, got {s}")
-        return self.coeffs[s] if s < len(self.coeffs) else 0
 
 
 def numerator(space: LensSpace) -> Numerator:

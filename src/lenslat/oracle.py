@@ -423,7 +423,7 @@ def verify_grid(
     """
     checks = []
     for space, hs in cases:
-        label = space.label()
+        label = str(space)
         table = subset_table(space, hs[-1]) if deep else None
         if len(hs) > 1:
             formulas = _divided(_lattice_series(*space, hs[-1], True), space.p, space.m, 0)

@@ -16,6 +16,10 @@ place: m running sums with stride p turn P into N(0..H), and m - 1 more
 with stride 2, chained over each parity class of degrees, give
 dim(lambda_0..lambda_H), all in exact integers.
 
+The paper's three answers are multiplicities (every eigenspace up to a
+degree), first_positive_eigenvalue (the smallest positive eigenvalue, in
+closed form) and parity_verdicts (the parity of each dimension).
+
 So each input shape reads one series.  A range reads P built only up to
 degree H and divided in place by _divided: `spectrum`, `compare` and
 `parity` through multiplicities, whose one list the CLI renders with
@@ -23,7 +27,8 @@ eigenvalues and parity_verdicts, and `verify` over norms 0..H with the
 stride-p sums alone, against the count walk.  The census files its
 classes by that capped P itself, at growing depth until they part, and
 divides each group's P once.  A single degree (`nl`, `multiplicity`,
-`bench`, `verify --h`) reads the stride sum.
+`bench`, `verify --h`) reads the stride sum; multiplicity builds its Q
+with _divided's stride-2 sums, the ones every range runs.
 """
 
 from __future__ import annotations
@@ -60,12 +65,6 @@ class IsospectralReport(
     __slots__ = ()
 
 
-class ParityRow(namedtuple("ParityRow", "i mult ok")):
-    """Multiplicity of one degree; ok is False where its parity breaks parity_report's law."""
-
-    __slots__ = ()
-
-
 def _stride_sum(coeffs: list[int] | tuple[int, ...], stride: int, power: int, h: int) -> int:
     """[z^h] coeffs(z) / (1 - z^stride)^power; terms past the list's end are zero."""
     k, n = decompose(h, stride)
@@ -92,8 +91,9 @@ def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     p-th root of unity w, z^p + sum_{|x|<p} w^(qx) z^|x| =
     (1 - z^p)(1 - z^2)/((1 - w^q z)(1 - w^-q z)) is zero at z = -1
     (w^(+-q) != -1) and P averages their products over w.  The passes are
-    causal, so P cut or zero-padded to min(i + 1, (2m - 1)*p) terms gives Q
-    where the stride sum reads it: O(m^2 * p) additions, then 2m terms.
+    causal, so they commute, and P cut or zero-padded to min(i + 1, (2m - 1)*p)
+    terms gives Q where the stride sum reads it: the m - 1 stride-2 sums of
+    _divided, then m - 1 stride-p differences, O(m^2 * p) additions, then 2m terms.
     """
     if num.space != space:
         raise ValueError("numerator was built for a different lens space")
@@ -101,10 +101,8 @@ def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
         raise ValueError(f"degree must be non-negative, got {i}")
     p, power = space.p, 2 * space.m - 1
     size = min(i + 1, power * p)
-    poly = list(num.coeffs[:size]) + [0] * (size - len(num.coeffs))
+    poly = _divided(list(num.coeffs[:size]) + [0] * (size - len(num.coeffs)), p, 0, space.m - 1)
     for _ in range(space.m - 1):
-        for h in range(2, size):
-            poly[h] += poly[h - 2]
         for h in range(size - 1, p - 1, -1):
             poly[h] -= poly[h - p]
     return _stride_sum(poly, p, power, i)
@@ -151,12 +149,6 @@ def eigenvalues(space: LensSpace, i_max: int) -> list[int]:
     _check_i_max(i_max)
     d = space.d
     return [i * (i + d - 1) for i in range(i_max + 1)]
-
-
-def spectrum(space: LensSpace, i_max: int) -> tuple[SpectrumEntry, ...]:
-    """Spectral lines for degrees 0..i_max, gap-free, from one capped numerator."""
-    mults = multiplicities(space, i_max)
-    return tuple(map(SpectrumEntry, range(i_max + 1), eigenvalues(space, i_max), mults))
 
 
 def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
@@ -212,15 +204,6 @@ def parity_verdicts(space: LensSpace, mults: list[int]) -> list[bool]:
     """
     m2 = space.m - 2
     return [mult % 2 == (i % 2 == 0 and (i // 2) & m2 == 0) for i, mult in enumerate(mults)]
-
-
-def parity_report(space: LensSpace, i_max: int) -> tuple[ParityRow, ...]:
-    """Per-degree multiplicities with the parity verdict, for every p.
-
-    Rows whose multiplicity breaks parity_verdicts' law carry ok=False.
-    """
-    mults = multiplicities(space, i_max)
-    return tuple(map(ParityRow, range(i_max + 1), mults, parity_verdicts(space, mults)))
 
 
 def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:

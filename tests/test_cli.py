@@ -25,15 +25,15 @@ import lenslat.oracle
 import lenslat.spectra
 from lenslat import (
     LensSpace,
-    ParityRow,
     SpectrumEntry,
     canonical_q_tuples,
+    first_positive_eigenvalue,
     make_lens_space,
+    multiplicities,
     multiplicity,
     n_lattice_formula,
     numerator,
-    parity_report,
-    spectrum,
+    parity_verdicts,
 )
 from lenslat.cli import BENCH_DEFAULT_BUDGET, main, verify_grid
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
@@ -857,20 +857,22 @@ def test_parity_cli_rejects_negative_i_max(capsys):
 
 def _table_references(space, i_max):
     """spectrum's and parity's stdout in both forms, rendered by csv.writer and json.dumps."""
-    entries, report = spectrum(space, i_max), parity_report(space, i_max)
+    mults = multiplicities(space, i_max)
+    entries = list(zip(range(i_max + 1), lenslat.spectra.eigenvalues(space, i_max), mults))
+    report = list(zip(range(i_max + 1), mults, parity_verdicts(space, mults)))
     head = {"p": space.p, "q": list(space.q)}
     payloads = {
         "spectrum": head | {"d": space.d, "entries": [
-            {"i": e.i, "lambda": e.eigenvalue, "mult": str(e.mult)} for e in entries
+            {"i": i, "lambda": eigenvalue, "mult": str(mult)} for i, eigenvalue, mult in entries
         ]},
         "parity": head | {"i_max": i_max, "rows": [
-            {"i": r.i, "mult": str(r.mult), "ok": r.ok} for r in report
+            {"i": i, "mult": str(mult), "ok": ok} for i, mult, ok in report
         ]},
     }
     tables = {
         "spectrum": [["i", "eigenvalue", "multiplicity"], *entries],
         "parity": [["i", "multiplicity", "parity_ok"],
-                   *[[r.i, r.mult, "true" if r.ok else "false"] for r in report]],
+                   *[[i, mult, "true" if ok else "false"] for i, mult, ok in report]],
     }
     for command, rows in tables.items():
         buf = io.StringIO()
@@ -901,14 +903,14 @@ def test_row_templates_render_the_bytes_of_csv_and_json(space, i_max):
 
 def test_row_templates_render_multiplicities_past_64_bits():
     space = make_lens_space(1, (1,) * 5)
-    assert spectrum(space, 1000)[-1].mult > 2**64
+    assert multiplicities(space, 1000)[-1] > 2**64
     _check_row_templates(space, 1000)
 
 
 def test_spectrum_and_parity_render_without_a_record_per_line(monkeypatch):
-    # the CLI renders its rows from the one multiplicity list: with the record types
+    # the CLI renders its rows from the one multiplicity list: with the record type
     # made to raise, spectrum and parity still print the reference bytes in both
-    # forms, while spectrum() and parity_report() do build records
+    # forms, while first_positive_eigenvalue(), which returns one, does raise
     space = make_lens_space(13, (1, 2, 3, 4))
     references = list(_table_references(space, 60))
 
@@ -916,10 +918,8 @@ def test_spectrum_and_parity_render_without_a_record_per_line(monkeypatch):
         raise AssertionError("a record was built")
 
     monkeypatch.setattr(SpectrumEntry, "__new__", refuse)
-    monkeypatch.setattr(ParityRow, "__new__", refuse)
-    for build in (spectrum, parity_report):
-        with pytest.raises(AssertionError):
-            build(space, 3)
+    with pytest.raises(AssertionError):
+        first_positive_eigenvalue(space)
     for command, fmt, expected in references:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):

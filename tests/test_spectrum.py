@@ -3,12 +3,14 @@ import random
 import time
 from collections import Counter
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslat import (
+    SpectrumEntry,
     SubsetMask,
     binom,
     canonical_q_tuples,
@@ -18,14 +20,15 @@ from lenslat import (
     gamma,
     isospectral_census,
     make_lens_space,
+    multiplicities,
     multiplicity,
     n_lattice_formula,
     numerator,
-    parity_report,
-    spectrum,
+    parity_verdicts,
 )
 from lenslat import lattice, spectra
 from lenslat.oracle import n_lattice_bruteforce
+from lenslat.spectra import eigenvalues
 from records import check_record
 from strategies import lens_spaces, units_mod
 
@@ -33,10 +36,11 @@ from strategies import lens_spaces, units_mod
 L211 = make_lens_space(2, (1, 1))
 N211 = numerator(L211)
 HUGE = 10**30
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.mark.parametrize("record, text", [
-    (spectrum(L211, 2)[2], "SpectrumEntry(i=2, eigenvalue=8, mult=9)"),
+    (first_positive_eigenvalue(L211), "SpectrumEntry(i=2, eigenvalue=8, mult=9)"),
     (
         compare_spectra(L211, L211, 3),
         "IsospectralReport(equal=True, first_divergence=None, dimension_mismatch=False)",
@@ -45,8 +49,7 @@ HUGE = 10**30
         compare_spectra(make_lens_space(5, (1, 1)), make_lens_space(5, (1, 2)), 10),
         "IsospectralReport(equal=False, first_divergence=(2, 3, 1), dimension_mismatch=False)",
     ),
-    (parity_report(L211, 2)[2], "ParityRow(i=2, mult=9, ok=True)"),
-], ids=["SpectrumEntry", "IsospectralReport", "IsospectralReport-diverged", "ParityRow"])
+], ids=["SpectrumEntry", "IsospectralReport", "IsospectralReport-diverged"])
 def test_value_record_contract(record, text):
     check_record(record, text)
 
@@ -274,30 +277,29 @@ def test_multiplicity_pins_l1009_at_huge_degree():
 
 
 def test_spectrum_l211():
-    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(L211, 2)]
-    assert entries == [(0, 0, 1), (1, 3, 0), (2, 8, 9)]
+    assert eigenvalues(L211, 2) == [0, 3, 8]
+    assert multiplicities(L211, 2) == [1, 0, 9]
 
 
 def test_spectrum_sphere():
     space = make_lens_space(1, (1, 1))
-    entries = [(e.i, e.eigenvalue, e.mult) for e in spectrum(space, 1)]
-    assert entries == [(0, 0, 1), (1, 3, 4)]
+    assert eigenvalues(space, 1) == [0, 3]
+    assert multiplicities(space, 1) == [1, 4]
 
 
 def test_spectrum_i_max_zero():
-    entries = spectrum(make_lens_space(9, (1, 2)), 0)
-    assert [(e.i, e.eigenvalue, e.mult) for e in entries] == [(0, 0, 1)]
+    space = make_lens_space(9, (1, 2))
+    assert (eigenvalues(space, 0), multiplicities(space, 0)) == ([0], [1])
 
 
 @given(space=lens_spaces(p_max=5), i_max=st.integers(0, 8))
 @settings(max_examples=40, deadline=None)
 def test_spectrum_table_shape(space, i_max):
-    entries = spectrum(space, i_max)
-    assert [e.i for e in entries] == list(range(i_max + 1))
-    eigenvalues = [e.eigenvalue for e in entries]
-    assert eigenvalues == [i * (i + space.d - 1) for i in range(i_max + 1)]
-    assert sorted(eigenvalues) == eigenvalues
-    assert entries[0].mult == 1
+    lambdas, mults = eigenvalues(space, i_max), multiplicities(space, i_max)
+    assert len(lambdas) == len(mults) == i_max + 1
+    assert lambdas == [i * (i + space.d - 1) for i in range(i_max + 1)]
+    assert sorted(lambdas) == lambdas
+    assert mults[0] == 1
 
 
 def test_spectrum_matches_pointwise_multiplicity():
@@ -308,24 +310,36 @@ def test_spectrum_matches_pointwise_multiplicity():
         num = numerator(space)
         m = space.m
         for i_max in (0, 1, p, m * p - 1, 3 * m * p, (2 * m + 1) * math.lcm(p, 2)):
-            mults = [e.mult for e in spectrum(space, i_max)]
-            assert mults == [multiplicity(space, num, i) for i in range(i_max + 1)]
+            assert multiplicities(space, i_max) == [multiplicity(space, num, i) for i in range(i_max + 1)]
+
+
+def test_readme_library_example_runs_and_its_list_is_multiplicity_at_every_degree():
+    # the python block under README's `## Library` heading runs as written, so it
+    # names no function the library lacks, and its one list of multiplicities is
+    # the pointwise multiplicity at every degree it holds
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    space, num, mults = names["space"], names["num"], names["mults"]
+    assert len(mults) == 11
+    assert mults == [multiplicity(space, num, i) for i in range(len(mults))]
 
 
 def test_m30_sphere_and_spectrum():
     sphere = make_lens_space(1, (1,) * 30)
     harmonic = [binom(i + 59, 59) - binom(i + 57, 59) for i in range(21)]
-    assert [e.mult for e in spectrum(sphere, 20)] == harmonic
+    assert multiplicities(sphere, 20) == harmonic
 
     space = make_lens_space(11, tuple(range(1, 11)) * 3)
     num = numerator(space)
     # every nontrivial character sums to zero over a factor's 2p terms
     assert sum(num.coeffs) * 11 == 22**30
-    entries = spectrum(space, 40)
-    assert [e.mult for e in entries[:2]] == [1, 0]
-    for e in entries:
-        assert 0 <= e.mult <= binom(e.i + 59, 59) - binom(e.i + 57, 59)
-    assert entries[40].mult == multiplicity(space, num, 40)
+    mults = multiplicities(space, 40)
+    assert mults[:2] == [1, 0]
+    for i, mult in enumerate(mults):
+        assert 0 <= mult <= binom(i + 59, 59) - binom(i + 57, 59)
+    assert mults[40] == multiplicity(space, num, 40)
 
 
 # ------------------------------------------------- smallest positive entry
@@ -403,7 +417,11 @@ def test_first_positive_eigenvalue_closed_form_matches_the_spectrum(monkeypatch)
         for q in product(units_mod(p), repeat=m)
     ]
     spaces += [make_lens_space(p, q) for p in range(1, 40) for q in canonical_q_tuples(p, 4)]
-    expected = [spectrum(space, 1 if space.p == 1 else 2)[-1] for space in spaces]
+    expected = [
+        SpectrumEntry(h, eigenvalues(space, h)[h], multiplicities(space, h)[h])
+        for space in spaces
+        for h in [1 if space.p == 1 else 2]
+    ]
 
     def no_dp(*args, **kwargs):
         raise AssertionError("first_positive_eigenvalue ran a DP")
@@ -468,22 +486,24 @@ def test_compare_dimension_mismatch():
 
 
 def test_parity_l211():
-    rows = parity_report(L211, 9)
-    assert all(row.ok for row in rows)
-    assert all(row.mult == 0 for row in rows if row.i % 2 == 1)
+    mults = multiplicities(L211, 9)
+    assert all(parity_verdicts(L211, mults))
+    assert mults[1::2] == [0] * 5
 
 
 def test_parity_l413():
-    rows = parity_report(make_lens_space(4, (1, 3)), 9)
-    assert [row.mult for row in rows] == [1, 0, 3, 0, 15, 0, 21, 0, 45, 0]
-    assert all(row.ok for row in rows)
+    space = make_lens_space(4, (1, 3))
+    mults = multiplicities(space, 9)
+    assert mults == [1, 0, 3, 0, 15, 0, 21, 0, 45, 0]
+    assert all(parity_verdicts(space, mults))
 
 
 def test_parity_odd_p_is_informational():
     # odd p is now checked like even p, not informational; the name is kept
-    rows = parity_report(make_lens_space(3, (1, 1)), 5)
-    assert [row.mult for row in rows] == [1, 0, 3, 8, 5, 12]
-    assert all(row.ok for row in rows)
+    space = make_lens_space(3, (1, 1))
+    mults = multiplicities(space, 5)
+    assert mults == [1, 0, 3, 8, 5, 12]
+    assert all(parity_verdicts(space, mults))
 
 
 def test_parity_law_on_canonical_spaces():
@@ -493,27 +513,22 @@ def test_parity_law_on_canonical_spaces():
             law = [math.comb(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0 for i in range(41)]
             for q in canonical_q_tuples(p, m):
                 space = make_lens_space(p, q)
-                assert [e.mult % 2 for e in spectrum(space, 40)] == law, space
-                assert all(row.ok for row in parity_report(space, 40)), space
+                mults = multiplicities(space, 40)
+                assert [mult % 2 for mult in mults] == law, space
+                assert all(parity_verdicts(space, mults)), space
 
 
-def test_parity_flags_a_broken_even_degree(monkeypatch):
-    real = spectra.multiplicities
-
-    def flipped(space, i_max):
-        mults = real(space, i_max)
-        mults[4] += 1
-        return mults
-
-    monkeypatch.setattr(spectra, "multiplicities", flipped)
-    rows = parity_report(make_lens_space(5, (1, 2)), 9)
-    assert [row.i for row in rows if not row.ok] == [4]
+def test_parity_flags_a_broken_even_degree():
+    space = make_lens_space(5, (1, 2))
+    mults = multiplicities(space, 9)
+    mults[4] += 1
+    assert [i for i, ok in enumerate(parity_verdicts(space, mults)) if not ok] == [4]
 
 
-def test_parity_law_is_the_binomial_mod_2(monkeypatch):
+def test_parity_law_is_the_binomial_mod_2():
     # the bit rule i even and (i/2) & (m - 2) == 0 is binom(i/2 + m - 2, m - 2)
-    # mod 2 (Kummer): rows fed the binomial's parity pass, rows fed the other
-    # parity fail, at every even i < 6000 and m <= 23; odd i read 0
+    # mod 2 (Kummer): multiplicities of the binomial's parity pass, those of the
+    # other parity fail, at every even i < 6000 and m <= 23; odd i read 0
     def law(space, i_max):
         m = space.m
         return [binom(i // 2 + m - 2, m - 2) % 2 if i % 2 == 0 else 0 for i in range(i_max + 1)]
@@ -524,8 +539,7 @@ def test_parity_law_is_the_binomial_mod_2(monkeypatch):
     for m in range(2, 24):
         space = make_lens_space(1, (1,) * m)
         for series, ok in ((law, True), (flipped, False)):
-            monkeypatch.setattr(spectra, "multiplicities", series)
-            assert all(row.ok == ok for row in parity_report(space, 5999)), (m, ok)
+            assert all(v == ok for v in parity_verdicts(space, series(space, 5999))), (m, ok)
 
 
 @given(data=st.data())
@@ -562,11 +576,11 @@ def test_isospectral_census_prices_its_held_multiplicities(monkeypatch, p, m, i_
 def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
     # the prefix is only a filter: each group is exactly one class of equal full
     # numerators, the groups come back in class order (by their first class), and
-    # the census reads multiplicities, never the spectral lines
+    # the census reads multiplicities, never a spectral line's record
     def refuse(*args):
         raise AssertionError("the census built spectral lines")
 
-    monkeypatch.setattr(spectra, "spectrum", refuse)
+    monkeypatch.setattr(SpectrumEntry, "__new__", refuse)
     families = 0
     for p_max, m in ((100, 3), (30, 4)):
         for p in range(1, p_max + 1):
