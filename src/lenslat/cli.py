@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -86,11 +84,12 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows: list[list] | tuple[tuple, ...]) -> str:
-    """CSV lines: the header, then the rows."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+def _quoted(field: str) -> str:
+    """field as csv.writer's minimal quoting writes it: in double quotes if it holds a comma.
+
+    No field the CLI writes holds a double quote or a line break, so nothing is escaped.
+    """
+    return f'"{field}"' if "," in field else field
 
 
 def _space_json(space: LensSpace) -> dict:
@@ -103,7 +102,7 @@ def _bool(value: bool) -> str:
 
 def _rows_text(rows: list[str], head: str, sep: str = "", tail: str = "") -> str:
     """head + sep.join(rows) + tail, built in one copy: the end rows take head and tail."""
-    rows[0] = head + rows[0]  # never empty: degrees 0..i_max with i_max >= 0
+    rows[0] = head + rows[0]  # never empty: every table has a row (an empty verify grid is refused)
     rows[-1] += tail
     return sep.join(rows)
 
@@ -115,10 +114,11 @@ def _json_head(space: LensSpace, key: str, value: int, name: str) -> str:
 
 
 # Each run_* takes the parsed arguments and returns its output text, in the form
-# args.fmt asks for and only that one, and its exit code; main writes it.  spectrum
-# and parity rows hold only integers and true/false, so one f-string per row writes
-# them as csv.writer and json.dumps(indent=2) would, with nothing to quote or escape;
-# they are rendered from the columns spectra gives, with no record per row.
+# args.fmt asks for and only that one, and its exit code; main writes it.  Every CSV
+# table, and spectrum's and parity's JSON, is one f-string per row, the bytes csv.writer
+# and json.dumps(indent=2) would give: only verify's space and got fields can hold a
+# comma, so only they pass through _quoted.  spectrum and parity render from the
+# columns spectra gives, with no record per row.
 
 
 def run_spectrum(args: argparse.Namespace):
@@ -156,7 +156,7 @@ def run_gamma(args: argparse.Namespace):
                 )
             if j in args.subset[:n]:
                 raise ValueError(f"subset index {j} given more than once")
-        mask = SubsetMask.from_indices([j - 1 for j in args.subset], space.m)
+        mask = SubsetMask(sum(1 << (j - 1) for j in args.subset), space.m)
     value = gamma(space, mask, args.s)
     if args.fmt == "json":
         return _json_text(_space_json(space) | {
@@ -171,22 +171,19 @@ def run_compare(args: argparse.Namespace):
     a = make_lens_space(*args.a)
     b = make_lens_space(*args.b)
     report = compare_spectra(a, b, args.i_max)
-    divergence = report.first_divergence
+    divergence = report.first_divergence  # None, or (i, mult_a, mult_b)
+    i, mult_a, mult_b = divergence or ("", "", "")
     if args.fmt == "json":
-        if divergence is not None:
-            i, mult_a, mult_b = divergence
-            divergence = {"i": i, "mult_a": str(mult_a), "mult_b": str(mult_b)}
         return _json_text({
             "space_a": _space_json(a),
             "space_b": _space_json(b),
             "i_max": args.i_max,
             "equal": report.equal,
             "dimension_mismatch": report.dimension_mismatch,
-            "first_divergence": divergence,
+            "first_divergence": divergence and dict(i=i, mult_a=str(mult_a), mult_b=str(mult_b)),
         }), 0
-    row = [_bool(report.equal), _bool(report.dimension_mismatch), *(divergence or ("", "", ""))]
-    header = ["equal", "dimension_mismatch", "first_divergence_i", "mult_a", "mult_b"]
-    return _csv_text(header, [row]), 0
+    row = f"{_bool(report.equal)},{_bool(report.dimension_mismatch)},{i},{mult_a},{mult_b}\n"
+    return _rows_text([row], "equal,dimension_mismatch,first_divergence_i,mult_a,mult_b\n"), 0
 
 
 def run_parity(args: argparse.Namespace):
@@ -241,8 +238,9 @@ def run_verify(args: argparse.Namespace):
             "mismatch_count": len(mismatches),
             "mismatches": [c._asdict() for c in mismatches],
         }), code
-    rows = [[c.space, c.h, c.kind, c.got, c.expected, _bool(c.ok)] for c in checks]
-    return _csv_text(["space", "h", "kind", "got", "expected", "ok"], rows), code
+    rows = [f"{_quoted(c.space)},{c.h},{c.kind},{_quoted(c.got)},{c.expected},{_bool(c.ok)}\n"
+            for c in checks]
+    return _rows_text(rows, "space,h,kind,got,expected,ok\n"), code
 
 
 def run_bench(args: argparse.Namespace):
@@ -265,8 +263,8 @@ def run_bench(args: argparse.Namespace):
             "rows": [{"h": h, "formula_seconds": f, "oracle_seconds": o, "skipped": o is None}
                      for h, f, o in timings],
         }), 0
-    rows = [[h, f"{f:.6f}", "skipped" if o is None else f"{o:.6f}"] for h, f, o in timings]
-    return _csv_text(["h", "formula_seconds", "oracle_seconds"], rows), 0
+    rows = [f"{h},{f:.6f},{'skipped' if o is None else f'{o:.6f}'}\n" for h, f, o in timings]
+    return _rows_text(rows, "h,formula_seconds,oracle_seconds\n"), 0
 
 
 # built once per process, on first use (so not at import); reuse keeps no state only

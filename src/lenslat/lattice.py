@@ -144,21 +144,6 @@ class SubsetMask(namedtuple("SubsetMask", "bits m")):
     def full(cls, m: int) -> SubsetMask:
         return cls((1 << m) - 1, m)
 
-    @classmethod
-    def empty(cls, m: int) -> SubsetMask:
-        return cls(0, m)
-
-    @classmethod
-    def from_indices(cls, indices: Sequence[int], m: int) -> SubsetMask:
-        bits = 0
-        for j in indices:
-            if not 0 <= j < m:
-                raise ValueError(f"index {j} out of range for m = {m}")
-            if bits >> j & 1:
-                raise ValueError(f"index {j} given more than once")
-            bits |= 1 << j
-        return cls(bits, m)
-
 
 def binom(pool: int, choose: int) -> int:
     """Binomial coefficient with the zero convention.

@@ -318,7 +318,7 @@ def subset_table(space: LensSpace, h_max: int) -> dict[SubsetMask, tuple[tuple, 
     p, m, table = space.p, space.m, {}
     for u in range(min(m, h_max // p) + 1):
         for members in combinations(range(m), u):
-            mask = SubsetMask.from_indices(members, m)
+            mask = SubsetMask(sum(1 << j for j in members), m)
             qs = mask.complement().pick(space.q)
             table[mask] = qs, _lattice_series(p, qs, h_max - u * p, with_zp=False)
     return table

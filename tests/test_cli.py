@@ -752,10 +752,11 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
+    # nor csv: every table is written by f-string rows
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import lenslat.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -961,13 +962,13 @@ RENDER_ONCE = [
 @pytest.mark.parametrize("argv", RENDER_ONCE, ids=[c.split()[0] for c in RENDER_ONCE])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_each_command_renders_only_the_form_asked_for(argv, fmt, monkeypatch, capsys):
-    # a CSV run builds no JSON payload and no JSON text, a JSON run no CSV text;
-    # spectrum and parity write JSON by their row templates, not json.dumps
+    # a CSV run builds no JSON payload and no JSON text, a JSON run no CSV field or
+    # row; spectrum and parity write JSON by their row templates, not json.dumps
     argv = [*argv.split(), "--format", fmt]
     expected = _run(capsys, argv)
-    unused = ["json.dumps", "_space_json"] if fmt == "csv" else ["csv.writer"]
-    if fmt == "json" and argv[0] in ("spectrum", "parity"):
-        unused.append("json.dumps")
+    unused = ["json.dumps", "_space_json"] if fmt == "csv" else ["_quoted"]
+    if fmt == "json":
+        unused.append("json.dumps" if argv[0] in ("spectrum", "parity") else "_rows_text")
     for name in unused:
         monkeypatch.setattr(f"lenslat.cli.{name}", _raise)
     outcomes = [expected, _run(capsys, argv)]
@@ -975,6 +976,44 @@ def test_each_command_renders_only_the_form_asked_for(argv, fmt, monkeypatch, ca
         outcomes = [(code, re.sub(r"\d+\.\d+(e-?\d+)?", "t", out)) for code, out in outcomes]
     assert outcomes[0] == outcomes[1]
     assert expected[0] == 0 and expected[1]
+
+
+def _law_breaking_binom(pool, choose):
+    """binom one too large at choose = 2, pool >= 3: the partition law counts wrong."""
+    if not 0 <= choose <= pool:
+        return 0
+    return math.comb(pool, choose) + (choose == 2 and pool >= 3)
+
+
+CSV_TABLES = [
+    ("spectrum", "spectrum --p 13 --q 1,2,3,4 --i-max 60", False),
+    ("parity", "parity --p 6 --q 1,1 --i-max 30", False),
+    ("verify-grid-deep", "verify --p-max 5 --m 2,3 --h-max 8 --deep", False),
+    # partition rows whose got field carries a law note, "22 (class 0b0: 19, law 20)"
+    ("verify-law-notes", "verify --p 5 --q 1,2,3 --h-max 9 --deep", True),
+    ("bench", "bench --p 7 --q 1,2,3 --h-max 6 --oracle-budget 50", False),
+    ("compare", "compare --a 5:1,1 --b 5:1,2 --i-max 8", False),
+    ("compare-equal", "compare --a 11:1,2,3 --b 11:1,2,4 --i-max 20", False),
+]
+
+
+@pytest.mark.parametrize("argv, law_notes", [c[1:] for c in CSV_TABLES],
+                         ids=[c[0] for c in CSV_TABLES])
+def test_csv_tables_round_trip_through_the_csv_module(argv, law_notes, monkeypatch, capsys):
+    # every CSV table is written by f-string rows that quote only a field holding a
+    # comma: the csv module reads each row back whole and writes the same text again
+    if law_notes:
+        monkeypatch.setattr("lenslat.oracle.binom", _law_breaking_binom)
+    code, text = _run(capsys, argv.split())
+    assert code == (1 if law_notes else 0)
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) >= 2 and {len(row) for row in rows} == {len(rows[0])}
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == text
+    if argv.startswith("verify"):
+        assert all("," in row[0] for row in rows[1:])
+        assert any(", law " in row[3] for row in rows[1:]) == law_notes
 
 
 def test_bench_json_keys_and_types(capsys):

@@ -170,9 +170,9 @@ def test_lens_space_is_a_tuple():
 def test_subset_mask_basics():
     full = SubsetMask.full(3)
     assert full.bits == 0b111 and full.u == 3
-    assert SubsetMask.empty(3).u == 0
-    mask = SubsetMask.from_indices([0, 2], 3)
-    assert mask.bits == 0b101
+    assert SubsetMask(0, 3).u == 0
+    mask = SubsetMask(0b101, 3)
+    assert mask.u == 2
     assert mask.indices() == (0, 2)
     assert mask.complement().indices() == (1,)
     assert mask.pick(("a", "b", "c")) == ("a", "c")
@@ -183,12 +183,6 @@ def test_subset_mask_validation():
         SubsetMask(8, 3)
     with pytest.raises(ValueError):
         SubsetMask(-1, 3)
-    with pytest.raises(ValueError):
-        SubsetMask.from_indices([3], 3)
-    with pytest.raises(ValueError, match="index 0 given more than once"):
-        SubsetMask.from_indices([0, 0], 2)
-    with pytest.raises(ValueError, match="index 2 given more than once"):
-        SubsetMask.from_indices([2, 1, 2], 3)
 
 
 # ---------------------------------------------------------------- binom
@@ -256,7 +250,7 @@ def test_gamma_spot_values():
 
 def test_gamma_empty_subset():
     space = make_lens_space(6, (1, 5))
-    empty = SubsetMask.empty(2)
+    empty = SubsetMask(0, 2)
     assert gamma(space, empty, 0) == 1
     assert gamma(space, empty, 1) == 0
     assert gamma(space, empty, 7) == 0
@@ -285,10 +279,10 @@ def numerator_from_gamma(space, s, count=gamma):
     )
 
 
-def test_gamma_table_l211():
+def test_box_series_l211():
     space = make_lens_space(2, (1, 1))
     full = SubsetMask.full(2)
-    assert gamma(space, SubsetMask.empty(2), 0) == 1
+    assert gamma(space, SubsetMask(0, 2), 0) == 1
     assert gamma(space, SubsetMask(0b01, 2), 0) == 1
     assert gamma(space, SubsetMask(0b10, 2), 0) == 1
     assert gamma(space, full, 0) == 1
@@ -303,7 +297,7 @@ def test_gamma_table_l211():
     assert numerator(space).coeffs == (1, 0, 6, 0, 1)
 
 
-def test_gamma_table_p1():
+def test_box_series_p1():
     space = make_lens_space(1, (1, 1))
     for mask in all_masks(2):
         assert gamma(space, mask, 0) == 1
@@ -313,14 +307,14 @@ def test_gamma_table_p1():
     assert numerator(space).coeffs == (1, 2, 1)
 
 
-def test_gamma_table_l311_matches_gamma_example():
+def test_box_series_l311_matches_gamma_example():
     space = make_lens_space(3, (1, 1))
     assert gamma(space, SubsetMask.full(2), 3) == 4
     # plus one term per coordinate taking its z^3 term, the other x = 0
     assert numerator(space).coeffs[3] == 6
 
 
-def test_gamma_table_matches_gamma_pointwise():
+def test_box_series_matches_gamma_pointwise():
     for p, q in [(2, (1, 1)), (3, (1, 2)), (4, (1, 3)), (5, (2, 3)), (5, (1, 2, 4))]:
         space = make_lens_space(p, q)
         num = numerator(space)
