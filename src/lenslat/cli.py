@@ -267,10 +267,11 @@ def run_bench(args: argparse.Namespace):
     return _rows_text(rows, "h,formula_seconds,oracle_seconds\n"), 0
 
 
-# built once per process, on first use (so not at import); reuse keeps no state only
-# while no default is mutable and no action appends: parse_args returns a fresh Namespace
+# built once per process, on first use (so not at import), with its subcommand parsers by
+# name; reuse keeps no state only while no default is mutable and no action appends:
+# parse_args returns a fresh Namespace
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="lenslat",
         description="Exact Laplace-Beltrami eigenvalue multiplicities on lens spaces.",
@@ -347,7 +348,17 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--h-max", type=int, default=100)
     sp.add_argument("--oracle-budget", type=int, default=None)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def write_output(text: str, path: str | None = None) -> int:
@@ -373,7 +384,10 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = _parser().parse_args(argv)
+        # one parse per call: a command first hands the rest of argv to its own parser,
+        # as the full parser would; anything else, and anything that command leaves
+        # over, is parsed again in full, so usage errors and help keep their bytes
+        args = _parse(sys.argv[1:] if argv is None else argv)
         try:
             text, code = args.run(args)
         except oracle.OracleBudgetError as err:

@@ -21,14 +21,16 @@ degree), first_positive_eigenvalue (the smallest positive eigenvalue, in
 closed form) and parity_verdicts (the parity of each dimension).
 
 So each input shape reads one series.  A range reads P built only up to
-degree H and divided in place by _divided: `spectrum`, `compare` and
-`parity` through multiplicities, whose one list the CLI renders with
-eigenvalues and parity_verdicts, and `verify` over norms 0..H with the
-stride-p sums alone, against the count walk.  The census files its
-classes by that capped P itself, at growing depth until they part, and
-divides each group's P once.  A single degree (`nl`, `multiplicity`,
-`bench`, `verify --h`) reads the stride sum; multiplicity builds its Q
-with _divided's stride-2 sums, the ones every range runs.
+degree H and divided in place by _divided: `spectrum` and `parity`
+through multiplicities, whose one list the CLI renders with eigenvalues
+and parity_verdicts, and `verify` over norms 0..H with the stride-p sums
+alone, against the count walk.  `compare` at equal p compares the two
+capped P themselves and divides them only up to their first difference
+(compare_spectra).  The census files its classes by that capped P
+itself, at growing depth until they part, and divides each group's P
+once.  A single degree (`nl`, `multiplicity`, `bench`, `verify --h`)
+reads the stride sum; multiplicity builds its Q with _divided's
+stride-2 sums, the ones every range runs.
 """
 
 from __future__ import annotations
@@ -180,15 +182,27 @@ def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
 
 
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:
-    """Compare multiplicity sequences of two lens spaces up to degree i_max."""
+    """Compare multiplicity sequences of two lens spaces up to degree i_max.
+
+    With equal p (and m) both spectra are P / ((1 - z^p)^m (1 - z^2)^(m - 1)) over one
+    denominator D, causal with D(0) = 1.  So P_a - P_b = (mults_a - mults_b) * D, whose
+    lowest term is that of mults_a - mults_b: the two agree up to i_max exactly when
+    their P capped at i_max do, and first differ at the same degree i, where only
+    P[0..i] of each is then divided.
+    Different p divide both series in full; different m are a dimension mismatch.
+    """
     _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
-    pairs = zip(multiplicities(a, i_max), multiplicities(b, i_max))
-    for i, (mult_a, mult_b) in enumerate(pairs):
-        if mult_a != mult_b:
-            return IsospectralReport(False, (i, mult_a, mult_b))
-    return IsospectralReport(True, None)
+    same_p = a.p == b.p
+    series = [_lattice_series(*space, i_max, True) if same_p else multiplicities(space, i_max)
+              for space in (a, b)]
+    if series[0] == series[1]:
+        return IsospectralReport(True, None)
+    i = next(i for i, (x, y) in enumerate(zip(*series)) if x != y)
+    if same_p:
+        series = [_divided(s[: i + 1], a.p, a.m, a.m - 1) for s in series]
+    return IsospectralReport(False, (i, series[0][i], series[1][i]))
 
 
 def parity_verdicts(space: LensSpace, mults: list[int]) -> list[bool]:

@@ -15,12 +15,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lenslat.cli
 import lenslat.oracle
 import lenslat.spectra
 from lenslat import (
@@ -846,6 +848,63 @@ def test_a_reused_parser_leaks_no_state(tmp_path, capsys):
             [sys.executable, "-m", "lenslat", *argv.split()], capture_output=True, text=True
         )
         assert (result.returncode, result.stdout, result.stderr) == outcomes[argv][0], argv
+
+
+VALID_ARGV = [
+    f"{command} --format {fmt}" for command, fmt in product((
+        "spectrum --p 5 --q 1,2 --i-max 6",
+        "nl --p 7 --q 1,2,3 --h 30",
+        "gamma --p 5 --q 1,2,3 --s 4 --subset 1,3",
+        "verify --p 2 --q 1,1 --h-max 3",
+        "compare --a 54:1,1,17 --b 54:1,1,19 --i-max 20",
+        "parity --p 6 --q 1,1 --i-max 6",
+        "bench --p 3 --q 1,1 --h-max 3",
+    ), ("csv", "json"))
+] + ["spectrum --p=5 --q=1,2 --i-max=6", "spectrum --p 5 --q 1,2 --i-m 6",
+      "verify --p-max 3 --m 2 --h-max 4"]
+
+DISPATCH_ARGV = [argv.split() for argv in VALID_ARGV + [
+    "-h", "--help", "spectrum -h", "compare --help", "", "spectra --p 5",
+    "spectrum --p 5 --i-max 6", "spectrum --p 5 --q 1,2 --i-max 6 --bogus",
+    "nl --p 7 --q 1,2,3 --h 30 --bogus 3", "--bogus", "--bogus 3", "spectrum",
+    "--p 5 spectrum --q 1,2 --i-max 6", "--p=5 spectrum --q 1,2 --i-max 6",
+    "-- --x", "spectrum --p 5 --q 1,2 --i-max 6 -- --x", "-- spectrum --p 5 --q 1,2 --i-max 6",
+    "verify --h 3 --h-max 4", "spectrum --p 5 --q 1,2 --i-max 6 --format xml",
+    "nl --p 7 --q 1,x --h 3", "compare --a x:1,2 --b 2:1,1 --i-max 2",
+    "spectrum --p 5 --q 1,2 --i-max -1", "nl --p 7 --q 1,2,3 --h 30 extra",
+]]
+
+
+def _masked_outcome(argv, capsys):
+    code, out, err = _outcome(argv, capsys)
+    return code, re.sub(r"\d+\.\d+(e-\d+)?", "t", out), err  # bench's timings vary
+
+
+def test_dispatch_to_the_command_parser_changes_no_output(capsys, monkeypatch):
+    # main hands argv[1:] to the named command's parser; the full parser, reached
+    # here by hiding the commands, must give the same stdout, stderr and exit code
+    dispatched = [_masked_outcome(argv, capsys) for argv in DISPATCH_ARGV]
+    parser, _ = lenslat.cli._parser()
+    monkeypatch.setattr(lenslat.cli, "_parser", lambda: (parser, {}))
+    for argv, outcome in zip(DISPATCH_ARGV, dispatched):
+        assert _masked_outcome(argv, capsys) == outcome, argv
+    assert [outcome[0] for outcome in dispatched[:len(VALID_ARGV)]] == [0] * len(VALID_ARGV)
+    assert dispatched[VALID_ARGV.index("compare --a 54:1,1,17 --b 54:1,1,19 --i-max 20 "
+                                       "--format csv")][1].endswith("false,false,18,466,454\n")
+
+
+def test_a_valid_call_parses_once(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the full parser ran")
+
+    parser, _ = lenslat.cli._parser()
+    monkeypatch.setattr(parser, "parse_args", refuse)
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    for argv in VALID_ARGV:
+        assert main(argv.split()) == 0, argv
+    capsys.readouterr()
+    with pytest.raises(AssertionError, match="the full parser ran"):
+        main(["spectrum", "--p", "5", "--q", "1,2", "--i-max", "6", "--bogus"])
 
 
 def test_parity_cli_rejects_negative_i_max(capsys):

@@ -482,6 +482,51 @@ def test_compare_dimension_mismatch():
     assert report.first_divergence is None
 
 
+def _compare_by_full_division(a, b, i_max):
+    """The comparison as a loop over both full multiplicity lists: the oracle."""
+    if a.m != b.m:
+        return (False, None, True)
+    pairs = zip(multiplicities(a, i_max), multiplicities(b, i_max))
+    for i, (mult_a, mult_b) in enumerate(pairs):
+        if mult_a != mult_b:
+            return (False, (i, mult_a, mult_b), False)
+    return (True, None, False)
+
+
+def test_compare_matches_full_division_on_canonical_pairs():
+    # equal p settles on the capped numerators and divides only up to their first
+    # difference; every ordered pair of canonical spaces with p <= 13, equal p or not
+    for m in (2, 3):
+        spaces = [make_lens_space(p, q) for p in range(1, 14) for q in canonical_q_tuples(p, m)]
+        for a, b in product(spaces, repeat=2):
+            for i_max in (0, 1, 17, 18, 60):
+                assert compare_spectra(a, b, i_max) == _compare_by_full_division(a, b, i_max), (
+                    a, b, i_max)
+    a, b = make_lens_space(7, (1, 2)), make_lens_space(7, (1, 2, 3))
+    assert compare_spectra(a, b, 18) == _compare_by_full_division(a, b, 18) == (False, None, True)
+
+
+def test_compare_pins_where_equal_numerators_part():
+    l54a, l54b = make_lens_space(54, (1, 1, 17)), make_lens_space(54, (1, 1, 19))
+    assert compare_spectra(l54a, l54b, 17) == (True, None, False)
+    assert compare_spectra(l54a, l54b, 18) == (False, (18, 466, 454), False)
+    # different p: the full division, equal at degree 3 and parted at 34
+    l101, l103 = make_lens_space(101, (1, 2, 3)), make_lens_space(103, (1, 2, 3))
+    assert compare_spectra(l101, l103, 3) == (True, None, False)
+    assert compare_spectra(l101, l103, 99999) == (False, (34, 1430, 1428), False)
+    assert compare_spectra(l101, make_lens_space(101, (1, 2, 3, 4)), 99999) == (
+        False, None, True)
+
+
+def test_compare_of_equal_numerators_divides_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_divided called")
+
+    monkeypatch.setattr(spectra, "_divided", refuse)
+    ikeda = make_lens_space(11, (1, 2, 3)), make_lens_space(11, (1, 2, 4))
+    assert compare_spectra(*ikeda, 240) == (True, None, False)
+
+
 # ----------------------------------------------------------------- parity
 
 
