@@ -12,8 +12,9 @@ point with its negative and counts a last coordinate's congruence class
 in closed form, but keeps no tally over coordinates and uses no
 numerator, DP or binomial, so it stays independent of the kernel.
 verify_grid sets it against the ranged series N(0..h_max), P capped at
-h_max and divided by spectra's _divided, which `spectrum`, `compare`,
-`parity` and the census divide further, and the listing walk's count of
+h_max and divided by spectra's _divided, which `spectrum`, `parity` and
+the census divide further, and `compare` at different p up to its first
+difference, and the listing walk's count of
 a lone norm against the closed form n_lattice_formula that `nl` reads.
 
 Each walk is priced at its raw candidates (before the congruence filter)

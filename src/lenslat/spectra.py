@@ -24,9 +24,11 @@ So each input shape reads one series.  A range reads P built only up to
 degree H and divided in place by _divided: `spectrum` and `parity`
 through multiplicities, whose one list the CLI renders with eigenvalues
 and parity_verdicts, and `verify` over norms 0..H with the stride-p sums
-alone, against the count walk.  `compare` at equal p compares the two
-capped P themselves and divides them only up to their first difference
-(compare_spectra).  The census files its classes by that capped P
+alone, against the count walk.  `compare` caps both P at the degree
+where two spaces must part, divides each only by the part of its
+denominator the other does not share (nothing at equal p, (1 - z^p)^m
+at different p), and divides the shared rest only up to their first
+difference (compare_spectra).  The census files its classes by that capped P
 itself, at growing depth until they part, and divides each group's P
 once.  A single degree (`nl`, `multiplicity`, `bench`, `verify --h`)
 reads the stride sum; multiplicity builds its Q with _divided's
@@ -184,24 +186,30 @@ def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:
     """Compare multiplicity sequences of two lens spaces up to degree i_max.
 
-    With equal p (and m) both spectra are P / ((1 - z^p)^m (1 - z^2)^(m - 1)) over one
-    denominator D, causal with D(0) = 1.  So P_a - P_b = (mults_a - mults_b) * D, whose
-    lowest term is that of mults_a - mults_b: the two agree up to i_max exactly when
-    their P capped at i_max do, and first differ at the same degree i, where only
-    P[0..i] of each is then divided.
-    Different p divide both series in full; different m are a dimension mismatch.
+    With equal m each spectrum is P / ((1 - z^p)^m (1 - z^2)^(m - 1)).  Each P is
+    divided by its own (1 - z^p)^own, own = m when the p differ and 0 when they are
+    equal; the rest, (1 - z^p)^(m - own) (1 - z^2)^(m - 1), is the same for both,
+    causal with constant term 1.  So the two lists and the two spectra first differ
+    at the same degree i, and only their prefixes [0..i] are divided by the rest.
+    N_a - N_b = R / ((1 - z^p_a)(1 - z^p_b))^m with R = P_a (1 - z^p_b)^m - P_b (1 - z^p_a)^m,
+    so the spectra first differ at R's lowest term.  P is palindromic of degree m*p
+    (lattice docstring) and (1 - z^p)^m is (-1)^m-palindromic, so R is
+    (-1)^m-palindromic of degree m(p_a + p_b): zero through floor(m(p_a + p_b)/2), it
+    is zero.  R = 0 means equal spectra in every degree, and different p give different
+    growth constants 2^m/(p (m - 1)!) of N, so R != 0.  Hence two spaces part by
+    top = min(i_max, floor(m(p_a + p_b)/2)) or never, and no list runs past top.
+    Different m are a dimension mismatch.
     """
     _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
-    same_p = a.p == b.p
-    series = [_lattice_series(*space, i_max, True) if same_p else multiplicities(space, i_max)
-              for space in (a, b)]
+    m, own = a.m, a.m if a.p != b.p else 0
+    top = min(i_max, m * (a.p + b.p) // 2)
+    series = [_divided(_lattice_series(*space, top, True), space.p, own, 0) for space in (a, b)]
     if series[0] == series[1]:
         return IsospectralReport(True, None)
     i = next(i for i, (x, y) in enumerate(zip(*series)) if x != y)
-    if same_p:
-        series = [_divided(s[: i + 1], a.p, a.m, a.m - 1) for s in series]
+    series = [_divided(s[: i + 1], a.p, m - own, m - 1) for s in series]
     return IsospectralReport(False, (i, series[0][i], series[1][i]))
 
 

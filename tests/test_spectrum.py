@@ -493,12 +493,15 @@ def _compare_by_full_division(a, b, i_max):
     return (True, None, False)
 
 
+def _canonical_spaces(m, p_max):
+    return [make_lens_space(p, q) for p in range(1, p_max + 1) for q in canonical_q_tuples(p, m)]
+
+
 def test_compare_matches_full_division_on_canonical_pairs():
-    # equal p settles on the capped numerators and divides only up to their first
-    # difference; every ordered pair of canonical spaces with p <= 13, equal p or not
-    for m in (2, 3):
-        spaces = [make_lens_space(p, q) for p in range(1, 14) for q in canonical_q_tuples(p, m)]
-        for a, b in product(spaces, repeat=2):
+    # one path at every p: every ordered pair of canonical spaces with p <= 13 at m = 2, 3
+    # and p <= 8 at m = 4, where R is palindromic with a + sign
+    for m, p_max in ((2, 13), (3, 13), (4, 8)):
+        for a, b in product(_canonical_spaces(m, p_max), repeat=2):
             for i_max in (0, 1, 17, 18, 60):
                 assert compare_spectra(a, b, i_max) == _compare_by_full_division(a, b, i_max), (
                     a, b, i_max)
@@ -506,11 +509,26 @@ def test_compare_matches_full_division_on_canonical_pairs():
     assert compare_spectra(a, b, 18) == _compare_by_full_division(a, b, 18) == (False, None, True)
 
 
+def test_spectra_part_by_half_the_degree_of_r_or_never():
+    # R = P_a (1 - z^p_b)^m - P_b (1 - z^p_a)^m is (-1)^m-palindromic of degree m(p_a + p_b):
+    # at different p the full division parts by half that degree, and at equal p it
+    # reports equal there exactly when the numerators are equal
+    for m, p_max in ((2, 13), (3, 13), (4, 8)):
+        spaces = _canonical_spaces(m, p_max)
+        nums = {space: numerator(space).coeffs for space in spaces}
+        for a, b in product(spaces, repeat=2):
+            report = _compare_by_full_division(a, b, m * (a.p + b.p) // 2)
+            if a.p != b.p:
+                assert not report[0] and report[1] is not None, (a, b)
+            else:
+                assert report[0] == (nums[a] == nums[b]), (a, b)
+
+
 def test_compare_pins_where_equal_numerators_part():
     l54a, l54b = make_lens_space(54, (1, 1, 17)), make_lens_space(54, (1, 1, 19))
     assert compare_spectra(l54a, l54b, 17) == (True, None, False)
     assert compare_spectra(l54a, l54b, 18) == (False, (18, 466, 454), False)
-    # different p: the full division, equal at degree 3 and parted at 34
+    # different p: equal at degree 3 and parted at 34
     l101, l103 = make_lens_space(101, (1, 2, 3)), make_lens_space(103, (1, 2, 3))
     assert compare_spectra(l101, l103, 3) == (True, None, False)
     assert compare_spectra(l101, l103, 99999) == (False, (34, 1430, 1428), False)
@@ -519,12 +537,36 @@ def test_compare_pins_where_equal_numerators_part():
 
 
 def test_compare_of_equal_numerators_divides_nothing(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("_divided called")
+    calls = []
 
-    monkeypatch.setattr(spectra, "_divided", refuse)
+    def divided(series, p, m, twos):
+        calls.append((m, twos))
+        return series
+
+    monkeypatch.setattr(spectra, "_divided", divided)
     ikeda = make_lens_space(11, (1, 2, 3)), make_lens_space(11, (1, 2, 4))
     assert compare_spectra(*ikeda, 240) == (True, None, False)
+    assert all(call == (0, 0) for call in calls)
+
+
+def test_compare_asks_the_kernel_only_up_to_where_spaces_part(monkeypatch):
+    degrees = []
+    series = spectra._lattice_series
+
+    def recording(p, qs, s_max, *args):
+        degrees.append(s_max)
+        return series(p, qs, s_max, *args)
+
+    monkeypatch.setattr(spectra, "_lattice_series", recording)
+    for a, b, i_max, s_max, report in (
+        ((11, (1, 2, 3)), (11, (1, 2, 4)), 240, 33, (True, None, False)),
+        ((101, (1, 2, 3)), (103, (1, 2, 3)), 99999, 306, (False, (34, 1430, 1428), False)),
+        ((54, (1, 1, 17)), (54, (1, 1, 19)), 99999, 162, (False, (18, 466, 454), False)),
+        ((1, (1, 1, 1)), (2, (1, 1, 1)), 99999, 4, (False, (1, 6, 0), False)),
+    ):
+        degrees.clear()
+        assert compare_spectra(make_lens_space(*a), make_lens_space(*b), i_max) == report
+        assert degrees == [s_max, s_max], (a, b)
 
 
 # ----------------------------------------------------------------- parity
