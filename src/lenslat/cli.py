@@ -31,11 +31,11 @@ import os
 import sys
 
 from . import oracle
-from .lattice import LensSpace, SubsetMask, gamma, make_lens_space, numerator
+from .lattice import LensSpace, SubsetMask, gamma, make_lens_space
 from .lattice import _canonical_form, canonical_q_tuples  # noqa: F401  probed by perfbench
 from .oracle import verify_grid  # noqa: F401  re-exported
 from .spectra import MAX_SPECTRUM_LINES, compare_spectra, eigenvalues, multiplicities
-from .spectra import n_lattice_formula, parity_verdicts
+from .spectra import lattice_count, parity_verdicts
 
 # bench keeps the oracle at desk scale (a few thousand candidates per
 # norm) so the gap report itself stays fast
@@ -45,8 +45,8 @@ VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
 
 
-def _resolve_budget(flag_value: int | None, default: int) -> int:
-    budget = default if flag_value is None else flag_value
+def _check_budget(budget: int) -> int:
+    """The --oracle-budget value, refused when negative."""
     if budget < 0:
         raise ValueError(f"oracle budget must be non-negative, got {budget}")
     return budget
@@ -135,10 +135,8 @@ def run_spectrum(args: argparse.Namespace):
 
 
 def run_nl(args: argparse.Namespace):
-    if args.h < 0:  # before the numerator, whose size may be refused first
-        raise ValueError(f"h must be non-negative, got {args.h}")
     space = make_lens_space(args.p, args.q)
-    value = n_lattice_formula(space, numerator(space), args.h)
+    value = lattice_count(space, args.h)
     if args.fmt == "json":
         return _json_text(_space_json(space) | {"h": args.h, "count": str(value)}), 0
     return f"{value}\n", 0
@@ -210,7 +208,7 @@ def run_verify(args: argparse.Namespace):
         raise ValueError("--q/--h only apply together with --p")
     if args.p is not None and (args.p_max is not None or args.m is not None):
         raise ValueError("--p-max/--m only apply to the grid, not with --p")
-    budget = _resolve_budget(args.oracle_budget, oracle.DEFAULT_BUDGET)
+    budget = _check_budget(args.oracle_budget)
     hs = [args.h] if args.h is not None else list(range(h_max + 1))
     if args.p is not None:
         space = make_lens_space(args.p, args.q)
@@ -250,7 +248,7 @@ def run_bench(args: argparse.Namespace):
     Timings are the one non-deterministic output of the CLI.
     """
     _check_h_max(args.h_max)
-    budget = _resolve_budget(args.oracle_budget, BENCH_DEFAULT_BUDGET)
+    budget = _check_budget(args.oracle_budget)
     if budget == 0:
         # h = 0 alone has one candidate, so every row would be skipped
         raise ValueError("an oracle budget of 0 lets bench check nothing")
@@ -327,7 +325,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         f"(default {','.join(map(str, VERIFY_DEFAULT_M))})",
     )
     sp.add_argument("--deep", action="store_true", help="also check partitions and fold fibers")
-    sp.add_argument("--oracle-budget", type=int, default=None)
+    sp.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_BUDGET)
     add_common(sp, with_space=False)
 
     sp = sub.add_parser("compare", help="multiplicity sequences of two spaces")
@@ -346,7 +344,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
     sp.set_defaults(run=run_bench)
     add_common(sp)
     sp.add_argument("--h-max", type=int, default=100)
-    sp.add_argument("--oracle-budget", type=int, default=None)
+    sp.add_argument("--oracle-budget", type=int, default=BENCH_DEFAULT_BUDGET)
 
     return parser, sub.choices
 

@@ -14,8 +14,9 @@ numerator, DP or binomial, so it stays independent of the kernel.
 verify_grid sets it against the ranged series N(0..h_max), P capped at
 h_max and divided by spectra's _divided, which `spectrum`, `parity` and
 the census divide further, and `compare` at different p up to its first
-difference, and the listing walk's count of
-a lone norm against the closed form n_lattice_formula that `nl` reads.
+difference, and the listing walk's count of a lone norm h against
+spectra.lattice_count, the stride sum over P capped at min(h, m*p) that
+`nl` reads.
 
 Each walk is priced at its raw candidates (before the congruence filter)
 and refused past a budget by the one check_budget.  shell_price, the
@@ -31,9 +32,9 @@ subset_table(), one box DP per class per case.  A point of norm h has
 sweep hold only the classes with |N|*p <= h_max, never all 2^m.
 verify_cases, the one admission rule of `lenslat verify`, refuses an
 m < 2, then prices the whole run before its first case: per tuple, its
-walk candidates, its full numerator's DP bits (an upper bound on a
-range's capped series) and, with --deep, 2^m subset DPs (an upper bound
-on its table).  verify_grid and the loop of `lenslat bench`
+walk candidates, its full numerator's DP bits (an upper bound on the
+capped series any case reads) and, with --deep, 2^m subset DPs (an upper
+bound on its table).  verify_grid and the loop of `lenslat bench`
 (bench_timings) live here as well.
 
 _congruent_shell recurses over every coordinate but the last two, which
@@ -56,13 +57,13 @@ from itertools import combinations
 
 from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_m, _check_subset
 from .lattice import _lattice_series, _numerator_bits, _pass_plan, binom, canonical_q_tuples
-from .lattice import decompose, make_lens_space, numerator
-from .spectra import _divided, n_lattice_formula
+from .lattice import decompose, make_lens_space
+from .spectra import _divided, _stride_sum, lattice_count
 
 DEFAULT_BUDGET = 10**8
-# per verify run: each class it walks is priced at a full numerator's _numerator_bits, which a
-# lone norm builds and which bounds a range's capped series from above; the grid p <= 454,
-# m = 2, h = 0 fits and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)
+# per verify run: each class it walks is priced at a full numerator's _numerator_bits, which
+# bounds the capped series its cases read from above; the grid p <= 454, m = 2, h = 0 fits
+# and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)
 VERIFY_MAX_DP_BITS = 10**11
 
 
@@ -417,10 +418,11 @@ def verify_grid(
 
     For each (space, norms) case and each norm h, one 'count' check of
     N(h).  Norms 0..h_max read the ranged series, P capped at h_max over
-    (1 - z^p)^m, against one shell_counts walk, and build no full
-    numerator.  A lone norm reads the closed form n_lattice_formula against
-    n_lattice_bruteforce.  With deep, also the fold-law checks, which fold
-    the points that enumerate_omega lists, with one subset_table per case.
+    (1 - z^p)^m, against one shell_counts walk.  A lone norm h reads
+    spectra.lattice_count, P capped at min(h, m*p) through the stride sum,
+    against n_lattice_bruteforce.  Neither builds P past the degree it
+    checks.  With deep, also the fold-law checks, which fold the points
+    that enumerate_omega lists, with one subset_table per case.
     """
     checks = []
     for space, hs in cases:
@@ -430,7 +432,7 @@ def verify_grid(
             formulas = _divided(_lattice_series(*space, hs[-1], True), space.p, space.m, 0)
             counts = shell_counts(space, hs[-1], budget)
         else:
-            formulas = [n_lattice_formula(space, numerator(space), hs[0])]
+            formulas = [lattice_count(space, hs[0])]
             counts = [n_lattice_bruteforce(space, hs[0], budget)]
         for h, formula, count in zip(hs, formulas, counts):
             checks.append(CheckRecord(label, h, "count", str(formula), str(count)))
@@ -443,14 +445,15 @@ def verify_grid(
 def bench_timings(space: LensSpace, h_max: int, budget: int) -> list[tuple]:
     """(h, formula seconds, oracle seconds) for h in 0..h_max, the formula against the listing walk.
 
-    Oracle seconds are None where n_lattice_bruteforce refuses h as over the budget; a count
-    that differs from the formula's raises Disagreement.
+    P is built once, capped at min(h_max, m*p), and each formula is its stride sum at h, as
+    spectra.lattice_count reads it.  Oracle seconds are None where n_lattice_bruteforce
+    refuses h as over the budget; a count that differs from the formula's raises Disagreement.
     """
-    num = numerator(space)
+    series = _lattice_series(*space, min(h_max, space.m * space.p), True)
     timings = []
     for h in range(h_max + 1):
         start = time.perf_counter()
-        value = n_lattice_formula(space, num, h)
+        value = _stride_sum(series, space.p, space.m, *decompose(h, space.p))
         middle = time.perf_counter()
         try:
             count = n_lattice_bruteforce(space, h, budget)

@@ -30,15 +30,19 @@ denominator the other does not share (nothing at equal p, (1 - z^p)^m
 at different p), and divides the shared rest only up to their first
 difference (compare_spectra).  The census files its classes by that capped P
 itself, at growing depth until they part, and divides each group's P
-once.  A single degree (`nl`, `multiplicity`, `bench`, `verify --h`)
-reads the stride sum; multiplicity builds its Q with _divided's
-stride-2 sums, the ones every range runs.
+once.  A single degree reads the stride sum: `nl` and `verify --h` through
+lattice_count, over P capped at min(h, m*p), since no term past h has a
+nonzero binomial, and `bench` over that series built once up to
+min(h_max, m*p); no command builds P past the degree it answers.
+multiplicity builds its Q with _divided's stride-2 sums, the ones every
+range runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
+from math import gcd
 
 from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_series
 from .lattice import _numerator_bits, _pass_plan, binom, canonical_q_tuples, decompose
@@ -69,13 +73,15 @@ class IsospectralReport(
     __slots__ = ()
 
 
-def _stride_sum(coeffs: list[int] | tuple[int, ...], stride: int, power: int, h: int) -> int:
-    """[z^h] coeffs(z) / (1 - z^stride)^power; terms past the list's end are zero."""
-    k, n = decompose(h, stride)
+def _stride_sum(poly: list[int] | tuple[int, ...], stride: int, power: int, k: int, n: int) -> int:
+    """[z^h] poly(z) / (1 - z^stride)^power, h = k + n*stride as decompose(h, stride) splits it.
+
+    Terms past the list's end are zero.
+    """
     return sum(
-        binom(n - t + power - 1, power - 1) * coeffs[k + t * stride]
+        binom(n - t + power - 1, power - 1) * poly[k + t * stride]
         for t in range(power + 1)
-        if k + t * stride < len(coeffs)
+        if k + t * stride < len(poly)
     )
 
 
@@ -83,7 +89,19 @@ def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
     """Number of congruence-lattice points of 1-norm h, by the closed form."""
     if num.space != space:
         raise ValueError("numerator was built for a different lens space")
-    return _stride_sum(num.coeffs, space.p, space.m, h)
+    return _stride_sum(num.coeffs, space.p, space.m, *decompose(h, space.p))
+
+
+def lattice_count(space: LensSpace, h: int) -> int:
+    """N(h) by the stride sum over P capped at min(h, m*p), the degrees it reads.
+
+    With h = k + n*p, a term of degree k + t*p > h has t > n and so the zero
+    binomial binom(n - t + m - 1, m - 1): the cap is exact, and below h = m*p no
+    full numerator is built.  A negative h is refused before the kernel runs.
+    """
+    k, n = decompose(h, space.p)
+    series = _lattice_series(*space, min(h, space.m * space.p), True)
+    return _stride_sum(series, space.p, space.m, k, n)
 
 
 def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
@@ -109,7 +127,7 @@ def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     for _ in range(space.m - 1):
         for h in range(size - 1, p - 1, -1):
             poly[h] -= poly[h - p]
-    return _stride_sum(poly, p, power, i)
+    return _stride_sum(poly, p, power, *decompose(i, p))
 
 
 def _check_i_max(i_max: int) -> None:
@@ -191,20 +209,24 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
     equal; the rest, (1 - z^p)^(m - own) (1 - z^2)^(m - 1), is the same for both,
     causal with constant term 1.  So the two lists and the two spectra first differ
     at the same degree i, and only their prefixes [0..i] are divided by the rest.
-    N_a - N_b = R / ((1 - z^p_a)(1 - z^p_b))^m with R = P_a (1 - z^p_b)^m - P_b (1 - z^p_a)^m,
-    so the spectra first differ at R's lowest term.  P is palindromic of degree m*p
-    (lattice docstring) and (1 - z^p)^m is (-1)^m-palindromic, so R is
-    (-1)^m-palindromic of degree m(p_a + p_b): zero through floor(m(p_a + p_b)/2), it
-    is zero.  R = 0 means equal spectra in every degree, and different p give different
-    growth constants 2^m/(p (m - 1)!) of N, so R != 0.  Hence two spaces part by
-    top = min(i_max, floor(m(p_a + p_b)/2)) or never, and no list runs past top.
-    Different m are a dimension mismatch.
+
+    With g = gcd(p_a, p_b), 1 - z^g divides both 1 - z^p, and each
+    F_x = (1 - z^x)/(1 - z^g) = 1 + z^g + ... + z^(x - g) is palindromic of degree x - g.
+    So N_a - N_b = R' / ((1 - z^g) F_a F_b)^m with R' = P_a F_b^m - P_b F_a^m, and as that
+    denominator is causal with constant term 1, the spectra first differ at the lowest
+    term of R'.  P is palindromic of degree m*p (lattice docstring), so R' is palindromic
+    of degree m(p_a + p_b - g): zero through floor(m(p_a + p_b - g)/2), it is zero.
+    R' = 0 means equal spectra in every degree, and different p give different growth
+    constants 2^m/(p (m - 1)!) of N, so R' != 0.  Hence two spaces part by
+    top = min(i_max, floor(m(p_a + p_b - g)/2)) or never, and no list runs past top.  At
+    equal p, g = p and top is floor(m*p/2), the census's deepest refiling.  Different m
+    are a dimension mismatch.
     """
     _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
     m, own = a.m, a.m if a.p != b.p else 0
-    top = min(i_max, m * (a.p + b.p) // 2)
+    top = min(i_max, m * (a.p + b.p - gcd(a.p, b.p)) // 2)
     series = [_divided(_lattice_series(*space, top, True), space.p, own, 0) for space in (a, b)]
     if series[0] == series[1]:
         return IsospectralReport(True, None)
@@ -233,7 +255,8 @@ def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tupl
 
     A group that gets its second class prices the deepest refiling first, at a full
     numerator's DP bits, so the census is refused before its next class is built.  A
-    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it.  Every
+    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it: at
+    equal p that is where two spaces must part or never do (compare_spectra).  Every
     other group is filed with its P[0..i_max] divided into dim(lambda_0..lambda_i_max),
     and its P key is dropped as it is filed, so the P keys and the finished prefixes
     are not all held at once.  The groups come back sorted by their first class.

@@ -229,29 +229,37 @@ def _corrupted_binom(pool, choose):
     return math.comb(pool, choose)
 
 
+def _inner_binom(pool, choose):
+    """binom one too large strictly inside its range, 0 < choose < pool."""
+    return (math.comb(pool, choose) if 0 <= choose <= pool else 0) + (0 < choose < pool)
+
+
 def test_verify_corrupted_binomial_reports_smallest_h(monkeypatch, capsys):
-    # negative control of the closed form, which verify reads for a lone norm:
-    # break the out-of-range convention and the formula must diverge from the
-    # enumeration at the smallest affected norm
-    monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
+    # negative control of the stride sum, which verify reads for a lone norm: the
+    # capped read evaluates no out-of-range binomial, so break the in-range ones, and
+    # the formula must diverge from the enumeration at the smallest affected norm,
+    # h = 2 for L(2;1,1), the first with n = 1
+    monkeypatch.setattr("lenslat.spectra.binom", _inner_binom)
     cases = [(make_lens_space(2, (1, 1)), [h]) for h in range(5)]
     checks = verify_grid(cases, DEFAULT_BUDGET, deep=False)
     mismatches = [c for c in checks if not c.ok]
     assert mismatches
-    assert mismatches[0].h == 0
-    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "0"])
+    assert mismatches[0].h == 2
+    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "1"])
+    assert code == 0
+    code, _ = _run(capsys, ["verify", "--p", "2", "--q", "1,1", "--h", "2"])
     assert code == 1
 
 
 def test_verify_json_mismatches_keep_their_keys(monkeypatch, capsys):
-    monkeypatch.setattr("lenslat.spectra.binom", _corrupted_binom)
-    argv = ["verify", "--p", "2", "--q", "1,1", "--h", "0", "--format", "json"]
+    monkeypatch.setattr("lenslat.spectra.binom", _inner_binom)
+    argv = ["verify", "--p", "2", "--q", "1,1", "--h", "2", "--format", "json"]
     code, text = _run(capsys, argv)
     assert code == 1
     first = json.loads(text)["mismatches"][0]
     assert list(first) == ["space", "h", "kind", "got", "expected"]
     record = CheckRecord(**first)
-    check_record(record, "CheckRecord(space='L(2;1,1)', h=0, kind='count', got='8', expected='1')")
+    check_record(record, "CheckRecord(space='L(2;1,1)', h=2, kind='count', got='9', expected='8')")
     assert not record.ok
 
 
@@ -300,11 +308,10 @@ def _other_path(*args, **kwargs):
 
 
 def test_verify_reads_one_formula_path_per_input_shape(monkeypatch, capsys):
-    # norms 0..h_max read the ranged series and build no numerator; a lone
-    # norm reads the closed form and no ranged series
+    # norms 0..h_max read the ranged series and not the single-degree read; a
+    # lone norm reads lattice_count and no ranged series
     with monkeypatch.context() as patch:
-        patch.setattr("lenslat.oracle.numerator", _other_path)
-        patch.setattr("lenslat.oracle.n_lattice_formula", _other_path)
+        patch.setattr("lenslat.oracle.lattice_count", _other_path)
         argv = ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24", "--format", "json"]
         code, text = _run(capsys, argv)
     assert code == 0
@@ -355,8 +362,8 @@ def _refuse(*args, **kwargs):
     ["verify", "--p-max", "30", "--m", "2,6"],
 ], ids=["single", "grid"])
 def test_verify_run_over_the_oracle_budget_is_refused_at_once(argv, monkeypatch, capsys):
-    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
-    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
+    monkeypatch.setattr("lenslat.cli.lattice_count", _refuse)
+    monkeypatch.setattr("lenslat.oracle.lattice_count", _refuse)
     monkeypatch.setattr("lenslat.oracle.enumerate_omega", _refuse)
     monkeypatch.setattr("lenslat.oracle.shell_counts", _refuse)
     start = time.perf_counter()
@@ -410,17 +417,18 @@ def test_verify_absurd_m_is_priced_at_once(m, capsys):
 
 @pytest.mark.parametrize("command", ["nl", "verify"])
 def test_negative_norm_is_refused_before_the_numerator(command, monkeypatch, capsys):
-    # the numerator of p = 100003 would be refused for its size first
-    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
-    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
+    # a series at p = 100003 could be refused for its size first: nl refuses in its
+    # single-degree read before the kernel runs, verify by its shell price before the read
+    monkeypatch.setattr("lenslat.spectra._lattice_series", _refuse)
+    monkeypatch.setattr("lenslat.oracle.lattice_count", _refuse)
     assert main([command, "--p", "100003", "--q", "1,2", "--h", "-1"]) == 2
     assert capsys.readouterr().err == "error: h must be non-negative, got -1\n"
 
 
 def test_single_space_over_its_numerator_bits_is_refused_before_the_numerator(monkeypatch, capsys):
-    # one walked tuple, priced by the same loop as a grid's, before numerator() runs
-    monkeypatch.setattr("lenslat.cli.numerator", _refuse)
-    monkeypatch.setattr("lenslat.oracle.numerator", _refuse)
+    # one walked tuple, priced by the same loop as a grid's, before its read runs
+    monkeypatch.setattr("lenslat.cli.lattice_count", _refuse)
+    monkeypatch.setattr("lenslat.oracle.lattice_count", _refuse)
     assert main(["verify", "--p", "100003", "--q", "1,2", "--h", "3"]) == 2
     assert "DP bits" in capsys.readouterr().err
 
@@ -428,7 +436,7 @@ def test_single_space_over_its_numerator_bits_is_refused_before_the_numerator(mo
 @pytest.fixture
 def no_work(monkeypatch):
     """Fail the test if a command starts computing before refusing its input."""
-    for name in ("numerator", "canonical_q_tuples", "make_lens_space"):
+    for name in ("lattice_count", "canonical_q_tuples", "make_lens_space"):
         monkeypatch.setattr(f"lenslat.cli.{name}", _refuse)
         monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
 
@@ -1609,10 +1617,11 @@ def test_cut_series_of_many_passes_are_refused_at_once(capsys):
 def test_dps_are_priced_at_the_columns_their_passes_build(capsys):
     # pass k builds about k * p / 2 columns, so m passes build about
     # m^2 * p / 4; priced at no more than m * p + 1 columns, these ran for
-    # 17 s, 1.9 s, 1.7 s and 3.7 s and exited 0
+    # 17 s, 1.9 s, 1.7 s and 3.7 s and exited 0; nl reads P up to min(h, m * p),
+    # so it is asked for the whole numerator, at h = m * p
     start = time.perf_counter()
     for p, m in ((2, 3000), (101, 60)):
-        assert main(["nl", "--p", str(p), "--q", ",".join(["1"] * m), "--h", "4"]) == 2
+        assert main(["nl", "--p", str(p), "--q", ",".join(["1"] * m), "--h", str(m * p)]) == 2
         assert f"degree {m * p} at p = {p} is over 1000000000 DP bits" in capsys.readouterr().err
     assert main(["spectrum", "--p", "2", "--q", ",".join(["1"] * 5000), "--i-max", "100"]) == 2
     assert "degree 100 at p = 2 is over 1000000000 DP bits" in capsys.readouterr().err

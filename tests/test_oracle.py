@@ -123,8 +123,9 @@ def test_shell_counts_stand_apart_from_the_kernel(monkeypatch):
     def _refuse(*args, **kwargs):
         raise AssertionError("the count walk called the kernel")
 
-    for name in ("lenslat.oracle.numerator", "lenslat.oracle._lattice_series",
-                 "lenslat.oracle.n_lattice_formula", "lenslat.lattice._lattice_series"):
+    for name in ("lenslat.oracle.lattice_count", "lenslat.oracle._lattice_series",
+                 "lenslat.oracle._stride_sum", "lenslat.spectra._lattice_series",
+                 "lenslat.lattice._lattice_series"):
         monkeypatch.setattr(name, _refuse)
     assert [shell_counts(space, 10) for space in spaces] == listed
     huge = make_lens_space(2**61 - 1, (1, 2, 3))
@@ -606,7 +607,7 @@ def _refuse(*args, **kwargs):
 
 def test_verify_cases_refuse_a_huge_grid_before_any_class(monkeypatch):
     # the running DP-bits sum passes its ceiling near p = 300, not at p = 10**12
-    for name in ("canonical_q_tuples", "make_lens_space", "numerator"):
+    for name in ("canonical_q_tuples", "make_lens_space", "lattice_count"):
         monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
     start = time.perf_counter()
     with pytest.raises(ValueError) as err:
@@ -621,7 +622,7 @@ def test_verify_cases_refuse_a_class_walk_over_the_ceiling_before_any_class(monk
     # DP-bits ceiling out of the way, p = 7, m = 3 walks C(4, 2) = 6 tuples, over 5
     monkeypatch.setattr(lattice, "MAX_CANONICAL_CANDIDATES", 5)
     monkeypatch.setattr(oracle, "VERIFY_MAX_DP_BITS", 10**30)
-    for name in ("canonical_q_tuples", "make_lens_space", "numerator"):
+    for name in ("canonical_q_tuples", "make_lens_space", "lattice_count"):
         monkeypatch.setattr(f"lenslat.oracle.{name}", _refuse)
     with pytest.raises(ValueError) as err:
         oracle.verify_cases([0], oracle.DEFAULT_BUDGET, "verify grid", p_max=7, ms=(3,))

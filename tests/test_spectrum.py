@@ -154,6 +154,30 @@ def test_formula_equals_subset_closed_form():
                     assert n_lattice_formula(space, num, h) == subset_closed_form(space, rows, h)
 
 
+def test_single_degree_read_equals_the_full_numerator_formula(monkeypatch):
+    # lattice_count caps P at min(h, m*p): every term past h has a zero binomial, so it
+    # equals the closed form over the full numerator at every h, below m*p and past it
+    asked = []
+    series = spectra._lattice_series
+
+    def recording(p, qs, s_max, *args):
+        asked.append(s_max)
+        return series(p, qs, s_max, *args)
+
+    monkeypatch.setattr(spectra, "_lattice_series", recording)
+    pairs = 0
+    for m, p_max in ((2, 29), (3, 29), (4, 15)):
+        for space in _canonical_spaces(m, p_max):
+            num = numerator(space)
+            for h in [*range(m * space.p + 3), 7 * space.p + 3, 10**30]:
+                asked.clear()
+                assert spectra.lattice_count(space, h) == n_lattice_formula(space, num, h), (
+                    space, h)
+                assert asked == [min(h, m * space.p)], (space, h)
+                pairs += 1
+    assert pairs == 24546
+
+
 # ------------------------------------------------------------ multiplicity
 
 
@@ -510,14 +534,15 @@ def test_compare_matches_full_division_on_canonical_pairs():
 
 
 def test_spectra_part_by_half_the_degree_of_r_or_never():
-    # R = P_a (1 - z^p_b)^m - P_b (1 - z^p_a)^m is (-1)^m-palindromic of degree m(p_a + p_b):
-    # at different p the full division parts by half that degree, and at equal p it
-    # reports equal there exactly when the numerators are equal
+    # with g = gcd(p_a, p_b) and F_x = (1 - z^x)/(1 - z^g), R' = P_a F_b^m - P_b F_a^m is
+    # palindromic of degree m(p_a + p_b - g): at different p the full division parts by
+    # half that degree, and at equal p, floor(m*p/2), it reports equal there exactly
+    # when the numerators are equal
     for m, p_max in ((2, 13), (3, 13), (4, 8)):
         spaces = _canonical_spaces(m, p_max)
         nums = {space: numerator(space).coeffs for space in spaces}
         for a, b in product(spaces, repeat=2):
-            report = _compare_by_full_division(a, b, m * (a.p + b.p) // 2)
+            report = _compare_by_full_division(a, b, m * (a.p + b.p - math.gcd(a.p, b.p)) // 2)
             if a.p != b.p:
                 assert not report[0] and report[1] is not None, (a, b)
             else:
@@ -559,10 +584,10 @@ def test_compare_asks_the_kernel_only_up_to_where_spaces_part(monkeypatch):
 
     monkeypatch.setattr(spectra, "_lattice_series", recording)
     for a, b, i_max, s_max, report in (
-        ((11, (1, 2, 3)), (11, (1, 2, 4)), 240, 33, (True, None, False)),
-        ((101, (1, 2, 3)), (103, (1, 2, 3)), 99999, 306, (False, (34, 1430, 1428), False)),
-        ((54, (1, 1, 17)), (54, (1, 1, 19)), 99999, 162, (False, (18, 466, 454), False)),
-        ((1, (1, 1, 1)), (2, (1, 1, 1)), 99999, 4, (False, (1, 6, 0), False)),
+        ((11, (1, 2, 3)), (11, (1, 2, 4)), 240, 16, (True, None, False)),
+        ((101, (1, 2, 3)), (103, (1, 2, 3)), 99999, 304, (False, (34, 1430, 1428), False)),
+        ((54, (1, 1, 17)), (54, (1, 1, 19)), 99999, 81, (False, (18, 466, 454), False)),
+        ((1, (1, 1, 1)), (2, (1, 1, 1)), 99999, 3, (False, (1, 6, 0), False)),
     ):
         degrees.clear()
         assert compare_spectra(make_lens_space(*a), make_lens_space(*b), i_max) == report
