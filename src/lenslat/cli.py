@@ -18,7 +18,10 @@ its resource's rule (a DP, a result list, a class walk, a verify run's DP
 bits or its --oracle-budget), refused before that work.  Input that would
 check nothing (an empty verify grid, a negative --h-max, a bench oracle
 budget of 0) is invalid.  verify and bench check their options here and
-call lenslat.oracle, which plans, checks and times them.
+call lenslat.oracle, which plans, checks and times them.  The oracle and
+json load on first use, as each process compiles only what its command
+runs: lenslat.oracle when verify or bench runs (or verify_grid, re-exported
+here, is read), json when a JSON payload is written.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 
-from . import oracle
-from .lattice import LensSpace, SubsetMask, gamma, make_lens_space
+from .lattice import DEFAULT_BUDGET, LensSpace, SubsetMask, gamma, make_lens_space
 from .lattice import _canonical_form, canonical_q_tuples  # noqa: F401  probed by perfbench
-from .oracle import verify_grid  # noqa: F401  re-exported
 from .spectra import MAX_SPECTRUM_LINES, compare_spectra, eigenvalues, multiplicities
 from .spectra import lattice_count, parity_verdicts
 
@@ -43,6 +43,20 @@ BENCH_DEFAULT_BUDGET = 6400
 VERIFY_DEFAULT_H_MAX = 20
 VERIFY_DEFAULT_P_MAX = 8
 VERIFY_DEFAULT_M = (2, 3)
+
+
+def _oracle():
+    """lenslat.oracle, imported on first use: of the commands, only verify and bench need it."""
+    from . import oracle
+
+    return oracle
+
+
+def __getattr__(name: str):
+    """verify_grid, re-exported from lenslat.oracle without importing it with this module."""
+    if name == "verify_grid":
+        return _oracle().verify_grid
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_budget(budget: int) -> int:
@@ -81,6 +95,8 @@ def _space_spec(text: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _json_text(obj) -> str:
+    import json  # on first use: no CSV run calls it
+
     return json.dumps(obj, indent=2) + "\n"
 
 
@@ -209,6 +225,7 @@ def run_verify(args: argparse.Namespace):
     if args.p is not None and (args.p_max is not None or args.m is not None):
         raise ValueError("--p-max/--m only apply to the grid, not with --p")
     budget = _check_budget(args.oracle_budget)
+    oracle = _oracle()
     hs = [args.h] if args.h is not None else list(range(h_max + 1))
     if args.p is not None:
         space = make_lens_space(args.p, args.q)
@@ -253,7 +270,7 @@ def run_bench(args: argparse.Namespace):
         # h = 0 alone has one candidate, so every row would be skipped
         raise ValueError("an oracle budget of 0 lets bench check nothing")
     space = make_lens_space(args.p, args.q)
-    timings = oracle.bench_timings(space, args.h_max, budget)
+    timings = _oracle().bench_timings(space, args.h_max, budget)
     if args.fmt == "json":
         return _json_text(_space_json(space) | {
             "h_max": args.h_max,
@@ -325,7 +342,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
         f"(default {','.join(map(str, VERIFY_DEFAULT_M))})",
     )
     sp.add_argument("--deep", action="store_true", help="also check partitions and fold fibers")
-    sp.add_argument("--oracle-budget", type=int, default=oracle.DEFAULT_BUDGET)
+    sp.add_argument("--oracle-budget", type=int, default=DEFAULT_BUDGET)
     add_common(sp, with_space=False)
 
     sp = sub.add_parser("compare", help="multiplicity sequences of two spaces")
@@ -388,15 +405,18 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
         try:
             text, code = args.run(args)
-        except oracle.OracleBudgetError as err:
-            print(
-                f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
-                file=sys.stderr,
-            )
-            return 2
-        except (ValueError, oracle.Disagreement) as err:
+        except ValueError as err:
             print(f"error: {err}", file=sys.stderr)
-            return 1 if isinstance(err, oracle.Disagreement) else 2
+            return 2
+        # an except clause's class is looked up only when an exception reaches it, so
+        # no run that succeeds or ends in a ValueError imports the oracle here
+        except _oracle().OracleBudgetError as err:
+            print(f"error: {err}; shrink the grid or raise the budget (--oracle-budget)",
+                  file=sys.stderr)
+            return 2
+        except _oracle().Disagreement as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
         return write_output(text, args.output) or code
     finally:
         if limit:

@@ -37,6 +37,10 @@ from itertools import combinations_with_replacement
 # per generating-function DP, priced by _pass_plan at the columns its passes
 # build; p = 1009, m = 3 needs 1.04e8
 MAX_DP_BITS = 10**9
+# candidates per enumeration walk of lenslat.oracle (--oracle-budget's default);
+# the oracle re-exports it, and the CLI's parser reads it here, so that building
+# the parser does not import the oracle
+DEFAULT_BUDGET = 10**8
 # per class walk, refused by _canonical_candidates; each candidate is only asked
 # whether it is least: p = 1009, m = 3 walks 1.3e5 at 2 us each, p = 31, m = 10
 # 8.2e5 at 4 us each (2-vCPU Intel Xeon, Python 3.11.7)

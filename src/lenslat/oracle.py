@@ -57,10 +57,9 @@ from itertools import combinations
 
 from .lattice import LensSpace, SubsetMask, _canonical_candidates, _check_m, _check_subset
 from .lattice import _lattice_series, _numerator_bits, _pass_plan, binom, canonical_q_tuples
-from .lattice import decompose, make_lens_space
+from .lattice import DEFAULT_BUDGET, decompose, make_lens_space
 from .spectra import _divided, _stride_sum, lattice_count
 
-DEFAULT_BUDGET = 10**8
 # per verify run: each class it walks is priced at a full numerator's _numerator_bits, which
 # bounds the capped series its cases read from above; the grid p <= 454, m = 2, h = 0 fits
 # and runs 25 s (shared 2-vCPU Intel Xeon, Python 3.11.7)

@@ -201,6 +201,22 @@ def first_positive_eigenvalue(space: LensSpace) -> SpectrumEntry:
     return SpectrumEntry(2, 4 * m, dim)
 
 
+def _parting_degree(m: int, p_a: int, p_b: int) -> int:
+    """floor(m(p_a + p_b - g)/2), g = gcd(p_a, p_b): two spaces of equal m part by it or never.
+
+    1 - z^g divides both 1 - z^p, and each F_x = (1 - z^x)/(1 - z^g) =
+    1 + z^g + ... + z^(x - g) is palindromic of degree x - g.  So
+    N_a - N_b = R' / ((1 - z^g) F_a F_b)^m with R' = P_a F_b^m - P_b F_a^m, and as that
+    denominator is causal with constant term 1, the spectra first differ at the lowest
+    term of R'.  P is palindromic of degree m*p (lattice docstring), so R' is palindromic
+    of degree m(p_a + p_b - g): zero through its half degree, it is zero.  R' = 0 means
+    equal spectra in every degree.  Different p give different growth constants
+    2^m/(p (m - 1)!) of N, so then R' != 0.  At equal p, g = p and the bound is
+    floor(m*p/2), the deepest refiling of the census (_file_classes).
+    """
+    return m * (p_a + p_b - gcd(p_a, p_b)) // 2
+
+
 def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport:
     """Compare multiplicity sequences of two lens spaces up to degree i_max.
 
@@ -210,23 +226,14 @@ def compare_spectra(a: LensSpace, b: LensSpace, i_max: int) -> IsospectralReport
     causal with constant term 1.  So the two lists and the two spectra first differ
     at the same degree i, and only their prefixes [0..i] are divided by the rest.
 
-    With g = gcd(p_a, p_b), 1 - z^g divides both 1 - z^p, and each
-    F_x = (1 - z^x)/(1 - z^g) = 1 + z^g + ... + z^(x - g) is palindromic of degree x - g.
-    So N_a - N_b = R' / ((1 - z^g) F_a F_b)^m with R' = P_a F_b^m - P_b F_a^m, and as that
-    denominator is causal with constant term 1, the spectra first differ at the lowest
-    term of R'.  P is palindromic of degree m*p (lattice docstring), so R' is palindromic
-    of degree m(p_a + p_b - g): zero through floor(m(p_a + p_b - g)/2), it is zero.
-    R' = 0 means equal spectra in every degree, and different p give different growth
-    constants 2^m/(p (m - 1)!) of N, so R' != 0.  Hence two spaces part by
-    top = min(i_max, floor(m(p_a + p_b - g)/2)) or never, and no list runs past top.  At
-    equal p, g = p and top is floor(m*p/2), the census's deepest refiling.  Different m
-    are a dimension mismatch.
+    Two spaces part by their _parting_degree or never, so no list runs past
+    top = min(i_max, _parting_degree(m, p_a, p_b)).  Different m are a dimension mismatch.
     """
     _check_i_max(i_max)  # whatever the dimensions
     if a.m != b.m:
         return IsospectralReport(False, None, dimension_mismatch=True)
     m, own = a.m, a.m if a.p != b.p else 0
-    top = min(i_max, m * (a.p + b.p - gcd(a.p, b.p)) // 2)
+    top = min(i_max, _parting_degree(m, a.p, b.p))
     series = [_divided(_lattice_series(*space, top, True), space.p, own, 0) for space in (a, b)]
     if series[0] == series[1]:
         return IsospectralReport(True, None)
@@ -256,7 +263,7 @@ def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tupl
     A group that gets its second class prices the deepest refiling first, at a full
     numerator's DP bits, so the census is refused before its next class is built.  A
     shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it: at
-    equal p that is where two spaces must part or never do (compare_spectra).  Every
+    equal p that is the _parting_degree, where two spaces part or never do.  Every
     other group is filed with its P[0..i_max] divided into dim(lambda_0..lambda_i_max),
     and its P key is dropped as it is filed, so the P keys and the finished prefixes
     are not all held at once.  The groups come back sorted by their first class.
@@ -268,7 +275,8 @@ def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tupl
         members.append(q)
         if len(members) == 2:
             _numerator_bits(p, m)
-    deeper = m * p // 2 if 4 * h + 2 > m * p // 2 else 2 * h + 1  # <= h once h >= floor(m*p/2)
+    top = _parting_degree(m, p, p)  # floor(m*p/2)
+    deeper = top if 4 * h + 2 > top else 2 * h + 1  # <= h once h >= top
     filed = []
     while groups:
         key, qs = groups.popitem()

@@ -762,15 +762,57 @@ def test_module_entry_point():
 
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
-    # nor csv: every table is written by f-string rows
+    # nor csv: every table is written by f-string rows; nor json and lenslat.oracle,
+    # which load in the commands that use them
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import lenslat.cli; "
-        "print(sorted({'csv', 'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect', 'typing', 'json', 'lenslat.oracle'}"
+        " & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+LAZY_LOADS = [
+    *[(f"{argv} --format {fmt}", 0, "", ["json"] if fmt == "json" and dumps else [])
+      for argv, dumps in (
+          ("nl --p 7 --q 1,2,3 --h 30", True),
+          ("gamma --p 5 --q 1,2,3 --s 4 --subset 1,3", True),
+          ("compare --a 54:1,1,17 --b 54:1,1,19 --i-max 20", True),
+          # their JSON is written by row templates, not json.dumps
+          ("spectrum --p 5 --q 1,2 --i-max 6", False),
+          ("parity --p 6 --q 1,1 --i-max 6", False),
+      ) for fmt in ("csv", "json")],
+    ("nl --p 5 --q 1,2 --h -1", 2, "error: h must be non-negative, got -1\n", []),
+    ("verify --p 2 --q 1,1 --h-max 3", 0, "", ["lenslat.oracle"]),
+    ("verify --p 2 --q 1,1 --h-max 3 --format json", 0, "", ["json", "lenslat.oracle"]),
+    ("bench --p 3 --q 1,1 --h-max 3", 0, "", ["lenslat.oracle"]),
+    ("verify --p 2 --q 1,1 --h 6 --oracle-budget 1", 2,
+     "error: verify run (single case L(2;1,1), h in 6..6) needs 24 candidates, exceeding the"
+     " oracle budget of 1; shrink the grid or raise the budget (--oracle-budget)\n",
+     ["lenslat.oracle"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, err, loaded", LAZY_LOADS, ids=[a for a, *_ in LAZY_LOADS])
+def test_a_process_loads_json_and_the_oracle_only_for_the_commands_that_use_them(
+    argv, code, err, loaded
+):
+    # each call in a fresh interpreter, so no earlier test has loaded either module;
+    # the last stdout line is the exit code and which of the two the call loaded
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); from lenslat.cli import main; "
+        f"code = main({argv.split()!r}); "
+        "print(code, sorted({'json', 'lenslat.oracle'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    *out, last = result.stdout.splitlines()
+    assert (last, result.stderr) == (f"{code} {loaded}", err)
+    assert bool(out) == (code == 0)
 
 
 def test_parsers_are_built_once_per_process_and_never_at_import():
@@ -1037,7 +1079,8 @@ def test_each_command_renders_only_the_form_asked_for(argv, fmt, monkeypatch, ca
     if fmt == "json":
         unused.append("json.dumps" if argv[0] in ("spectrum", "parity") else "_rows_text")
     for name in unused:
-        monkeypatch.setattr(f"lenslat.cli.{name}", _raise)
+        # the CLI imports json in the call that writes JSON, so json.dumps is patched itself
+        monkeypatch.setattr(name if name == "json.dumps" else f"lenslat.cli.{name}", _raise)
     outcomes = [expected, _run(capsys, argv)]
     if argv[0] == "bench":  # its timings are the CLI's one varying output
         outcomes = [(code, re.sub(r"\d+\.\d+(e-?\d+)?", "t", out)) for code, out in outcomes]
