@@ -27,7 +27,6 @@ here, is read), json when a JSON payload is written.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -165,9 +164,7 @@ def run_gamma(args: argparse.Namespace):
     else:
         for n, j in enumerate(args.subset):
             if not 1 <= j <= space.m:
-                raise ValueError(
-                    f"subset index {j} out of range 1..{space.m}"
-                )
+                raise ValueError(f"subset index {j} out of range 1..{space.m}")
             if j in args.subset[:n]:
                 raise ValueError(f"subset index {j} given more than once")
         mask = SubsetMask(sum(1 << (j - 1) for j in args.subset), space.m)
@@ -378,11 +375,14 @@ def _parse(argv) -> argparse.Namespace:
 
 def write_output(text: str, path: str | None = None) -> int:
     """Write text to path, or to stdout; 0, or 2 after one error line if it cannot be written."""
-    stdout = contextlib.nullcontext(sys.stdout) if path is None else None
+    stdout = path is None
     try:
-        with stdout or open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
+        handle = sys.stdout if stdout else open(path, "w", encoding="utf-8")
+        try:
+            print(text, end="", file=handle, flush=True)
+        finally:  # stdout stays open; a file whose flush failed fails again here, caught below
+            if not stdout:
+                handle.close()
     except OSError as err:
         sys.stderr.write(f"error: cannot write {'stdout' if stdout else path}: {err.strerror}\n")
         if stdout and sys.stdout is sys.__stdout__:

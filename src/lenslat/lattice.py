@@ -21,7 +21,11 @@ z^(p-a) coefficients are both w^(qa) + w^(-qa), as w^p = 1.  So the
 product of the first k factors is palindromic of degree k*p, and the DP
 builds only its degrees up to k*p/2 and copies the rest from there;
 P[s] = P[m*p - s] follows.  The box factors of gamma are not
-palindromic; their k-th product is built to its degree k*(p-1).
+palindromic; their k-th product is built to its degree k*(p-1).  A range
+of degrees runs all m passes (_lattice_series); a single degree, gamma's s
+or the at most m + 1 degrees of one N(h), runs passes 1..m-1 and reads
+the last factor at residue 0 of each degree asked, O(p) slot reads of at
+most p + 1 columns (_lattice_coeffs), priced as the full series would be.
 canonical_q_tuples() builds the least member of each symmetry class, the
 classes among which isospectral lens spaces are sought, in ascending order.
 """
@@ -119,9 +123,7 @@ class SubsetMask(namedtuple("SubsetMask", "bits m")):
         if m < 0:
             raise ValueError(f"m must be non-negative, got {m}")
         if not 0 <= bits < (1 << m):
-            raise ValueError(
-                f"bits {bits:#x} out of range for an {m}-bit mask"
-            )
+            raise ValueError(f"bits {bits:#x} out of range for an {m}-bit mask")
         return super().__new__(cls, bits, m)
 
     @classmethod
@@ -189,7 +191,7 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
         raise ValueError(f"s must be non-negative, got {s}")
     if s > U.u * (space.p - 1):
         return 0
-    return _lattice_series(space.p, U.pick(space.q), s, with_zp=False)[s]
+    return _lattice_coeffs(space.p, U.pick(space.q), s, False, [s])[0]
 
 
 def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, int]:
@@ -218,18 +220,18 @@ def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, in
     return passes, width, cols * p * width
 
 
-def _lattice_series(
-    p: int, qs: Sequence[int], s_max: int, with_zp: bool, reuse: list | None = None
-) -> list[int]:
-    """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max.
+def _product(
+    p: int, qs: Sequence[int], s_max: int, with_zp: bool, stop: int, reuse: list | None = None
+) -> tuple[list[int], int, int]:
+    """(columns 0..min(s_max, deg) of G_stop = F_1...F_stop mod w^p, slot bits B, a slot's mask).
 
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
     plus z^p when with_zp (the numerator P) and without it for gamma.
-    Pass k multiplies G_(k-1) = F_1...F_(k-1) by F_k over the extents
-    _pass_plan gives it.  With z^p every F_i is palindromic of degree p
-    (module docstring), so G_k is too over Z[w]/(w^p - 1): its columns v
-    and deg - v are the same packed int, which gives the mirrored columns.
-    Degrees above the last pass's degree come back as zeros.
+    Pass k multiplies G_(k-1) by F_k over the extents _pass_plan gives it
+    for m = len(qs) factors, so every caller is priced, and refused, alike.
+    With z^p every F_i is palindromic of degree p (module docstring), so G_k
+    is too over Z[w]/(w^p - 1): its columns v and deg - v are the same
+    packed int, which gives the mirrored columns.
     cols[v] packs the coefficients of z^v so far into one int: slot r,
     bits [B*r, B*r + B), holds that of w^r.  The terms with x >= 0 and
     with x <= 0 each lie on a line (r + q*x, v + |x|), so the running
@@ -261,7 +263,7 @@ def _lattice_series(
             done += 1
         del reuse[done:]
         cols = reuse[done - 1][1] if done else cols
-    for q, (built, mirror) in zip(qs[done:], passes[done:]):
+    for q, (built, mirror) in zip(qs[done:stop], passes[done:stop]):
         cols = cols + [0] * (built + 1 - len(cols))  # a copy: held states stay as built
         ahead, behind = B * q, B * (p - q)
         up = down = 0
@@ -277,8 +279,46 @@ def _lattice_series(
         cols = new + new[mirror][::-1]  # column v = column deg - v
         if reuse is not None and len(reuse) < len(qs) - 1:
             reuse.append((tag[: 5 + len(reuse)], cols))
-    low = (1 << B) - 1
+    return cols, B, (1 << B) - 1
+
+
+def _lattice_series(
+    p: int, qs: Sequence[int], s_max: int, with_zp: bool, reuse: list | None = None
+) -> list[int]:
+    """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max: slot 0 of each column (_product).
+
+    Degrees above the last pass's degree come back as zeros.
+    """
+    cols, _, low = _product(p, qs, s_max, with_zp, len(qs), reuse)
     return [col & low for col in cols] + [0] * (s_max + 1 - len(cols))
+
+
+def _lattice_coeffs(
+    p: int, qs: Sequence[int], s_max: int, with_zp: bool, degrees: Sequence[int]
+) -> list[int]:
+    """[w^0 z^s] of prod_i F_i mod w^p at each s in degrees, all <= s_max: m - 1 passes, then reads.
+
+    It equals _lattice_series(p, qs, s_max, with_zp)[s], and is planned, priced and
+    refused as that call is (_product).  Passes 1..m-1 build G = F_1...F_(m-1); the
+    last factor F_m is then read only where it lands at residue 0.  With G[v]_r
+    slot r of column v,
+
+        [w^0 z^s] G*F_m = G[s]_0 + 2*sum_{a=1}^{min(s, p-1)} G[s-a]_(q_m*a mod p)
+                          + G[s-p]_0 (with the z^p term, s >= p only).
+
+    x = a and x = -a of the last coordinate need residues -q_m*a and q_m*a of G.
+    Every F_i is invariant under w -> w^-1 (its terms x and -x swap), so G is too,
+    and its slot r equals its slot -r: the factor 2 is exact.  A degree costs O(p)
+    slot reads, where the last pass would build O(s_max) packed columns.
+    """
+    if not qs:  # the empty product, 1
+        return [int(s == 0) for s in degrees]
+    cols, B, low = _product(p, qs, s_max, with_zp, len(qs) - 1)
+    cols += [0] * (s_max + 1 - len(cols))  # zeros past G's degree; without reuse, cols is ours
+    q = qs[-1]
+    return [(cols[s] & low) + (cols[s - p] & low if with_zp and s >= p else 0)
+            + 2 * sum(cols[s - a] >> B * (q * a % p) & low for a in range(1, min(s, p - 1) + 1))
+            for s in degrees]
 
 
 def _numerator_bits(p: int, m: int) -> int:

@@ -418,7 +418,7 @@ def verify_grid(
     For each (space, norms) case and each norm h, one 'count' check of
     N(h).  Norms 0..h_max read the ranged series, P capped at h_max over
     (1 - z^p)^m, against one shell_counts walk.  A lone norm h reads
-    spectra.lattice_count, P capped at min(h, m*p) through the stride sum,
+    spectra.lattice_count, the stride sum over P at its degrees up to min(h, m*p),
     against n_lattice_bruteforce.  Neither builds P past the degree it
     checks.  With deep, also the fold-law checks, which fold the points
     that enumerate_omega lists, with one subset_table per case.

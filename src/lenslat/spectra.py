@@ -31,9 +31,11 @@ at different p), and divides the shared rest only up to their first
 difference (compare_spectra).  The census files its classes by that capped P
 itself, at growing depth until they part, and divides each group's P
 once.  A single degree reads the stride sum: `nl` and `verify --h` through
-lattice_count, over P capped at min(h, m*p), since no term past h has a
-nonzero binomial, and `bench` over that series built once up to
-min(h_max, m*p); no command builds P past the degree it answers.
+lattice_count, over P at its degrees k + t*p <= min(h, m*p) alone, since no
+term past h has a nonzero binomial; the kernel reads each of those degrees
+off its last factor and builds no last pass.  `bench` reads the series
+built once up to min(h_max, m*p); no command builds P past the degree it
+answers.
 multiplicity builds its Q with _divided's stride-2 sums, the ones every
 range runs.
 """
@@ -44,8 +46,9 @@ from collections import Counter, defaultdict, namedtuple
 from itertools import accumulate
 from math import gcd
 
-from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_series
-from .lattice import _numerator_bits, _pass_plan, binom, canonical_q_tuples, decompose
+from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_coeffs
+from .lattice import _lattice_series, _numerator_bits, _pass_plan, binom, canonical_q_tuples
+from .lattice import decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 32 MiB in CSV, 43 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
@@ -93,15 +96,18 @@ def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
 
 
 def lattice_count(space: LensSpace, h: int) -> int:
-    """N(h) by the stride sum over P capped at min(h, m*p), the degrees it reads.
+    """N(h) by the stride sum over P read at its degrees k + t*p <= min(h, m*p) alone.
 
     With h = k + n*p, a term of degree k + t*p > h has t > n and so the zero
-    binomial binom(n - t + m - 1, m - 1): the cap is exact, and below h = m*p no
-    full numerator is built.  A negative h is refused before the kernel runs.
+    binomial binom(n - t + m - 1, m - 1): the cap is exact.  The kernel reads those
+    at most m + 1 degrees off its last factor (lattice._lattice_coeffs), priced as
+    P capped at min(h, m*p), and they are the coefficients of y^0, y^1, ... in the
+    series whose [y^n] over (1 - y)^m is N(h): a stride sum at stride 1 from 0.  A
+    negative h is refused before the kernel runs.
     """
-    k, n = decompose(h, space.p)
-    series = _lattice_series(*space, min(h, space.m * space.p), True)
-    return _stride_sum(series, space.p, space.m, k, n)
+    (k, n), top = decompose(h, space.p), min(h, space.m * space.p)
+    coeffs = _lattice_coeffs(*space, top, True, range(k, top + 1, space.p))
+    return _stride_sum(coeffs, 1, space.m, 0, n)
 
 
 def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:

@@ -1675,6 +1675,29 @@ def test_dps_are_priced_at_the_columns_their_passes_build(capsys):
     assert "degree 16 at p = 3 is over 1000000000 DP bits" in capsys.readouterr().err
 
 
+SINGLE_DEGREE_REFUSALS = [
+    ("nl --p 2 --q " + ",".join(["1"] * 3000) + " --h 6000", 6000, 2),
+    ("nl --p 2 --q " + ",".join(["1"] * 3000) + " --h 100", 100, 2),
+    ("nl --p 10007 --q 1,2,3 --h 100000000000000000000", 30021, 10007),
+    ("gamma --p 10007 --q 1,2,3 --s 20000", 20000, 10007),
+    ("gamma --p 10007 --q 1,2,3 --s 15000 --subset 1,2", 15000, 10007),
+    ("gamma --p 30011 --q 1,2 --s 30000 --format json", 30000, 30011),
+]
+
+
+@pytest.mark.parametrize("argv, degree, p", SINGLE_DEGREE_REFUSALS,
+                         ids=["nl-3000-ones", "nl-3000-ones-h100", "nl-huge-h", "gamma",
+                              "gamma-subset", "gamma-json"])
+def test_single_degree_refusals_keep_their_bytes(argv, degree, p, capsys):
+    # nl and gamma read their last factor at the degrees they answer, but price the
+    # kernel as the full series capped at min(h, m*p) or s: the same calls are refused,
+    # naming the same degree, with stderr's one line, nothing on stdout and exit 2
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: degree {degree} at p = {p} is over 1000000000 DP bits\n"
+
+
 def test_class_walks_over_the_ceiling_are_refused_at_once(capsys):
     # the census would walk about C(107, 9) = 3.6e12 candidate tuples first;
     # verify prices its classes' numerators over the DP-bits ceiling

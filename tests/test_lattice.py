@@ -21,6 +21,7 @@ from lenslat import lattice
 from lenslat.lattice import (
     _canonical_candidates,
     _canonical_form,
+    _lattice_coeffs,
     _lattice_series,
     _numerator_bits,
     _pass_plan,
@@ -409,6 +410,71 @@ def test_packed_kernel_matches_list_reference():
             for s_max in sorted({cap // 2, cap, cap + 3} | edges):
                 packed = _lattice_series(p, qs, s_max, with_zp)
                 assert packed == list_series(p, qs, s_max, with_zp), (p, qs, s_max, with_zp)
+
+
+def test_the_last_factor_read_equals_the_full_last_pass():
+    # _lattice_coeffs builds passes 1..m-1 and reads [w^0 z^s] of G_(m-1)*F_m at the
+    # degrees asked, slot q_m*a twice for x = +-a: it equals the full last pass at
+    # p = 1 and 2, on no coordinate and on one, at s = 0, p - 1, p and the box degree
+    # under gamma's cap s, at every degree and its mirror under the box cap, and at
+    # lattice_count's degrees k + t*p under min(h, m*p) for h = 10^30 + k
+    for p, qs in kernel_cases():
+        qs = tuple(v % p for v in qs)
+        for with_zp in (False, True):
+            box = len(qs) * (p if with_zp else p - 1)
+            for s in {0, p - 1, p, box}:
+                full = _lattice_series(p, qs, s, with_zp)
+                assert _lattice_coeffs(p, qs, s, with_zp, [s]) == [full[s]], (p, qs, with_zp, s)
+            full = _lattice_series(p, qs, box, with_zp)
+            mirrored = [d for s in range(box // 2 + 1) for d in (s, box - s)]
+            assert _lattice_coeffs(p, qs, box, with_zp, mirrored) == [full[d] for d in mirrored]
+            for h in (10**30 + k for k in range(p)):
+                degrees = range(h % p, box + 1, p)
+                assert _lattice_coeffs(p, qs, box, with_zp, degrees) == [full[d] for d in degrees]
+
+
+def test_gamma_runs_no_last_pass(monkeypatch):
+    # gamma(U, s) builds |U| - 1 passes and reads its one degree off the last factor,
+    # and still equals the box series' s-th term over every subset and every s in the box
+    stops, product = [], lattice._product
+
+    def passes(p, qs, s_max, with_zp, stop, reuse=None):
+        stops.append((len(qs), stop))
+        return product(p, qs, s_max, with_zp, stop, reuse)
+
+    monkeypatch.setattr(lattice, "_product", passes)
+    for space in (make_lens_space(1, (1, 1, 1)), make_lens_space(2, (1, 1, 1)),
+                  make_lens_space(7, (1, 2, 3)), make_lens_space(12, (1, 5, 7, 11))):
+        for mask in all_masks(space.m):
+            qs = mask.pick(space.q)
+            for s in range(mask.u * (space.p - 1) + 1):
+                expected = _lattice_series(space.p, qs, s, False)[s]
+                stops.clear()
+                assert gamma(space, mask, s) == expected, (space, mask, s)
+                assert stops == ([(mask.u, mask.u - 1)] if qs else []), (space, mask, s)
+
+
+def test_the_last_factor_read_prices_as_the_full_series(monkeypatch):
+    # the read plans its m - 1 passes under the plan of all m factors and its caller's
+    # cap, so it is refused where _lattice_series is, naming the same degree
+    for p, qs, s_max, with_zp in [(2, (1,) * 3000, 6000, True), (2, (1,) * 3000, 100, True),
+                                  (10007, (1, 2, 3), 20000, False), (30011, (1, 2), 30000, False)]:
+        with pytest.raises(ValueError) as series:
+            _lattice_series(p, qs, s_max, with_zp)
+        with pytest.raises(ValueError) as read:
+            _lattice_coeffs(p, qs, s_max, with_zp, [s_max])
+        assert str(read.value) == str(series.value) == (
+            f"degree {s_max} at p = {p} is over {lattice.MAX_DP_BITS} DP bits")
+    # and under the ceiling both admit the same calls: one bit less refuses both
+    bits = _pass_plan(53, 3, 80, True)[2]
+    monkeypatch.setattr(lattice, "MAX_DP_BITS", bits - 1)
+    for call in (lambda: _lattice_series(53, (1, 2, 3), 80, True),
+                 lambda: _lattice_coeffs(53, (1, 2, 3), 80, True, [80])):
+        with pytest.raises(ValueError, match="degree 80 at p = 53"):
+            call()
+    monkeypatch.setattr(lattice, "MAX_DP_BITS", bits)
+    read = _lattice_coeffs(53, (1, 2, 3), 80, True, [80])
+    assert read == [_lattice_series(53, (1, 2, 3), 80, True)[80]]
 
 
 def test_shared_passes_equal_fresh_passes_in_any_call_order():

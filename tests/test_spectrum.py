@@ -155,25 +155,35 @@ def test_formula_equals_subset_closed_form():
 
 
 def test_single_degree_read_equals_the_full_numerator_formula(monkeypatch):
-    # lattice_count caps P at min(h, m*p): every term past h has a zero binomial, so it
-    # equals the closed form over the full numerator at every h, below m*p and past it
-    asked = []
-    series = spectra._lattice_series
+    # lattice_count reads P only at its degrees k + t*p <= min(h, m*p), priced at that
+    # cap: every term past h has a zero binomial, so it equals the closed form over the
+    # full numerator at every h, below m*p and past it; the kernel builds passes 1..m-1
+    # only, and reads its last factor at those degrees alone
+    asked, stops = [], []
+    coeffs, product = spectra._lattice_coeffs, lattice._product
 
-    def recording(p, qs, s_max, *args):
-        asked.append(s_max)
-        return series(p, qs, s_max, *args)
+    def recording(p, qs, s_max, with_zp, degrees):
+        asked.append((s_max, list(degrees)))
+        return coeffs(p, qs, s_max, with_zp, degrees)
 
-    monkeypatch.setattr(spectra, "_lattice_series", recording)
+    def passes(p, qs, s_max, with_zp, stop, reuse=None):
+        stops.append((len(qs), stop))
+        return product(p, qs, s_max, with_zp, stop, reuse)
+
+    monkeypatch.setattr(spectra, "_lattice_coeffs", recording)
+    monkeypatch.setattr(lattice, "_product", passes)
     pairs = 0
     for m, p_max in ((2, 29), (3, 29), (4, 15)):
         for space in _canonical_spaces(m, p_max):
             num = numerator(space)
             for h in [*range(m * space.p + 3), 7 * space.p + 3, 10**30]:
                 asked.clear()
+                stops.clear()
                 assert spectra.lattice_count(space, h) == n_lattice_formula(space, num, h), (
                     space, h)
-                assert asked == [min(h, m * space.p)], (space, h)
+                top = min(h, m * space.p)
+                assert asked == [(top, list(range(h % space.p, top + 1, space.p)))], (space, h)
+                assert stops == [(m, m - 1)], (space, h)
                 pairs += 1
     assert pairs == 24546
 
