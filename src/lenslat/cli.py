@@ -17,11 +17,12 @@ bench), 2 invalid input, an unwritable stdout or --output or a size over
 its resource's rule (a DP, a result list, a class walk, a verify run's DP
 bits or its --oracle-budget), refused before that work.  Input that would
 check nothing (an empty verify grid, a negative --h-max, a bench oracle
-budget of 0) is invalid.  verify and bench check their options here and
-call lenslat.oracle, which plans, checks and times them.  The oracle and
-json load on first use, as each process compiles only what its command
-runs: lenslat.oracle when verify or bench runs (or verify_grid, re-exported
-here, is read), json when a JSON payload is written.
+budget of 0) is invalid, and so is an empty --output, which names no file
+and is refused before the command runs.  verify and bench check their
+options here and call lenslat.oracle, which plans, checks and times them.
+The oracle and json load on first use, as each process compiles only what
+its command runs: lenslat.oracle when verify or bench runs, json when a
+JSON payload is written.
 """
 
 from __future__ import annotations
@@ -49,13 +50,6 @@ def _oracle():
     from . import oracle
 
     return oracle
-
-
-def __getattr__(name: str):
-    """verify_grid, re-exported from lenslat.oracle without importing it with this module."""
-    if name == "verify_grid":
-        return _oracle().verify_grid
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _check_budget(budget: int) -> int:
@@ -404,6 +398,8 @@ def main(argv=None) -> int:
         # over, is parsed again in full, so usage errors and help keep their bytes
         args = _parse(sys.argv[1:] if argv is None else argv)
         try:
+            if args.output == "":
+                raise ValueError("--output must name a file, got an empty path")
             text, code = args.run(args)
         except ValueError as err:
             print(f"error: {err}", file=sys.stderr)

@@ -184,13 +184,14 @@ def gamma(space: LensSpace, U: SubsetMask, s: int) -> int:
 
     Counts x in Z^|U| with |x_i| <= p-1 for every i in U, sum of |x_i|
     equal to s, and sum q_i*x_i = 0 (mod p).  Zero whenever s exceeds
-    the box bound |U|*(p-1).
+    the box bound |U|*(p-1); over the empty U, the empty product 1 at
+    s = 0, so every subset the kernel reads has a last factor.
     """
     _check_subset(space, U)
     if s < 0:
         raise ValueError(f"s must be non-negative, got {s}")
-    if s > U.u * (space.p - 1):
-        return 0
+    if not U.u or s > U.u * (space.p - 1):
+        return int(s == 0)  # over the box, or the empty product 1
     return _lattice_coeffs(space.p, U.pick(space.q), s, False, [s])[0]
 
 
@@ -299,7 +300,8 @@ def _lattice_coeffs(
     """[w^0 z^s] of prod_i F_i mod w^p at each s in degrees, all <= s_max: m - 1 passes, then reads.
 
     It equals _lattice_series(p, qs, s_max, with_zp)[s], and is planned, priced and
-    refused as that call is (_product).  Passes 1..m-1 build G = F_1...F_(m-1); the
+    refused as that call is (_product).  qs holds at least one factor, m >= 1 (gamma
+    answers the empty product itself).  Passes 1..m-1 build G = F_1...F_(m-1); the
     last factor F_m is then read only where it lands at residue 0.  With G[v]_r
     slot r of column v,
 
@@ -311,8 +313,6 @@ def _lattice_coeffs(
     and its slot r equals its slot -r: the factor 2 is exact.  A degree costs O(p)
     slot reads, where the last pass would build O(s_max) packed columns.
     """
-    if not qs:  # the empty product, 1
-        return [int(s == 0) for s in degrees]
     cols, B, low = _product(p, qs, s_max, with_zp, len(qs) - 1)
     cols += [0] * (s_max + 1 - len(cols))  # zeros past G's degree; without reuse, cols is ours
     q = qs[-1]

@@ -452,7 +452,8 @@ def bench_timings(space: LensSpace, h_max: int, budget: int) -> list[tuple]:
     timings = []
     for h in range(h_max + 1):
         start = time.perf_counter()
-        value = _stride_sum(series, space.p, space.m, *decompose(h, space.p))
+        k, n = decompose(h, space.p)
+        value = _stride_sum(series[k::space.p], space.m, n)
         middle = time.perf_counter()
         try:
             count = n_lattice_bruteforce(space, h, budget)

@@ -76,23 +76,23 @@ class IsospectralReport(
     __slots__ = ()
 
 
-def _stride_sum(poly: list[int] | tuple[int, ...], stride: int, power: int, k: int, n: int) -> int:
-    """[z^h] poly(z) / (1 - z^stride)^power, h = k + n*stride as decompose(h, stride) splits it.
+def _stride_sum(terms: list[int] | tuple[int, ...], power: int, n: int) -> int:
+    """[z^(k + n*p)] poly(z) / (1 - z^p)^power from terms = poly[k::p], 0 <= k < p.
 
-    Terms past the list's end are zero.
+    Term t, of degree k + t*p, takes binom(n - t + power - 1, power - 1), zero once
+    t > n.  No caller passes more than power + 1 terms: P has degree m*p, over
+    (1 - z^p)^m, and multiplicity's Q is below degree (2m - 1)*p, over
+    (1 - z^p)^(2m - 1).
     """
-    return sum(
-        binom(n - t + power - 1, power - 1) * poly[k + t * stride]
-        for t in range(power + 1)
-        if k + t * stride < len(poly)
-    )
+    return sum(binom(n - t + power - 1, power - 1) * term for t, term in enumerate(terms))
 
 
 def n_lattice_formula(space: LensSpace, num: Numerator, h: int) -> int:
     """Number of congruence-lattice points of 1-norm h, by the closed form."""
     if num.space != space:
         raise ValueError("numerator was built for a different lens space")
-    return _stride_sum(num.coeffs, space.p, space.m, *decompose(h, space.p))
+    k, n = decompose(h, space.p)
+    return _stride_sum(num.coeffs[k::space.p], space.m, n)
 
 
 def lattice_count(space: LensSpace, h: int) -> int:
@@ -101,13 +101,12 @@ def lattice_count(space: LensSpace, h: int) -> int:
     With h = k + n*p, a term of degree k + t*p > h has t > n and so the zero
     binomial binom(n - t + m - 1, m - 1): the cap is exact.  The kernel reads those
     at most m + 1 degrees off its last factor (lattice._lattice_coeffs), priced as
-    P capped at min(h, m*p), and they are the coefficients of y^0, y^1, ... in the
-    series whose [y^n] over (1 - y)^m is N(h): a stride sum at stride 1 from 0.  A
+    P capped at min(h, m*p), and they are the stride sum's terms as read.  A
     negative h is refused before the kernel runs.
     """
     (k, n), top = decompose(h, space.p), min(h, space.m * space.p)
     coeffs = _lattice_coeffs(*space, top, True, range(k, top + 1, space.p))
-    return _stride_sum(coeffs, 1, space.m, 0, n)
+    return _stride_sum(coeffs, space.m, n)
 
 
 def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
@@ -133,7 +132,8 @@ def multiplicity(space: LensSpace, num: Numerator, i: int) -> int:
     for _ in range(space.m - 1):
         for h in range(size - 1, p - 1, -1):
             poly[h] -= poly[h - p]
-    return _stride_sum(poly, p, power, *decompose(i, p))
+    k, n = decompose(i, p)
+    return _stride_sum(poly[k::p], power, n)
 
 
 def _check_i_max(i_max: int) -> None:

@@ -20,7 +20,8 @@ from lenslat import (
     numerator,
 )
 from lenslat import oracle
-from lenslat.cli import main, verify_grid
+from lenslat.cli import main
+from lenslat.oracle import verify_grid
 
 
 def _report(name, ok):

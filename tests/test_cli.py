@@ -37,9 +37,10 @@ from lenslat import (
     numerator,
     parity_verdicts,
 )
-from lenslat.cli import BENCH_DEFAULT_BUDGET, main, verify_grid
+from lenslat.cli import BENCH_DEFAULT_BUDGET, main
 from lenslat.lattice import MAX_CANONICAL_CANDIDATES, _canonical_candidates, _numerator_bits
 from lenslat.oracle import DEFAULT_BUDGET, VERIFY_MAX_DP_BITS, CheckRecord, enumerate_omega
+from lenslat.oracle import verify_grid
 from records import check_record
 from strategies import lens_spaces
 
@@ -707,6 +708,18 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_empty_output_is_refused_before_the_command_runs(monkeypatch, capsys):
+    # an empty --output names no file: it is invalid input, refused before the count
+    def _refuse(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(lenslat.cli, "lattice_count", _refuse)
+    assert main(["nl", "--p", "2", "--q", "1,1", "--h", "2", "--output", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --output must name a file, got an empty path\n"
+
+
 class _FullStdout:
     """A stdout on a full device: every write fails, as on /dev/full."""
 
@@ -763,12 +776,13 @@ def test_module_entry_point():
 
 def test_import_loads_no_dataclasses_inspect_or_typing():
     # nor csv: every table is written by f-string rows; nor json and lenslat.oracle,
-    # which load in the commands that use them
+    # which load in the commands that use them; nor contextlib: the write path
+    # holds its one handle in a try/finally
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import lenslat.cli; "
-        "print(sorted({'csv', 'dataclasses', 'inspect', 'typing', 'json', 'lenslat.oracle'}"
-        " & set(sys.modules)))"
+        "print(sorted({'csv', 'dataclasses', 'inspect', 'typing', 'json', 'lenslat.oracle',"
+        " 'contextlib'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
