@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations_with_replacement
 
 # per generating-function DP, priced by _pass_plan at the columns its passes
@@ -221,15 +221,16 @@ def _pass_plan(p: int, m: int, s_max: int, with_zp: bool) -> tuple[list, int, in
     return passes, width, cols * p * width
 
 
-def _product(
-    p: int, qs: Sequence[int], s_max: int, with_zp: bool, stop: int, reuse: list | None = None
-) -> tuple[list[int], int, int]:
-    """(columns 0..min(s_max, deg) of G_stop = F_1...F_stop mod w^p, slot bits B, a slot's mask).
+def _products(
+    p: int, m: int, s_max: int, with_zp: bool, tuples: Iterable[Sequence[int]], stop: int
+) -> Iterator[tuple[list[int], int, int]]:
+    """Per tuple q, in order: (columns 0..s_max of G_stop = F_1...F_stop mod w^p, B, slot mask).
 
     F_i = sum_{|x|<p} w^(q_i x) z^|x| counts one coordinate of the box,
     plus z^p when with_zp (the numerator P) and without it for gamma.
-    Pass k multiplies G_(k-1) by F_k over the extents _pass_plan gives it
-    for m = len(qs) factors, so every caller is priced, and refused, alike.
+    Every tuple holds m entries.  Pass k multiplies G_(k-1) by F_k over the
+    extents _pass_plan gives it for m factors, so every caller is priced,
+    and refused, alike; columns past G_stop's degree come back as zeros.
     With z^p every F_i is palindromic of degree p (module docstring), so G_k
     is too over Z[w]/(w^p - 1): its columns v and deg - v are the same
     packed int, which gives the mirrored columns.
@@ -247,51 +248,44 @@ def _product(
     product, at most its total mass (2p)^m < 2^(B-1).  base = col - back
     may have negative slots, but it is only ever added to a window sum,
     whose exact value has non-negative slots.
-    reuse, a list the caller owns, lets calls share passes; its one caller is a
-    filing round of the census (spectra._file_classes).  Pass k reads only
-    G_(k-1) and q_k, over extents and slots fixed by (p, m, s_max, with_zp),
-    so the columns after pass k are exact for every tuple under that key that
-    starts with q_1..q_k.  reuse holds them after passes 1..m-1, tagged with
-    the key and that prefix; a call starts after the longest tagged prefix it
-    shares and drops the rest, all of it under another key.  A held state is
-    only read: the next pass pads a copy.
+    The tuples share one plan and their passes.  Pass k reads only G_(k-1)
+    and q_k, over extents and slots fixed by (p, m, s_max, with_zp), so the
+    columns after pass k are exact for every tuple that starts with
+    q_1..q_k.  held keeps them for the tuple before, one state per pass;
+    a tuple starts after the prefix it shares with that tuple.  A held
+    state is only read: the next pass pads a copy, and so does each yield.
     """
-    passes, B, _ = _pass_plan(p, len(qs), s_max, with_zp)
+    passes, B, _ = _pass_plan(p, m, s_max, with_zp)
     full = (1 << B * p) - 1
-    tag, done, cols = (p, len(qs), s_max, with_zp, *qs), 0, [1]
-    if reuse is not None:
-        while done < len(reuse) and reuse[done][0] == tag[: 5 + done]:
-            done += 1
-        del reuse[done:]
-        cols = reuse[done - 1][1] if done else cols
-    for q, (built, mirror) in zip(qs[done:stop], passes[done:stop]):
-        cols = cols + [0] * (built + 1 - len(cols))  # a copy: held states stay as built
-        ahead, behind = B * q, B * (p - q)
-        up = down = 0
-        new = []
-        for v, col in enumerate(cols[: built + 1]):
-            back = cols[v - p] if v >= p else 0
-            base = col - back
-            from_down = ((down << behind) & full) | (down >> ahead)  # down[r + q]
-            up = base + (((up << ahead) & full) | (up >> behind))  # up[r - q]
-            down = base + from_down
-            out = up + from_down
-            new.append(out if with_zp else out - back)
-        cols = new + new[mirror][::-1]  # column v = column deg - v
-        if reuse is not None and len(reuse) < len(qs) - 1:
-            reuse.append((tag[: 5 + len(reuse)], cols))
-    return cols, B, (1 << B) - 1
+    held, last = [[1]], ()  # held[k]: the columns after passes 1..k over last[:k]
+    for qs in tuples:
+        while len(held) > 1 and qs[: len(held) - 1] != last[: len(held) - 1]:
+            held.pop()  # past the q prefix qs shares with the tuple before; [1] stays
+        for q, (built, mirror) in zip(qs[len(held) - 1 : stop], passes[len(held) - 1 : stop]):
+            cols = held[-1] + [0] * (built + 1 - len(held[-1]))  # a copy: held states stay
+            ahead, behind = B * q, B * (p - q)
+            up = down = 0
+            new = []
+            for v, col in enumerate(cols[: built + 1]):
+                back = cols[v - p] if v >= p else 0
+                base = col - back
+                from_down = ((down << behind) & full) | (down >> ahead)  # down[r + q]
+                up = base + (((up << ahead) & full) | (up >> behind))  # up[r - q]
+                down = base + from_down
+                out = up + from_down
+                new.append(out if with_zp else out - back)
+            held.append(new + new[mirror][::-1])  # column v = column deg - v
+        last = qs
+        yield held[-1] + [0] * (s_max + 1 - len(held[-1])), B, (1 << B) - 1
 
 
-def _lattice_series(
-    p: int, qs: Sequence[int], s_max: int, with_zp: bool, reuse: list | None = None
-) -> list[int]:
-    """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max: slot 0 of each column (_product).
+def _lattice_series(p: int, qs: Sequence[int], s_max: int, with_zp: bool) -> list[int]:
+    """[w^0 z^s] of prod_i F_i mod w^p for every s in 0..s_max: slot 0 of each column (_products).
 
     Degrees above the last pass's degree come back as zeros.
     """
-    cols, _, low = _product(p, qs, s_max, with_zp, len(qs), reuse)
-    return [col & low for col in cols] + [0] * (s_max + 1 - len(cols))
+    [(cols, _, low)] = _products(p, len(qs), s_max, with_zp, [qs], len(qs))
+    return [col & low for col in cols]
 
 
 def _lattice_coeffs(
@@ -300,10 +294,10 @@ def _lattice_coeffs(
     """[w^0 z^s] of prod_i F_i mod w^p at each s in degrees, all <= s_max: m - 1 passes, then reads.
 
     It equals _lattice_series(p, qs, s_max, with_zp)[s], and is planned, priced and
-    refused as that call is (_product).  qs holds at least one factor, m >= 1 (gamma
-    answers the empty product itself).  Passes 1..m-1 build G = F_1...F_(m-1); the
-    last factor F_m is then read only where it lands at residue 0.  With G[v]_r
-    slot r of column v,
+    refused as that call is (_products).  qs holds at least one factor, m >= 1 (gamma
+    answers the empty product itself).  Passes 1..m-1 build G = F_1...F_(m-1), zero
+    past its degree up to s_max; the last factor F_m is then read only where it lands
+    at residue 0.  With G[v]_r slot r of column v,
 
         [w^0 z^s] G*F_m = G[s]_0 + 2*sum_{a=1}^{min(s, p-1)} G[s-a]_(q_m*a mod p)
                           + G[s-p]_0 (with the z^p term, s >= p only).
@@ -313,8 +307,7 @@ def _lattice_coeffs(
     and its slot r equals its slot -r: the factor 2 is exact.  A degree costs O(p)
     slot reads, where the last pass would build O(s_max) packed columns.
     """
-    cols, B, low = _product(p, qs, s_max, with_zp, len(qs) - 1)
-    cols += [0] * (s_max + 1 - len(cols))  # zeros past G's degree; without reuse, cols is ours
+    [(cols, B, low)] = _products(p, len(qs), s_max, with_zp, [qs], len(qs) - 1)
     q = qs[-1]
     return [(cols[s] & low) + (cols[s - p] & low if with_zp and s >= p else 0)
             + 2 * sum(cols[s - a] >> B * (q * a % p) & low for a in range(1, min(s, p - 1) + 1))

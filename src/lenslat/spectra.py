@@ -47,8 +47,8 @@ from itertools import accumulate
 from math import gcd
 
 from .lattice import LensSpace, Numerator, _canonical_candidates, _check_m, _lattice_coeffs
-from .lattice import _lattice_series, _numerator_bits, _pass_plan, binom, canonical_q_tuples
-from .lattice import decompose
+from .lattice import _lattice_series, _numerator_bits, _pass_plan, _products, binom
+from .lattice import canonical_q_tuples, decompose
 
 MAX_SPECTRUM_LINES = 10**5  # 10**5 lines of L(2;1,1) peak at 32 MiB in CSV, 43 MiB in JSON
 # multiplicities a census holds, one per degree per class: about 21.5 bytes each at m = 3..5
@@ -266,18 +266,19 @@ def parity_verdicts(space: LensSpace, mults: list[int]) -> list[bool]:
 def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:
     """Classes filed by the kernel's P[0..h], shared groups refiled deeper: [(prefix, [q, ...])].
 
-    A group that gets its second class prices the deepest refiling first, at a full
-    numerator's DP bits, so the census is refused before its next class is built.  A
-    shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it: at
+    A round plans the kernel once and builds its classes in class order through one
+    lattice._products generator, each after the q prefix it shares with the class
+    before.  A group that gets its second class prices the deepest refiling first, at a
+    full numerator's DP bits, so the census is refused before its next class is built.
+    A shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it: at
     equal p that is the _parting_degree, where two spaces part or never do.  Every
     other group is filed with its P[0..i_max] divided into dim(lambda_0..lambda_i_max),
     and its P key is dropped as it is filed, so the P keys and the finished prefixes
     are not all held at once.  The groups come back sorted by their first class.
     """
     groups = defaultdict(list)  # P[0..h] -> [q], in class order
-    reuse = []  # this round's kernel passes, shared over the common q prefix of the next class
-    for q in tuples:
-        members = groups[tuple(_lattice_series(p, q, h, True, reuse))]
+    for q, (cols, _, low) in zip(tuples, _products(p, m, h, True, tuples, m)):
+        members = groups[tuple(col & low for col in cols)]
         members.append(q)
         if len(members) == 2:
             _numerator_bits(p, m)
@@ -299,16 +300,17 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
     Each class (permutation, negation mod p, scaling by a unit) is filed under the
     kernel's P capped at i_max, and every group of two or more classes is refiled by a
     deeper capped P (_file_classes) until it parts or reaches floor(m*p/2):
-    L(54;1,1,17) and L(54;1,1,19) agree to 17 and part at 18.  The division by
-    (1 - z^p)^m (1 - z^2)^(m - 1) is causal with constant term 1, so equal
-    multiplicities up to h mean equal P[0..h] and the other way round; P is palindromic
-    of degree m*p (lattice docstring), so the groups still shared at floor(m*p/2) are
-    exactly the classes of equal P.  Equal (p, m) share the denominator, so each group
-    is one spectrum in every degree, divided once into its multiplicities up to i_max.
-    Groups come back in class order, by their first class.  The class, degree, DP,
-    held-value and m >= 2 rules are checked in that order from (p, m, i_max) before any
-    class is built; the held-value rule prices each candidate tuple at i_max + 1 held
-    multiplicities.
+    L(54;1,1,17) and L(54;1,1,19) agree to 17 and part at 18.  Each filing round, the
+    first and every refiling, plans the kernel once, and its classes share the kernel's
+    passes over their common q prefixes.  The division by (1 - z^p)^m (1 - z^2)^(m - 1)
+    is causal with constant term 1, so equal multiplicities up to h mean equal P[0..h]
+    and the other way round; P is palindromic of degree m*p (lattice docstring), so the
+    groups still shared at floor(m*p/2) are exactly the classes of equal P.  Equal
+    (p, m) share the denominator, so each group is one spectrum in every degree,
+    divided once into its multiplicities up to i_max.  Groups come back in class
+    order, by their first class.  The class, degree, DP, held-value and m >= 2 rules
+    are checked in that order from (p, m, i_max) before any class is built; the
+    held-value rule prices each candidate tuple at i_max + 1 held multiplicities.
     """
     tried = _canonical_candidates(p, m)
     _check_i_max(i_max)

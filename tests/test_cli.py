@@ -285,23 +285,22 @@ def test_verify_corrupted_ranged_series_reports_smallest_h(monkeypatch, capsys):
 
 def test_verify_hands_the_kernel_no_pass_list(monkeypatch, capsys):
     # inverse control of the census's pass sharing: verify's cases share no kernel
-    # passes, so a kernel that corrupts every held pass state it is handed changes
-    # no check of the criterion-1 grid, and no call is handed a list
-    handed = []
+    # passes, so each kernel call of the criterion-1 grid builds one class
+    built = []
 
-    def faulty(p, qs, s_max, with_zp, reuse=None, series=lenslat.oracle._lattice_series):
-        handed.append(reuse is not None)
-        if reuse is not None:
-            reuse[:] = [(tag, [cols[0] + 1, *cols[1:]]) for tag, cols in reuse]
-        return series(p, qs, s_max, with_zp, reuse)
+    def counted(p, m, s_max, with_zp, tuples, stop, products=lenslat.lattice._products):
+        built.append(0)
+        for product in products(p, m, s_max, with_zp, tuples, stop):
+            built[-1] += 1
+            yield product
 
-    for module in ("lenslat.oracle", "lenslat.spectra"):
-        monkeypatch.setattr(f"{module}._lattice_series", faulty)
+    for module in ("lenslat.lattice", "lenslat.spectra"):
+        monkeypatch.setattr(f"{module}._products", counted)
     argv = ["verify", "--p-max", "10", "--m", "2,3", "--h-max", "24", "--format", "json"]
     code, text = _run(capsys, argv)
     assert code == 0
     assert json.loads(text)["checks"] == 850
-    assert handed and not any(handed)
+    assert built and set(built) == {1}
 
 
 def _other_path(*args, **kwargs):
@@ -1593,18 +1592,18 @@ def test_census_prices_the_full_numerator_when_a_prefix_is_first_shared(monkeypa
     # which no class at p = 5040 fits; a prefix is first shared at the fifth of 296
     # classes: the census stops there, not after filing them all
     filed = []
-    series = lenslat.spectra._lattice_series
 
-    def counted(p, qs, s_max, with_zp, reuse=None):
-        filed.append(qs)
-        return series(p, qs, s_max, with_zp, reuse)
+    def counted(p, m, s_max, with_zp, tuples, stop, products=lenslat.spectra._products):
+        for product in products(p, m, s_max, with_zp, tuples, stop):
+            filed.append(product)
+            yield product
 
-    monkeypatch.setattr(lenslat.spectra, "_lattice_series", counted)
+    monkeypatch.setattr(lenslat.spectra, "_products", counted)
     with pytest.raises(SystemExit) as err:
         _census_main()(["--p", "5040", "--m", "2", "--i-max", "16"])
     assert err.value.code == 2
     assert "degree 10080 at p = 5040 is over 1000000000 DP bits" in capsys.readouterr().err
-    assert len(filed) <= 5
+    assert 0 < len(filed) <= 5
 
 
 @pytest.mark.parametrize("p, digest", [

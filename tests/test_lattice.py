@@ -25,6 +25,7 @@ from lenslat.lattice import (
     _lattice_series,
     _numerator_bits,
     _pass_plan,
+    _products,
 )
 from lenslat.oracle import fold_point, gamma_bruteforce
 from records import check_record
@@ -439,13 +440,13 @@ def test_the_last_factor_read_equals_the_full_last_pass():
 def test_gamma_runs_no_last_pass(monkeypatch):
     # gamma(U, s) builds |U| - 1 passes and reads its one degree off the last factor,
     # and still equals the box series' s-th term over every subset and every s in the box
-    stops, product = [], lattice._product
+    stops, products = [], lattice._products
 
-    def passes(p, qs, s_max, with_zp, stop, reuse=None):
-        stops.append((len(qs), stop))
-        return product(p, qs, s_max, with_zp, stop, reuse)
+    def passes(p, m, s_max, with_zp, tuples, stop):
+        stops.append((m, stop))
+        return products(p, m, s_max, with_zp, tuples, stop)
 
-    monkeypatch.setattr(lattice, "_product", passes)
+    monkeypatch.setattr(lattice, "_products", passes)
     for space in (make_lens_space(1, (1, 1, 1)), make_lens_space(2, (1, 1, 1)),
                   make_lens_space(7, (1, 2, 3)), make_lens_space(12, (1, 5, 7, 11))):
         for mask in all_masks(space.m):
@@ -481,43 +482,53 @@ def test_the_last_factor_read_prices_as_the_full_series(monkeypatch):
 
 
 def test_shared_passes_equal_fresh_passes_in_any_call_order():
-    # with one reuse list, a call starts after the longest q prefix it shares
-    # with the call before under the same (p, m, s_max, with_zp); every class
-    # list, sorted, reversed or shuffled, gives what fresh calls give
+    # one generator starts each class after the q prefix it shares with the class
+    # before, under one plan for (p, m, s_max, with_zp); every class list, sorted,
+    # reversed or shuffled, gives what fresh one-class calls give: the series at
+    # stop = m, and the columns of G_(m-1) that the last-factor read takes at m - 1;
+    # gamma's box factors (no z^p) on p <= 20
     rng = random.Random(37)
-    keys = [(p, m, s_max) for m in (2, 3, 4) for p in range(1, 41)
+    keys = [(p, m, s_max, with_zp) for m in (2, 3, 4) for with_zp in (True, False)
+            for p in range(1, 41 if with_zp else 21)
             for s_max in sorted({0, 1, 16, m * p // 2, m * p})]
-    fresh = {key: [_lattice_series(key[0], q, key[2], True) for q in canonical_q_tuples(*key[:2])]
-             for key in keys}
-    for order in ("sorted", "reversed", "shuffled"):
-        reuse = []
-        for (p, m, s_max), series in fresh.items():
-            calls = list(zip(canonical_q_tuples(p, m), series))
+    for p, m, s_max, with_zp in keys:
+        tuples = canonical_q_tuples(p, m)
+        fresh = [(q, _lattice_series(p, q, s_max, with_zp),
+                  next(_products(p, m, s_max, with_zp, [q], m - 1))) for q in tuples]
+        for order in ("sorted", "reversed", "shuffled"):
+            calls = list(fresh)
             if order == "reversed":
                 calls.reverse()
             elif order == "shuffled":
                 rng.shuffle(calls)
-            for q, expected in calls:
-                assert _lattice_series(p, q, s_max, True, reuse) == expected, (order, p, q, s_max)
+            qs = [q for q, _, _ in calls]
+            shared = [[col & low for col in cols]
+                      for cols, _, low in _products(p, m, s_max, with_zp, qs, m)]
+            assert shared == [series for _, series, _ in calls], (order, p, m, s_max, with_zp)
+            heads = list(_products(p, m, s_max, with_zp, qs, m - 1))
+            assert heads == [head for _, _, head in calls], (order, p, m, s_max, with_zp)
 
 
 def test_shared_passes_read_no_state_of_another_key():
-    # the same q prefixes under another p, m, s_max or with_zp, mid-sequence: a held
-    # state is exact only under its own key, so a call under another key reads none,
-    # and the list then holds the passes 1..m-1 of the last call alone
+    # two generators stepped in a shuffled interleaving, under two keys (p, m, s_max,
+    # with_zp) and over classes that share q prefixes, a class repeated among them:
+    # each holds only its own passes, so each equals fresh series class by class
     rng = random.Random(37)
-    calls = [(p, qs, s_max, with_zp) for p in (7, 11, 13)
-             for qs in ((1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 3, 5), (2, 3, 1))
-             for s_max in (0, 5, p, 2 * p + 1) for with_zp in (True, False)]
-    rng.shuffle(calls)
-    # shuffled, then sorted by q: neighbours share a prefix under another key
-    for sequence in (calls, sorted(calls, key=lambda call: call[1])):
-        reuse = []
-        for p, qs, s_max, with_zp in sequence:
-            expected = _lattice_series(p, qs, s_max, with_zp)
-            assert _lattice_series(p, qs, s_max, with_zp, reuse) == expected, (p, qs, s_max)
-            tags = [(p, len(qs), s_max, with_zp, *qs[:k]) for k in range(1, len(qs))]
-            assert [tag for tag, _ in reuse] == tags
+    runs = [(1, 2, 3, 5), (1, 2, 4, 5), (1, 2, 4, 5), (2, 3, 1, 4), (1, 2, 3, 4)]
+    keys = [(p, m, s_max, with_zp) for p in (7, 11, 13) for m in (2, 3, 4)
+            for s_max in (0, 5, p, 2 * p + 1) for with_zp in (True, False)]
+    for _ in range(300):
+        pair = rng.sample(keys, 2)
+        steps = []
+        for p, m, s_max, with_zp in pair:
+            tuples = [q[:m] for q in runs]
+            expected = [_lattice_series(p, q, s_max, with_zp) for q in tuples]
+            steps.append((_products(p, m, s_max, with_zp, tuples, m), iter(expected)))
+        order = [0] * len(runs) + [1] * len(runs)
+        rng.shuffle(order)
+        for i in order:
+            cols, _, low = next(steps[i][0])
+            assert [col & low for col in cols] == next(steps[i][1]), (pair, i)
 
 
 def test_numerator_is_palindromic_with_mass_2_to_the_m_p_to_the_m_minus_1():

@@ -160,18 +160,18 @@ def test_single_degree_read_equals_the_full_numerator_formula(monkeypatch):
     # full numerator at every h, below m*p and past it; the kernel builds passes 1..m-1
     # only, and reads its last factor at those degrees alone
     asked, stops = [], []
-    coeffs, product = spectra._lattice_coeffs, lattice._product
+    coeffs, products = spectra._lattice_coeffs, lattice._products
 
     def recording(p, qs, s_max, with_zp, degrees):
         asked.append((s_max, list(degrees)))
         return coeffs(p, qs, s_max, with_zp, degrees)
 
-    def passes(p, qs, s_max, with_zp, stop, reuse=None):
-        stops.append((len(qs), stop))
-        return product(p, qs, s_max, with_zp, stop, reuse)
+    def passes(p, m, s_max, with_zp, tuples, stop):
+        stops.append((m, stop))
+        return products(p, m, s_max, with_zp, tuples, stop)
 
     monkeypatch.setattr(spectra, "_lattice_coeffs", recording)
-    monkeypatch.setattr(lattice, "_product", passes)
+    monkeypatch.setattr(lattice, "_products", passes)
     pairs = 0
     for m, p_max in ((2, 29), (3, 29), (4, 15)):
         for space in _canonical_spaces(m, p_max):
@@ -723,23 +723,49 @@ def test_isospectral_census_groups_are_the_numerator_classes(monkeypatch):
     assert len(families) == 23
 
 
+def _counted_plans(monkeypatch):
+    """(kernel plans by degree cap, passes run): _pass_plan wrapped where it is read."""
+    plans, ran, plan = Counter(), [], lattice._pass_plan
+
+    class Passes(list):  # a pass is counted as the kernel takes it from a slice of its plan
+        def __getitem__(self, index):
+            for step in list.__getitem__(self, index):
+                ran.append(step)
+                yield step
+
+    def counted(p, m, s_max, with_zp):
+        plans[s_max] += 1
+        passes, B, bits = plan(p, m, s_max, with_zp)
+        return Passes(passes), B, bits
+
+    for module in (lattice, spectra):
+        monkeypatch.setattr(module, "_pass_plan", counted)
+    return plans, ran
+
+
 def test_census_classes_share_kernel_passes_over_their_common_q_prefix(monkeypatch):
-    # a filing round hands the kernel its classes in class order with one reuse
-    # list, so a class runs only the passes past the q prefix it shares with the
-    # class before (all share q_1 = 1): at (31, 3, 16) the 46 classes run 54
+    # a filing round hands the kernel its classes in class order through one
+    # generator, so a class runs only the passes past the q prefix it shares with
+    # the class before (all share q_1 = 1): at (31, 3, 16) the 46 classes run 54
     # passes, not 3 * 46 = 138
-    passes = []
-    series = spectra._lattice_series
+    _, ran = _counted_plans(monkeypatch)
+    assert isospectral_census(31, 3, 16)[0] == 46
+    assert len(ran) == 54
 
-    def counted(p, qs, s_max, with_zp, reuse=None):
-        held = list(reuse)
-        coeffs = series(p, qs, s_max, with_zp, reuse)
-        passes.append(len(qs) - sum(kept is state for kept, state in zip(held, reuse)))
-        return coeffs
 
-    monkeypatch.setattr(spectra, "_lattice_series", counted)
-    assert isospectral_census(31, 3, 16)[0] == len(passes) == 46
-    assert sum(passes) == 54
+@pytest.mark.parametrize("p, m, i_max, plans", [
+    (31, 3, 16, {16: 2}),  # the price check, then one round: no group is refiled
+    (13, 4, 30, {30: 2, 52: 1}),  # and one full-numerator price when a group is first shared
+    # two groups of two, each priced at a full numerator (degree 162) when first
+    # shared and refiled at 33 in a round of its own
+    (54, 3, 16, {16: 2, 162: 2, 33: 2}),
+])
+def test_each_census_filing_round_plans_once(monkeypatch, p, m, i_max, plans):
+    # the census prices (p, m, i_max) up front, then each filing round plans the kernel
+    # once for all its classes, not once per class
+    counted, _ = _counted_plans(monkeypatch)
+    isospectral_census(p, m, i_max)
+    assert counted == Counter(plans)
 
 
 @pytest.mark.parametrize("p, m, i_max, refiled", [
@@ -750,13 +776,15 @@ def test_census_classes_share_kernel_passes_over_their_common_q_prefix(monkeypat
 ])
 def test_isospectral_census_refiles_shared_groups_deeper(monkeypatch, p, m, i_max, refiled):
     # every class is filed by a series capped at i_max; only a shared group is
-    # refiled deeper, and no full numerator (degree m*p) is built
+    # refiled deeper, and no full numerator (degree m*p) is built: the degree cap of
+    # each class the kernel builds, wherever the kernel is read
     degrees = []
     for module in (spectra, lattice):
-        def recorded(p, qs, s_max, with_zp, reuse=None, series=module._lattice_series):
-            degrees.append(s_max)
-            return series(p, qs, s_max, with_zp, reuse)
+        def recorded(p, m, s_max, with_zp, tuples, stop, products=module._products):
+            for product in products(p, m, s_max, with_zp, tuples, stop):
+                degrees.append(s_max)
+                yield product
 
-        monkeypatch.setattr(module, "_lattice_series", recorded)
+        monkeypatch.setattr(module, "_products", recorded)
     classes, _ = isospectral_census(p, m, i_max)
     assert Counter(degrees) == Counter({i_max: classes, **refiled})
