@@ -29,7 +29,8 @@ where two spaces must part, divides each only by the part of its
 denominator the other does not share (nothing at equal p, (1 - z^p)^m
 at different p), and divides the shared rest only up to their first
 difference (compare_spectra).  The census files its classes by that capped P
-itself, at growing depth until they part, and divides each group's P
+itself, in one round per depth over every class still shared, until they
+part (isospectral_census), and divides each group's P
 once.  A single degree reads the stride sum: `nl` and `verify --h` through
 lattice_count, over P at its degrees k + t*p <= min(h, m*p) alone, since no
 term past h has a nonzero binomial; the kernel reads each of those degrees
@@ -218,7 +219,7 @@ def _parting_degree(m: int, p_a: int, p_b: int) -> int:
     of degree m(p_a + p_b - g): zero through its half degree, it is zero.  R' = 0 means
     equal spectra in every degree.  Different p give different growth constants
     2^m/(p (m - 1)!) of N, so then R' != 0.  At equal p, g = p and the bound is
-    floor(m*p/2), the deepest refiling of the census (_file_classes).
+    floor(m*p/2), the depth of the census's last refiling round (isospectral_census).
     """
     return m * (p_a + p_b - gcd(p_a, p_b)) // 2
 
@@ -263,54 +264,32 @@ def parity_verdicts(space: LensSpace, mults: list[int]) -> list[bool]:
     return [mult % 2 == (i % 2 == 0 and (i // 2) & m2 == 0) for i, mult in enumerate(mults)]
 
 
-def _file_classes(p: int, m: int, tuples: list, h: int, i_max: int) -> list[tuple[tuple, list]]:
-    """Classes filed by the kernel's P[0..h], shared groups refiled deeper: [(prefix, [q, ...])].
-
-    A round plans the kernel once and builds its classes in class order through one
-    lattice._products generator, each after the q prefix it shares with the class
-    before.  A group that gets its second class prices the deepest refiling first, at a
-    full numerator's DP bits, so the census is refused before its next class is built.
-    A shared group is refiled at 2h + 1, or at floor(m*p/2) once 4h + 2 passes it: at
-    equal p that is the _parting_degree, where two spaces part or never do.  Every
-    other group is filed with its P[0..i_max] divided into dim(lambda_0..lambda_i_max),
-    and its P key is dropped as it is filed, so the P keys and the finished prefixes
-    are not all held at once.  The groups come back sorted by their first class.
-    """
-    groups = defaultdict(list)  # P[0..h] -> [q], in class order
-    for q, (cols, _, low) in zip(tuples, _products(p, m, h, True, tuples, m)):
-        members = groups[tuple(col & low for col in cols)]
-        members.append(q)
-        if len(members) == 2:
-            _numerator_bits(p, m)
-    top = _parting_degree(m, p, p)  # floor(m*p/2)
-    deeper = top if 4 * h + 2 > top else 2 * h + 1  # <= h once h >= top
-    filed = []
-    while groups:
-        key, qs = groups.popitem()
-        if len(qs) > 1 and deeper > h:
-            filed += _file_classes(p, m, qs, deeper, i_max)
-        else:
-            filed.append((tuple(_divided(list(key[: i_max + 1]), p, m, m - 1)), qs))
-    return sorted(filed, key=lambda group: group[1][0])
-
-
 def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tuple, list]]]:
     """Symmetry classes at (p, m) by spectrum: (class count, [(prefix, [q, ...])]), class order.
 
     Each class (permutation, negation mod p, scaling by a unit) is filed under the
-    kernel's P capped at i_max, and every group of two or more classes is refiled by a
-    deeper capped P (_file_classes) until it parts or reaches floor(m*p/2):
-    L(54;1,1,17) and L(54;1,1,19) agree to 17 and part at 18.  Each filing round, the
-    first and every refiling, plans the kernel once, and its classes share the kernel's
-    passes over their common q prefixes.  The division by (1 - z^p)^m (1 - z^2)^(m - 1)
-    is causal with constant term 1, so equal multiplicities up to h mean equal P[0..h]
-    and the other way round; P is palindromic of degree m*p (lattice docstring), so the
-    groups still shared at floor(m*p/2) are exactly the classes of equal P.  Equal
-    (p, m) share the denominator, so each group is one spectrum in every degree,
-    divided once into its multiplicities up to i_max.  Groups come back in class
-    order, by their first class.  The class, degree, DP, held-value and m >= 2 rules
-    are checked in that order from (p, m, i_max) before any class is built; the
-    held-value rule prices each candidate tuple at i_max + 1 held multiplicities.
+    kernel's P capped at i_max, and the classes still shared are refiled by a deeper
+    capped P until they part or reach floor(m*p/2): L(54;1,1,17) and L(54;1,1,19) agree
+    to 17 and part at 18.  The filing runs in rounds by depth h: i_max, then 2h + 1, or
+    floor(m*p/2) once 4h + 2 passes it, which at equal p is the _parting_degree, where
+    two spaces part or never do.  A round takes every class still shared, across all
+    groups, in class order, plans the kernel once and builds them through one
+    lattice._products generator, each after the q prefix it shares with the class
+    before.  Its key is P[0..h] alone: two classes of different groups already differ in
+    P[0..h'] for the shallower h' of the round before, a prefix of P[0..h], so no group
+    id is needed.  The first key to get a second class prices the deepest refiling, at a
+    full numerator's DP bits, once per census, so the census is refused before its next
+    class is built.  The division by (1 - z^p)^m (1 - z^2)^(m - 1) is causal with
+    constant term 1, so equal multiplicities up to h mean equal P[0..h] and the other
+    way round; P is palindromic of degree m*p (lattice docstring), so the groups still
+    shared at floor(m*p/2) are exactly the classes of equal P.  Equal (p, m) share the
+    denominator, so each group is one spectrum in every degree: it is filed with its
+    P[0..i_max] divided once into dim(lambda_0..lambda_i_max), and its P key is dropped
+    as it is filed, so a round's keys and the finished prefixes are not all held at
+    once.  Groups come back in class order, by their first class.  The class, degree,
+    DP, held-value and m >= 2 rules are checked in that order from (p, m, i_max) before
+    any class is built; the held-value rule prices each candidate tuple at i_max + 1
+    held multiplicities.
     """
     tried = _canonical_candidates(p, m)
     _check_i_max(i_max)
@@ -320,4 +299,21 @@ def isospectral_census(p: int, m: int, i_max: int) -> tuple[int, list[tuple[tupl
                          f"{MAX_CENSUS_VALUES} held multiplicities")
     _check_m(m)
     tuples = canonical_q_tuples(p, m)
-    return len(tuples), _file_classes(p, m, tuples, i_max, i_max)
+    top, h, bits, shared, filed = _parting_degree(m, p, p), i_max, 0, tuples, []
+    while shared:  # one round per depth h, over the classes still shared
+        groups = defaultdict(list)  # P[0..h] -> [q], in class order
+        for q, (cols, _, low) in zip(shared, _products(p, m, h, True, shared, m)):
+            members = groups[tuple(col & low for col in cols)]
+            members.append(q)
+            if len(members) == 2 and not bits:  # DP bits are positive once priced
+                bits = _numerator_bits(p, m)
+        deeper, shared = top if 4 * h + 2 > top else 2 * h + 1, []  # <= h once h >= top
+        while groups:
+            key, qs = groups.popitem()
+            if len(qs) > 1 and deeper > h:
+                shared += qs
+            else:
+                filed.append((tuple(_divided(list(key[: i_max + 1]), p, m, m - 1)), qs))
+        shared.sort()  # class order across groups
+        h = deeper
+    return len(tuples), sorted(filed, key=lambda group: group[1][0])

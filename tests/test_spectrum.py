@@ -743,26 +743,39 @@ def _counted_plans(monkeypatch):
     return plans, ran
 
 
-def test_census_classes_share_kernel_passes_over_their_common_q_prefix(monkeypatch):
+@pytest.mark.parametrize("p, m, i_max, classes, passes", [
+    (31, 3, 16, 46, 54),  # one round: not 3 * 46 = 138
+    # a refiling round takes the classes of every shared group together, so a class
+    # also shares passes with a class of another group
+    (54, 3, 16, 19, 31),  # two groups of two refiled at 33 in one round
+    (56, 3, 16, 31, 53),  # two families at 33, then at 84, each depth one round
+])
+def test_census_classes_share_kernel_passes_over_their_common_q_prefix(
+    monkeypatch, p, m, i_max, classes, passes
+):
     # a filing round hands the kernel its classes in class order through one
     # generator, so a class runs only the passes past the q prefix it shares with
-    # the class before (all share q_1 = 1): at (31, 3, 16) the 46 classes run 54
-    # passes, not 3 * 46 = 138
+    # the class before (all share q_1 = 1)
     _, ran = _counted_plans(monkeypatch)
-    assert isospectral_census(31, 3, 16)[0] == 46
-    assert len(ran) == 54
+    assert isospectral_census(p, m, i_max)[0] == classes
+    assert len(ran) == passes
 
 
 @pytest.mark.parametrize("p, m, i_max, plans", [
     (31, 3, 16, {16: 2}),  # the price check, then one round: no group is refiled
-    (13, 4, 30, {30: 2, 52: 1}),  # and one full-numerator price when a group is first shared
-    # two groups of two, each priced at a full numerator (degree 162) when first
-    # shared and refiled at 33 in a round of its own
-    (54, 3, 16, {16: 2, 162: 2, 33: 2}),
+    (13, 4, 30, {30: 2, 52: 1}),  # and one full-numerator price when a key is first shared
+    # two groups of two, priced once at a full numerator (degree 162) when the first
+    # is shared, both refiled at 33 in one round
+    (54, 3, 16, {16: 2, 33: 1, 162: 1}),
+    # two families: one round at 33 and one at floor(m*p/2) = 84, one price
+    (56, 3, 16, {16: 2, 33: 1, 84: 1, 168: 1}),
+    # two families, refiled together straight at floor(m*p/2) = 39 (4*16 + 2 > 39)
+    (26, 3, 16, {16: 2, 39: 1, 78: 1}),
 ])
 def test_each_census_filing_round_plans_once(monkeypatch, p, m, i_max, plans):
-    # the census prices (p, m, i_max) up front, then each filing round plans the kernel
-    # once for all its classes, not once per class
+    # the census prices (p, m, i_max) up front, then each filing round, one per
+    # depth, plans the kernel once for all its classes, across every shared group,
+    # and the full numerator is priced at most once
     counted, _ = _counted_plans(monkeypatch)
     isospectral_census(p, m, i_max)
     assert counted == Counter(plans)
