@@ -7,10 +7,12 @@ yields the points of one norm: enumerate_omega and enumerate_c list them,
 n_lattice_bruteforce (so a one-norm `lenslat verify`) counts them, keeping none,
 and the fold laws of `lenslat verify --deep` fold them.  The count walk,
 shell_counts, counts norms 0..h_max in one pass that lists no point, and
-`lenslat verify` takes a range's count rows from one call.  It pairs each
-point with its negative and counts a last coordinate's congruence class
-in closed form, but keeps no tally over coordinates and uses no
-numerator, DP or binomial, so it stays independent of the kernel.
+`lenslat verify` takes a range's count rows from one call.  It walks
+base values only (each coordinate in {0} and +-[1..p]) and fills in
+their lifts by running sums of step p, pairs each point with its negative
+and counts a last coordinate's congruence class in closed form, but keeps
+no tally over coordinates and uses no numerator, DP or binomial, so it
+stays independent of the kernel.
 verify_grid sets it against the ranged series N(0..h_max), P capped at
 h_max and divided by spectra's _divided, which `spectrum`, `parity` and
 the census divide further, and `compare` at different p up to its first
@@ -23,9 +25,10 @@ and refused past a budget by the one check_budget.  shell_price, the
 candidates of the 1-norm shells h_lo..h_hi of Z^m, prices the sphere
 (h..h) of enumerate_omega and n_lattice_bruteforce and the ball (0..h_max)
 of shell_counts; a direct enumerate_c is priced at its whole box.  The
-ball bounds shell_counts' work: each (prefix, y >= 0) pair it visits
-extends to distinct candidates (y, and -y when y > 0), each prefix has its
-y = 0 pair, and its running sum takes at most h_max steps.  It bounds the
+ball bounds shell_counts' pairs: each (base prefix, y >= 0) pair it visits
+extends to distinct candidates (y, and -y when y > 0), and each base prefix
+has its y = 0 pair.  Beside them it runs up to m running sums of at most
+h_max steps, one per level of its Horner scheme.  The price bounds the
 box-shell walks of fold_law_checks() too, whose laws read gamma from
 subset_table(), one box DP per class per case.  A point of norm h has
 |N|*p <= h for its class N, so the table, the fiber census and the law
@@ -191,48 +194,80 @@ def n_lattice_bruteforce(space: LensSpace, h: int, budget: int = DEFAULT_BUDGET)
 def shell_counts(space: LensSpace, h_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """[|Omega(M, h)| for h in 0..h_max], counted by one walk that lists no point.
 
-    A point is a signed prefix of the first m - 2 coordinates, with 1-norm n
-    and residue r, then its next-to-last value y, then a last value x with
-    q_m*x = -(r + q_{m-1}*y) (mod p).  The walk visits each pair (prefix,
-    y >= 0) with n + y <= h_max once, at O(1) cost, by two facts.  It keeps
-    no (norm, residue) tally over coordinates.
+    A point is a signed prefix of the first m - 2 coordinates, with 1-norm n,
+    residue r and k nonzero values, then its next-to-last value y, then a
+    last value x with q_m*x = -(r + q_{m-1}*y) (mod p).  The walk visits
+    base values only and fills in every lift by running sums of step p, by
+    four facts.  It keeps no (norm, residue) tally over coordinates.
 
-    The map v -> -v on points takes the lattice onto itself and keeps the
-    norm: sum q_j*v_j = 0 (mod p) implies sum q_j*(-v_j) = 0, and |-v_j| =
-    |v_j|.  It maps the points with y < 0 one to one onto those with y > 0,
-    so N(h) is twice the count of norm-h points with y > 0 plus the count
-    with y = 0: a pair adds 2 for y > 0 and 1 for y = 0.
+    Lifts.  Every nonzero integer is +-(a + j*p) for exactly one a in 1..p
+    and one j >= 0.  Adding p to |v_i| on a nonzero coordinate i < m keeps
+    the congruence, since p = 0 (mod p), and adds exactly p to the norm.  So
+    each point is exactly one base point, whose first m - 1 coordinates lie
+    in {0} and +-[1..p], lifted j_i >= 0 times on each of its nonzero
+    coordinates among those m - 1.  A mark at norm t standing for the lifts
+    of c nonzero coordinates is filled in by c running sums R of step p:
+    R^c puts binom(j + c - 1, c - 1), the number of ways to share j lifts,
+    at t + j*p.  The prefixes are walked over base values only.
 
-    q_m is a unit mod p (every q_j of a lens space is coprime to p), so
-    q_m*x = -(r + q_{m-1}*y) (mod p) holds exactly when x = u (mod p), with
-    u = -(r + q_{m-1}*y)/q_m mod p in 0..p-1.  The x >= 0 of that class have
-    |x| = u, u + p, u + 2p, ...; the x < 0 have |x| = p - u, 2p - u, ...
-    (p, 2p, ... when u = 0).  So a pair adds to N(n + y + |x|) along two
-    progressions of step p, which start at n + y + u and n + y + p - u.  The
-    walk marks each start <= h_max, and one running sum with step p over
-    the marks fills every progression in up to h_max.
+    The fold.  The map v -> -v on points takes the lattice onto itself and
+    keeps the norm: sum q_j*v_j = 0 (mod p) implies sum q_j*(-v_j) = 0, and
+    |-v_j| = |v_j|.  It maps the points with y < 0 one to one onto those
+    with y > 0, so N(h) is twice the count of norm-h points with y > 0 plus
+    the count with y = 0.  A y > 0 is a base a in 1..p with its lifts; y = 0
+    has none.  A lone mark is R of itself less itself shifted by p, and the
+    shift of a y = 0 mark is the mark of y = p, whose residue is y = 0's
+    (p*q_{m-1} = 0 mod p).  So under one running sum for y, the walk takes
+    y in 0..p, at weight 1 for y = 0 and y = p and 2 for y in 1..p-1.
+
+    The last value.  q_m is a unit mod p (every q_j of a lens space is
+    coprime to p), so q_m*x = -(r + q_{m-1}*y) (mod p) holds exactly when
+    x = u (mod p), with u = -(r + q_{m-1}*y)/q_m mod p in 0..p-1.  The x >= 0
+    of that class have |x| = u, u + p, u + 2p, ...; the x < 0 have |x| =
+    p - u, 2p - u, ... (p, 2p, ... when u = 0).  So a pair adds to
+    N(n + y + |x|) along two progressions of step p, which start at
+    n + y + u and n + y + p - u.  The walk marks each start <= h_max, and
+    one running sum fills each progression in up to h_max.
+
+    Horner.  A pair whose prefix has k nonzero values needs k + 2 running
+    sums: k for the prefix's lifts, one for y's and one for x's.  With L_k
+    the marks of those pairs, counts = R(R(L_0 + R(L_1 + ... R(L_{m-2})))),
+    applied in one (h_max + 1)-long list from the largest k down.
+
+    Work.  The walk visits each (base prefix, y in 0..p) pair with n + y <=
+    h_max once, at O(1) cost: O(min(p, h_max + 1)^(m - 1)) pairs, then m
+    running sums of at most h_max steps.  At p > h_max no value has a lift,
+    and the pairs are every (prefix, y >= 0) with n + y <= h_max.  Nothing
+    it allocates is sized by p.
     """
     what = f"counting 1-norm 0..{h_max} vectors in Z^{space.m}"
     check_budget(shell_price(space.m, 0, h_max), budget, what)
     # every q_j scaled by -1/q_m, so a residue is the u of its last values
     p, scale = space.p, -pow(space.q[-1], -1, space.p)
     *head, q_y = (q * scale % p for q in space.q[:-1])
-    prefixes = [(0, 0)]
+    bins = [[(0, 0)]]  # bins[k]: (norm, residue) of each base prefix with k nonzero values
     for q in head:
-        prefixes = [
-            (n + abs(x), r + q * x) for n, r in prefixes for x in range(n - h_max, h_max - n + 1)
+        bins = [
+            same + [(n + a, r + s) for n, r in low for a in range(1, min(p, h_max - n) + 1)
+                    for s in (q * a, -q * a)]
+            for same, low in zip(bins + [[]], [[]] + bins)
         ]
     counts = [0] * (h_max + 1)
-    for n, r in prefixes:
-        u, w = r % p, 1
-        for ny in range(n, h_max + 1):  # ny = n + y
-            if ny + u <= h_max:
-                counts[ny + u] += w
-            if ny + p - u <= h_max:
-                counts[ny + p - u] += w
-            u, w = (u + q_y) % p, 2
-    for h in range(p, h_max + 1):
-        counts[h] += counts[h - p]
+    for level in (*reversed(bins), ()):  # Horner: R(R(L_0 + R(L_1 + ... R(L_{m-2}))))
+        for n, r in level:
+            u, w = r % p, 1
+            for ny in range(n, min(n + p - 1, h_max) + 1):  # ny = n + y, y in 0..p-1
+                if ny + u <= h_max:
+                    counts[ny + u] += w
+                if ny + p - u <= h_max:
+                    counts[ny + p - u] += w
+                u, w = (u + q_y) % p, 2
+            if n + p <= h_max:  # y = p: the u of y = 0, at weight 1
+                for t in (n + p + u, n + 2 * p - u):
+                    if t <= h_max:
+                        counts[t] += 1
+        for h in range(p, h_max + 1):
+            counts[h] += counts[h - p]
     return counts
 
 

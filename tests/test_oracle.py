@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from lenslat import SubsetMask, binom, canonical_q_tuples, decompose, gamma, make_lens_space
 from lenslat import lattice, oracle
+from lenslat.lattice import _lattice_series
 from lenslat.oracle import (
     OracleBudgetError,
     enumerate_c,
@@ -26,6 +27,7 @@ from lenslat.oracle import (
     shell_counts,
     subset_table,
 )
+from lenslat.spectra import _divided
 from strategies import lens_spaces
 
 
@@ -136,6 +138,43 @@ def test_shell_counts_stand_apart_from_the_kernel(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def _ranged(space, h_max):
+    """N(0..h_max) from the ranged series, as verify reads it."""
+    return _divided(_lattice_series(*space, h_max, True), space.p, space.m, 0)
+
+
+def test_shell_counts_match_the_ranged_series_through_deep_lifts():
+    # where the listing walk is too slow: up to 1000 lifts on a coordinate at
+    # p = 2, and six lifted coordinates stacked at m = 7
+    cases = [(2, (1, 1, 1), 2000), (7, (1, 2, 3), 400), (97, (1, 5, 11), 500),
+             (2, (1,) * 7, 20)]
+    for p, q, h_max in cases:
+        space = make_lens_space(p, q)
+        assert shell_counts(space, h_max, budget=10**20) == _ranged(space, h_max), space
+
+
+def test_shell_counts_walk_one_period_in_one_list():
+    # a walk over every (prefix, y >= 0) pair of L(2;1,1,1,1) to norm 3000
+    # would visit 1.8e10 of them; the walk over base values visits 25 base
+    # prefixes at y in 0..2, then runs four running sums of 3000 steps
+    space = make_lens_space(2, (1, 1, 1, 1))
+    start = time.perf_counter()
+    counts = shell_counts(space, 3000, budget=10**20)
+    assert time.perf_counter() - start < 1
+    assert counts == _ranged(space, 3000)
+    # at m = 2 the Horner scheme has two levels, and both share the one
+    # (h + 1)-long list; every N(h) of L(10007;1,2) up to 1e5 is a cached
+    # small int, so the list is the whole footprint
+    tracemalloc.start()
+    try:
+        counts = shell_counts(make_lens_space(10007, (1, 2)), 10**5, budget=10**20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(counts) <= 256
+    assert peak < 1.25 * sys.getsizeof(counts), peak
 
 
 def test_shell_counts_refuse_a_negative_norm():
